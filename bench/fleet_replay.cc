@@ -5,12 +5,16 @@
 //
 // Flags:
 //   --tenants N : concurrent monitored grids (default 1000)
-//   --shards K  : shard drain threads (default 4)
+//   --shards K  : shard drain threads (default min(4, host cores), so
+//                 shards never outnumber CPUs and latency tails measure
+//                 detection, not preemption; PW_THREADS overrides the
+//                 core count as everywhere else)
 //   --frames N  : frames replayed per tenant (default 30)
 //   --quick     : CI sizing (128 tenants, 12 frames)
 //   --json PATH : write the pw-bench-report-v1 run report
 //                 (BENCH_fleet.json trajectory, scripts/bench_report.py)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +27,7 @@
 #include "bench/alloc_counter.h"
 #include "bench/bench_common.h"
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "detect/fleet.h"
 #include "eval/dataset.h"
 #include "grid/ieee_cases.h"
@@ -33,7 +38,7 @@ namespace {
 
 struct FleetReplayConfig {
   size_t tenants = 1000;
-  size_t shards = 4;
+  size_t shards = std::min<size_t>(4, ResolveParallelism(0));
   size_t frames = 30;
   std::string json_path;
 };

@@ -16,7 +16,7 @@
 // Fleet flags (docs/FLEET.md):
 //   --tenants N              monitor N copies of the grid through the
 //                            sharded FleetEngine instead of one
-//                            StreamingMonitor (default 1: single-grid
+//                            TenantSession (default 1: single-grid
 //                            mode, output unchanged)
 //   --shards K               fleet shard drain threads (default 2)
 
@@ -33,7 +33,7 @@
 #include "common/serialize.h"
 #include "detect/detector.h"
 #include "detect/fleet.h"
-#include "detect/stream.h"
+#include "detect/session.h"
 #include "eval/dataset.h"
 #include "grid/ieee_cases.h"
 #include "obs/event_log.h"
@@ -264,7 +264,10 @@ int main(int argc, char** argv) {
     pw::detect::StreamOptions stream_opts;
     stream_opts.alarm_after = 2;
     stream_opts.clear_after = 2;
-    pw::detect::StreamingMonitor monitor(&*detector, stream_opts);
+    pw::detect::TenantSession monitor(
+        std::make_shared<pw::detect::OutageDetector>(
+            std::move(detector).value()),
+        stream_opts);
 
     // Streaming timeline: 20 normal ticks, 15 outage ticks with the home
     // cluster dark, 10 normal ticks after restoration.

@@ -98,6 +98,15 @@ build/bench/fleet_replay --quick --json build/BENCH_fleet.json > /dev/null
 python3 scripts/bench_report.py validate build/BENCH_fleet.json \
   BENCH_fleet.json
 
+# pwbench lane (pwbench/BENCHMARK.md): the benchmark package compiles
+# src/ through its own CMake project into .bench_build/, so this builds
+# the library API exactly as the benchmark pipeline does, then runs
+# every workload at smoke sizing with the correctness replay on, plus
+# the comparison tool's own fixtures.
+echo "=== pwbench (smoke + compare self-test) ==="
+python3 pwbench/run.py --smoke
+python3 pwbench/compare.py --self-test
+
 # The instrumentation must compile out cleanly: same tests, hooks gone.
 echo "=== PW_OBS_DISABLED build ==="
 cmake -B build-obs-off -G Ninja -DPW_OBS_DISABLED=ON

@@ -66,7 +66,7 @@ inline bool LogEveryNCheck(std::atomic<uint64_t>& counter, uint64_t n) {
 
 /// Rate-limited logging for per-sample hot paths: emits only every n-th
 /// invocation of this call site (the first one always logs). A
-/// StreamingMonitor fed 30-60 samples/s can leave a debug line here
+/// TenantSession fed 30-60 samples/s can leave a debug line here
 /// without flooding stderr. Each expansion keeps its own atomic
 /// counter, so the limit is per call site, not global.
 #define PW_LOG_EVERY_N(level, n)                                        \

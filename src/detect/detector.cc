@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <numeric>
 
 #include "common/check.h"
@@ -176,24 +175,25 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         // Force the out-of-cluster variant by marking one member of the
         // cluster missing (its own group members remain available).
         mask.missing[network.Cluster(c).front()] = true;
-        groups[c] = det.SelectGroup(c, mask);
+        det.SelectGroupInto(c, mask, &groups[c]);
         groups[c].used_out_of_cluster = true;
       } else {
-        groups[c] = det.SelectGroup(c, mask);
+        det.SelectGroupInto(c, mask, &groups[c]);
       }
     }
     std::vector<double> worst(num_clusters, kProxFloor);
     std::vector<std::vector<double>> raw_scores(n);
+    Vector residuals;
+    Vector scores;
     for (size_t t = 0; t < normal_take; ++t) {
       auto [vm, va] = data.normal->Sample(t);
       Vector features = FeatureVector(vm, va, options.subspace.channel);
-      PW_ASSIGN_OR_RETURN(Vector residuals,
-                          det.ClusterNormalResiduals(features, groups));
+      PW_RETURN_IF_ERROR(
+          det.ClusterNormalResidualsInto(features, groups, &residuals));
       for (size_t c = 0; c < num_clusters; ++c) {
         worst[c] = std::max(worst[c], residuals[c]);
       }
-      PW_ASSIGN_OR_RETURN(Vector scores,
-                          det.RawNodeScores(features, groups));
+      PW_RETURN_IF_ERROR(det.RawNodeScoresInto(features, groups, &scores));
       for (size_t i = 0; i < n; ++i) raw_scores[i].push_back(scores[i]);
     }
     for (size_t c = 0; c < num_clusters; ++c) {
@@ -226,18 +226,20 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng mask_rng(0x9A7E5EEDull);
     double lowest_normal_ratio = 1e300;
+    std::vector<size_t> coords;
     auto ratio_for = [&](const Vector& features,
                          const std::vector<size_t>& avail) -> Result<double> {
+      det.GroupCoordinatesInto(avail, &coords);
       PW_ASSIGN_OR_RETURN(double r0,
                           det.engine_.Evaluate(det.normal_class_model_,
                                                kClassFamilyKey, features,
-                                               det.GroupCoordinates(avail)));
+                                               coords));
       double best = -1.0;
       for (size_t c = 0; c < det.case_lines_.size(); ++c) {
         PW_ASSIGN_OR_RETURN(
             double prox,
             det.engine_.Evaluate(det.line_class_models_[c], kClassFamilyKey,
-                                 features, det.GroupCoordinates(avail)));
+                                 features, coords));
         if (best < 0.0 || prox < best) best = prox;
       }
       return best / std::max(r0, kProxFloor);
@@ -288,7 +290,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     }
     std::vector<size_t> all_nodes(n);
     std::iota(all_nodes.begin(), all_nodes.end(), size_t{0});
-    const std::vector<size_t> all_coords = det.GroupCoordinates(all_nodes);
+    std::vector<size_t> all_coords;
+    det.GroupCoordinatesInto(all_nodes, &all_coords);
     const size_t dim = det.normal_class_model_.mean.size();
     const size_t num_cases = data.outage.size();
 
@@ -308,6 +311,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     }
 
     std::vector<std::vector<double>> nulls(num_cases * num_cases);
+    std::vector<size_t> masked_coords;
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng peel_mask_rng(0x9EE15EEDull);
     // Records the spurious deltas of every non-true case on a peeled
@@ -352,8 +356,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         // beyond their complete-coordinate envelope.
         sim::MissingMask mask = sim::MissingRandom(
             n, 1 + peel_mask_rng.UniformInt(4), {}, peel_mask_rng);
-        PW_RETURN_IF_ERROR(record_nulls(
-            peeled, t, det.GroupCoordinates(mask.AvailableIndices())));
+        det.GroupCoordinatesInto(mask.AvailableIndices(), &masked_coords);
+        PW_RETURN_IF_ERROR(record_nulls(peeled, t, masked_coords));
       }
     }
     det.peel_tau_.assign(num_cases * num_cases, kPeelTauNever);
@@ -370,18 +374,19 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
 
   // Diagnostic: check separation on a few outage calibration samples.
   {
-    std::vector<SelectedGroup> groups =
-        det.SelectGroups(sim::MissingMask::None(n));
+    std::vector<SelectedGroup> groups;
+    det.SelectGroupsInto(sim::MissingMask::None(n), &groups);
     size_t per_case = std::max<size_t>(
         1, options.calibration_samples / data.outage.size());
     size_t gated = 0, total = 0;
+    Vector residuals;
     for (const sim::PhasorDataSet* block : data.outage) {
       size_t take = std::min(per_case, block->num_samples());
       for (size_t t = 0; t < take; ++t) {
         auto [vm, va] = block->Sample(t);
         Vector features = FeatureVector(vm, va, options.subspace.channel);
-        PW_ASSIGN_OR_RETURN(Vector residuals,
-                            det.ClusterNormalResiduals(features, groups));
+        PW_RETURN_IF_ERROR(
+            det.ClusterNormalResidualsInto(features, groups, &residuals));
         ++total;
         for (size_t c = 0; c < num_clusters; ++c) {
           if (residuals[c] > det.gates_[c].in_cluster) {
@@ -407,10 +412,9 @@ double OutageDetector::decision_threshold() const {
   return sum / static_cast<double>(gates_.size());
 }
 
-PW_NO_ALLOC void OutageDetector::SelectGroupInto(size_t cluster,
-                                     const sim::MissingMask& mask,
-                                     SelectedGroup* selected,
-                                     GroupSelectionStats* stats) const {
+PW_NO_ALLOC void OutageDetector::SelectGroupInto(
+    size_t cluster, const sim::MissingMask& mask,
+    SelectedGroup* selected) const {
   const ClusterDetectionGroup& group = groups_[cluster];
   // Eq. 10: cluster data incomplete -> use the out-of-cluster members.
   selected->members.clear();
@@ -423,7 +427,6 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(size_t cluster,
   }
   if (selected->used_out_of_cluster) {
     PW_OBS_COUNTER_INC("detect.groups.out_of_cluster_selected");
-    ++stats->out_of_cluster_selected;
   }
   const std::vector<size_t>& preferred =
       selected->used_out_of_cluster ? group.out_of_cluster : group.in_cluster;
@@ -434,7 +437,6 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(size_t cluster,
     // Both alternatives compromised: fall back to the other side, then
     // to any available nodes at all.
     PW_OBS_COUNTER_INC("detect.groups.fallback_alternate_side");
-    ++stats->fallback_alternate_side;
     const std::vector<size_t>& alt =
         selected->used_out_of_cluster ? group.in_cluster
                                       : group.out_of_cluster;
@@ -444,7 +446,6 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(size_t cluster,
   }
   if (selected->members.empty()) {
     PW_OBS_COUNTER_INC("detect.groups.fallback_any_available");
-    ++stats->fallback_any_available;
     for (size_t i = 0;
          i < mask.size() &&
          selected->members.size() < options_.groups.max_group_size;
@@ -455,16 +456,8 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(size_t cluster,
   GroupCoordinatesInto(selected->members, &selected->coords);
 }
 
-OutageDetector::SelectedGroup OutageDetector::SelectGroup(
-    size_t cluster, const sim::MissingMask& mask) const {
-  SelectedGroup selected;
-  GroupSelectionStats stats;
-  SelectGroupInto(cluster, mask, &selected, &stats);
-  return selected;
-}
-
-PW_NO_ALLOC void OutageDetector::GroupCoordinatesInto(const std::vector<size_t>& nodes,
-                                          std::vector<size_t>* coords) const {
+PW_NO_ALLOC void OutageDetector::GroupCoordinatesInto(
+    const std::vector<size_t>& nodes, std::vector<size_t>* coords) const {
   coords->clear();
   if (options_.subspace.channel != PhasorChannel::kBoth) {
     coords->insert(coords->end(), nodes.begin(), nodes.end());
@@ -476,34 +469,17 @@ PW_NO_ALLOC void OutageDetector::GroupCoordinatesInto(const std::vector<size_t>&
   for (size_t node : nodes) coords->push_back(n + node);
 }
 
-std::vector<size_t> OutageDetector::GroupCoordinates(
-    const std::vector<size_t>& nodes) const {
-  std::vector<size_t> coords;
-  GroupCoordinatesInto(nodes, &coords);
-  return coords;
-}
-
-PW_NO_ALLOC void OutageDetector::SelectGroupsInto(const sim::MissingMask& mask,
-                                      std::vector<SelectedGroup>* groups,
-                                      GroupSelectionStats* stats) const {
-  *stats = GroupSelectionStats{};
+PW_NO_ALLOC void OutageDetector::SelectGroupsInto(
+    const sim::MissingMask& mask, std::vector<SelectedGroup>* groups) const {
   groups->resize(network_->num_clusters());
   for (size_t c = 0; c < groups->size(); ++c) {
-    SelectGroupInto(c, mask, &(*groups)[c], stats);
+    SelectGroupInto(c, mask, &(*groups)[c]);
   }
-}
-
-std::vector<OutageDetector::SelectedGroup> OutageDetector::SelectGroups(
-    const sim::MissingMask& mask) const {
-  std::vector<SelectedGroup> groups;
-  GroupSelectionStats stats;
-  SelectGroupsInto(mask, &groups, &stats);
-  return groups;
 }
 
 PW_NO_ALLOC Status OutageDetector::ClusterNormalResidualsInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
-    ProximityEngine::BatchCache* batch_cache, Vector* residuals) {
+    Vector* residuals) {
   residuals->Assign(groups.size());
   for (size_t c = 0; c < groups.size(); ++c) {
     if (groups[c].members.empty()) {
@@ -512,23 +488,14 @@ PW_NO_ALLOC Status OutageDetector::ClusterNormalResidualsInto(
     }
     PW_ASSIGN_OR_RETURN((*residuals)[c],
                         engine_.Evaluate(normal_model_, kNormalModelKey,
-                                         features, groups[c].coords,
-                                         batch_cache));
+                                         features, groups[c].coords));
   }
   return Status::OK();
 }
 
-Result<Vector> OutageDetector::ClusterNormalResiduals(
-    const Vector& features, const std::vector<SelectedGroup>& groups) {
-  Vector residuals;
-  PW_RETURN_IF_ERROR(
-      ClusterNormalResidualsInto(features, groups, nullptr, &residuals));
-  return residuals;
-}
-
 PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
-    ProximityEngine::BatchCache* batch_cache, Vector* scores) {
+    Vector* scores) {
   const size_t n = grid_->num_buses();
   scores->Assign(n);
   for (size_t i = 0; i < n; ++i) {
@@ -540,7 +507,7 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
     PW_ASSIGN_OR_RETURN(
         double prox_union,
         engine_.Evaluate(node_models_[i].union_model, UnionKey(i), features,
-                         group.coords, batch_cache));
+                         group.coords));
     if (!options_.use_scaling) {
       (*scores)[i] = prox_union;
       continue;
@@ -548,12 +515,11 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
     PW_ASSIGN_OR_RETURN(
         double prox_intersection,
         engine_.Evaluate(node_models_[i].intersection_model,
-                         IntersectionKey(i), features, group.coords,
-                         batch_cache));
+                         IntersectionKey(i), features, group.coords));
     PW_ASSIGN_OR_RETURN(
         double prox_normal,
         engine_.Evaluate(normal_model_, kNormalModelKey, features,
-                         group.coords, batch_cache));
+                         group.coords));
     // Eq. 11: scale the union proximity by intersection/normal.
     (*scores)[i] = prox_union * prox_intersection /
                    std::max(prox_normal, kProxFloor);
@@ -561,18 +527,10 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
   return Status::OK();
 }
 
-Result<Vector> OutageDetector::RawNodeScores(
-    const Vector& features, const std::vector<SelectedGroup>& groups) {
-  Vector scores;
-  PW_RETURN_IF_ERROR(RawNodeScoresInto(features, groups, nullptr, &scores));
-  return scores;
-}
-
-PW_NO_ALLOC Status OutageDetector::NodeScoresInto(const Vector& features,
-                                      const std::vector<SelectedGroup>& groups,
-                                      ProximityEngine::BatchCache* batch_cache,
-                                      Vector* scores) {
-  PW_RETURN_IF_ERROR(RawNodeScoresInto(features, groups, batch_cache, scores));
+PW_NO_ALLOC Status OutageDetector::NodeScoresInto(
+    const Vector& features, const std::vector<SelectedGroup>& groups,
+    Vector* scores) {
+  PW_RETURN_IF_ERROR(RawNodeScoresInto(features, groups, scores));
   for (size_t i = 0; i < scores->size(); ++i) {
     const SelectedGroup& group = groups[network_->ClusterOf(i)];
     const Vector& baseline =
@@ -582,19 +540,14 @@ PW_NO_ALLOC Status OutageDetector::NodeScoresInto(const Vector& features,
   return Status::OK();
 }
 
-/// Per-thread buffers behind Detect/DetectBatch. Every member keeps its
-/// capacity across calls, so a warmed steady-state detection loop
-/// allocates only the vectors that escape in the DetectionResult.
+/// Per-thread buffers behind Detect. Every member keeps its capacity
+/// across calls, so a warmed steady-state detection loop allocates only
+/// the vectors that escape in the DetectionResult. Each call overwrites
+/// a member before reading it, so nothing carries over between calls,
+/// even across detectors of different size or mode.
 struct OutageDetector::DetectScratch {
   linalg::Vector features;
   std::vector<SelectedGroup> groups;
-  GroupSelectionStats group_stats;
-  /// Mask the cached `groups` selection was built for (the *effective*
-  /// mask, after bad-data screening). Only honored within one
-  /// DetectBatch call (`selection_valid` is reset at batch entry), so a
-  /// stale selection can never leak across detectors.
-  std::vector<bool> cached_mask;
-  bool selection_valid = false;
   /// Input mask plus the nodes demoted by the bad-data screen. Only
   /// populated (and only read) on samples where the screen fired.
   sim::MissingMask screened_mask;
@@ -646,81 +599,19 @@ PW_NO_ALLOC Result<const sim::MissingMask*> OutageDetector::ScreenBadData(
   return &scratch.screened_mask;
 }
 
-PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(const Vector& vm,
-                                               const Vector& va,
-                                               const sim::MissingMask& mask) {
+PW_NO_ALLOC Result<DetectionResult> OutageDetector::Detect(
+    const Vector& vm, const Vector& va, const sim::MissingMask& mask) {
   static thread_local DetectScratch scratch;
-  scratch.selection_valid = false;
-  Result<DetectionResult> result =
-      DetectImpl(vm, va, mask, /*batch_cache=*/nullptr, scratch);
+  Result<DetectionResult> result = DetectImpl(vm, va, mask, scratch);
   if (!result.ok()) {
     PW_OBS_COUNTER_INC("detect.samples_rejected");
   }
   return result;
 }
 
-OutageDetector::BatchMemo::BatchMemo()
-    : scratch_(std::make_unique<DetectScratch>()) {}
-OutageDetector::BatchMemo::~BatchMemo() = default;
-OutageDetector::BatchMemo::BatchMemo(BatchMemo&& other) noexcept = default;
-OutageDetector::BatchMemo& OutageDetector::BatchMemo::operator=(
-    BatchMemo&& other) noexcept = default;
-
-void OutageDetector::BatchMemo::Clear() {
-  cache_.Clear();
-  scratch_->selection_valid = false;
-}
-
-PW_NO_ALLOC Result<std::vector<DetectionResult>> OutageDetector::DetectBatch(
-    const std::vector<BatchSample>& samples) {
-  static thread_local DetectScratch scratch;
-  static thread_local ProximityEngine::BatchCache batch_cache;
-  // Model cache keys are only unique within one detector, so the
-  // thread-local memo must not survive into a batch on a different
-  // instance. (A caller-owned BatchMemo pins one detector instead; see
-  // the overload below.)
-  batch_cache.Clear();
-  scratch.selection_valid = false;
-  return DetectBatchImpl(samples, &batch_cache, scratch);
-}
-
-PW_NO_ALLOC Result<std::vector<DetectionResult>> OutageDetector::DetectBatch(
-    const std::vector<BatchSample>& samples, BatchMemo* memo) {
-  if (memo == nullptr) return DetectBatch(samples);
-  // The memo's selection/cache persist from previous calls on this
-  // detector — that is the point. BatchMemo::Clear() is the owner's
-  // obligation when the detector behind the memo changes.
-  return DetectBatchImpl(samples, &memo->cache_, *memo->scratch_);
-}
-
-PW_NO_ALLOC Result<std::vector<DetectionResult>>
-OutageDetector::DetectBatchImpl(const std::vector<BatchSample>& samples,
-                                ProximityEngine::BatchCache* batch_cache,
-                                DetectScratch& scratch) {
-  PW_OBS_HISTOGRAM_OBSERVE("detect.batch_size", samples.size(),
-                           ::phasorwatch::obs::DefaultIterationBuckets());
-  // pw-lint: allow(no-alloc) the result set escapes to the caller.
-  std::vector<DetectionResult> results;
-  results.reserve(samples.size());
-  for (const BatchSample& sample : samples) {
-    if (sample.vm == nullptr || sample.va == nullptr ||
-        sample.mask == nullptr) {
-      return Status::InvalidArgument("DetectBatch sample has null fields");
-    }
-    Result<DetectionResult> result =
-        DetectImpl(*sample.vm, *sample.va, *sample.mask, batch_cache, scratch);
-    if (!result.ok()) {
-      PW_OBS_COUNTER_INC("detect.samples_rejected");
-      return result.status();
-    }
-    results.push_back(std::move(result).value());
-  }
-  return results;
-}
-
 PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     const Vector& vm, const Vector& va, const sim::MissingMask& mask,
-    ProximityEngine::BatchCache* batch_cache, DetectScratch& scratch) {
+    DetectScratch& scratch) {
   PW_TRACE_SCOPE("detect.total_us");
   PW_OBS_COUNTER_INC("detect.calls");
   const size_t n = grid_->num_buses();
@@ -746,30 +637,10 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   }
 
   // Stage 1: pick the detection group for every cluster under the
-  // sample's availability mask (Eq. 10). Consecutive batch samples with
-  // the same mask reuse the previous selection; the counters it would
-  // have ticked are replayed so observability output stays identical.
+  // sample's availability mask (Eq. 10).
   {
     PW_TRACE_SCOPE("detect.stage.groups_us");
-    if (scratch.selection_valid && scratch.cached_mask == effective->missing) {
-      const GroupSelectionStats& stats = scratch.group_stats;
-      if (stats.out_of_cluster_selected > 0) {
-        PW_OBS_COUNTER_ADD("detect.groups.out_of_cluster_selected",
-                           stats.out_of_cluster_selected);
-      }
-      if (stats.fallback_alternate_side > 0) {
-        PW_OBS_COUNTER_ADD("detect.groups.fallback_alternate_side",
-                           stats.fallback_alternate_side);
-      }
-      if (stats.fallback_any_available > 0) {
-        PW_OBS_COUNTER_ADD("detect.groups.fallback_any_available",
-                           stats.fallback_any_available);
-      }
-    } else {
-      SelectGroupsInto(*effective, &scratch.groups, &scratch.group_stats);
-      scratch.cached_mask = effective->missing;
-      scratch.selection_valid = true;
-    }
+    SelectGroupsInto(*effective, &scratch.groups);
   }
   const std::vector<SelectedGroup>& groups = scratch.groups;
 
@@ -778,9 +649,8 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     // Gate 1: does any cluster's normal-subspace residual exceed its
     // calibrated level? This separates "data looks normal (possibly with
     // gaps)" from "the grid state violates the normal model".
-    PW_RETURN_IF_ERROR(ClusterNormalResidualsInto(features, groups,
-                                                  batch_cache,
-                                                  &scratch.residuals));
+    PW_RETURN_IF_ERROR(
+        ClusterNormalResidualsInto(features, groups, &scratch.residuals));
     const Vector& residuals = scratch.residuals;
     result.decision_score = 0.0;
     for (size_t c = 0; c < groups.size(); ++c) {
@@ -804,13 +674,13 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     PW_ASSIGN_OR_RETURN(
         double normal_residual,
         engine_.Evaluate(normal_class_model_, kClassFamilyKey, features,
-                         scratch.pooled_coords, batch_cache));
+                         scratch.pooled_coords));
     double best_line_residual = -1.0;
     for (size_t c = 0; c < case_lines_.size(); ++c) {
       PW_ASSIGN_OR_RETURN(
           double prox,
           engine_.Evaluate(line_class_models_[c], kClassFamilyKey, features,
-                           scratch.pooled_coords, batch_cache));
+                           scratch.pooled_coords));
       if (best_line_residual < 0.0 || prox < best_line_residual) {
         best_line_residual = prox;
       }
@@ -823,8 +693,7 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
 
   {
     PW_TRACE_SCOPE("detect.stage.proximity_us");
-    PW_RETURN_IF_ERROR(NodeScoresInto(features, groups, batch_cache,
-                                      &result.node_scores));
+    PW_RETURN_IF_ERROR(NodeScoresInto(features, groups, &result.node_scores));
   }
   if (result.decision_score <= 1.0) {
     result.outage_detected = false;
@@ -911,16 +780,14 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   for (size_t c = 0; c < case_lines_.size(); ++c) {
     PW_ASSIGN_OR_RETURN(double prox,
                         engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
-                                         features, scratch.pooled_coords,
-                                         batch_cache));
+                                         features, scratch.pooled_coords));
     candidates.push_back({prox, c});
   }
   std::sort(candidates.begin(), candidates.end());
   if (options_.max_outage_lines >= 2 && !candidates.empty()) {
     // Multi-line identification: composed-pair scoring + greedy residual
     // peeling replace the line-window rule (docs/ROBUSTNESS.md).
-    PW_RETURN_IF_ERROR(
-        IdentifyOutageSet(features, batch_cache, scratch, &result));
+    PW_RETURN_IF_ERROR(IdentifyOutageSet(features, scratch, &result));
     return result;
   }
   if (!candidates.empty()) {
@@ -934,22 +801,7 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   return result;
 }
 
-PW_NO_ALLOC Result<double> OutageDetector::PeeledClassResidual(
-    size_t c, ProximityEngine::BatchCache* batch_cache,
-    DetectScratch& scratch) {
-  // All class models share one whitened coefficient matrix, so the
-  // regressor cached under kClassFamilyKey for the pooled coordinates is
-  // reused verbatim; only the mean differs. Evaluating case c's model on
-  // the peeled sample x - sum(d_a) measures the residual against the
-  // composed mean mu_n + sum(d_a) + d_c — the linearized multi-outage
-  // subspace.
-  return engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
-                          scratch.peel_features, scratch.pooled_coords,
-                          batch_cache);
-}
-
 Status OutageDetector::IdentifyOutageSet(const Vector& features,
-                                         ProximityEngine::BatchCache* batch_cache,
                                          DetectScratch& scratch,
                                          DetectionResult* result) {
   PW_TRACE_SCOPE("detect.stage.peel_us");
@@ -963,8 +815,7 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
   // a re-lookup, not a re-factorization).
   PW_ASSIGN_OR_RETURN(
       double r0, engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                                  features, scratch.pooled_coords,
-                                  batch_cache));
+                                  features, scratch.pooled_coords));
   r0 = std::max(r0, kProxFloor);
 
   // Resets peel_features to the sample with case c's mean shift
@@ -1014,15 +865,22 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
     PW_ASSIGN_OR_RETURN(
         double r_base,
         engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                         scratch.peel_features, scratch.pooled_coords,
-                         batch_cache));
+                         scratch.peel_features, scratch.pooled_coords));
     r_base = std::max(r_base, kProxFloor);
     double best = -1.0;
     size_t best_case = num_cases;
     for (size_t c = 0; c < num_cases; ++c) {
       if (scratch.peel_taken[c]) continue;
-      PW_ASSIGN_OR_RETURN(double r, PeeledClassResidual(c, batch_cache,
-                                                        scratch));
+      // All class models share one whitened coefficient matrix, so the
+      // regressor cached under kClassFamilyKey for the pooled
+      // coordinates is reused verbatim; only the mean differs. Case c's
+      // model on the peeled sample x - sum(d_a) measures the residual
+      // against the composed mean mu_n + sum(d_a) + d_c — the
+      // linearized multi-outage subspace.
+      PW_ASSIGN_OR_RETURN(
+          double r,
+          engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
+                           scratch.peel_features, scratch.pooled_coords));
       if (best < 0.0 || r < best) {
         best = r;
         best_case = c;
@@ -1036,7 +894,7 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
         double energy,
         engine_.Evaluate(normal_class_model_, kClassFamilyKey,
                          line_class_models_[best_case].mean,
-                         scratch.pooled_coords, batch_cache));
+                         scratch.pooled_coords));
     const double drop = (r_base - best) / std::max(energy, kProxFloor);
     if (drop <= peel_tau_[best_case * num_cases + anchor]) {
       break;  // stop rule: the best drop looks like a spurious null

@@ -1,7 +1,6 @@
 #ifndef PHASORWATCH_DETECT_DETECTOR_H_
 #define PHASORWATCH_DETECT_DETECTOR_H_
 
-#include <memory>
 #include <vector>
 
 #include <iosfwd>
@@ -180,7 +179,10 @@ class OutageDetector {
       const TrainingData& data, const DetectorOptions& options = {});
 
   /// Classifies one sample. `mask` marks nodes whose measurements are
-  /// missing; their entries in vm/va are ignored.
+  /// missing; their entries in vm/va are ignored. The working buffers
+  /// live in one per-thread scratch shared by every detector on the
+  /// calling thread; each call rewrites them before reading, so results
+  /// never depend on earlier calls or on which detector ran last.
   PW_NO_ALLOC PW_NODISCARD Result<DetectionResult> Detect(
       const linalg::Vector& vm, const linalg::Vector& va,
       const sim::MissingMask& mask);
@@ -190,65 +192,6 @@ class OutageDetector {
                                               const linalg::Vector& va) {
     return Detect(vm, va, sim::MissingMask::None(grid_->num_buses()));
   }
-
-  /// One sample of a batched query. Non-owning: the pointed-to vectors
-  /// and mask must outlive the DetectBatch call.
-  struct BatchSample {
-    const linalg::Vector* vm = nullptr;
-    const linalg::Vector* va = nullptr;
-    const sim::MissingMask* mask = nullptr;
-  };
-
-  /// Classifies a batch of samples in order. Results (and observability
-  /// counters) are bit-identical to calling Detect() per sample; the
-  /// batch amortizes the fixed per-sample work — detection-group
-  /// selection is reused across consecutive samples with identical
-  /// masks, and regressor-cache lookups skip the shared mutex after the
-  /// first sample that resolves each (model, group) pair. Fails on the
-  /// first sample error (same short-circuit a caller loop would have).
-  PW_NO_ALLOC PW_NODISCARD Result<std::vector<DetectionResult>> DetectBatch(
-      const std::vector<BatchSample>& samples);
-
- private:
-  /// Per-thread (or per-memo) reusable buffers for the Detect hot path
-  /// (detector.cc).
-  struct DetectScratch;
-
- public:
-  /// Caller-owned batch memoization: the scratch buffers, the
-  /// detection-group selection, and the regressor fast-path cache that
-  /// DetectBatch otherwise keeps in thread-local storage and clears on
-  /// every call. A long-lived memo lets a streaming session keep the
-  /// amortization warm across consecutive small batches — results and
-  /// counters stay bit-identical to the memo-less path, because
-  /// selection reuse replays its counters (GroupSelectionStats) and the
-  /// regressor fast path ticks exactly like the shared-cache path
-  /// (proximity.h). The memo is bound to one detector instance: model
-  /// cache keys are only unique within a detector, so the owner MUST
-  /// Clear() it before using it with a different instance (the tenant
-  /// session does this on model reload and Reset).
-  class BatchMemo {
-   public:
-    BatchMemo();
-    ~BatchMemo();
-    BatchMemo(BatchMemo&& other) noexcept;
-    BatchMemo& operator=(BatchMemo&& other) noexcept;
-
-    /// Drops the memoized group selection and regressor lookups (the
-    /// buffers keep their capacity).
-    void Clear();
-
-   private:
-    friend class OutageDetector;
-    std::unique_ptr<DetectScratch> scratch_;  // never null
-    ProximityEngine::BatchCache cache_;
-  };
-
-  /// DetectBatch with caller-owned memoization. A null `memo` falls
-  /// back to the per-call thread-local path above; with a memo, state
-  /// persists across calls on this detector until BatchMemo::Clear().
-  PW_NO_ALLOC PW_NODISCARD Result<std::vector<DetectionResult>> DetectBatch(
-      const std::vector<BatchSample>& samples, BatchMemo* memo);
 
   // --- introspection for tests, ablations, and figures ---
   /// The grid this detector was trained on (for naming lines in logs).
@@ -285,92 +228,64 @@ class OutageDetector {
       const sim::PmuNetwork& network);
 
  private:
+  /// Reusable buffers for the Detect hot path (detector.cc); Detect
+  /// keeps one per thread.
+  struct DetectScratch;
+
   /// One cluster's detection group under a mask (Eq. 10), plus which
   /// variant was chosen (true = the cluster itself had missing data, so
   /// the out-of-cluster members were used).
   struct SelectedGroup {
     std::vector<size_t> members;
-    /// Feature-coordinate expansion of `members` (GroupCoordinates),
+    /// Feature-coordinate expansion of `members` (GroupCoordinatesInto),
     /// computed once per selection instead of per proximity query.
     std::vector<size_t> coords;
     bool used_out_of_cluster = false;
   };
 
-  /// Tallies of the observability counters ticked while building a
-  /// group selection. When DetectBatch reuses a selection for a
-  /// repeated mask, it replays these so counter output is bit-identical
-  /// to selecting from scratch for every sample.
-  struct GroupSelectionStats {
-    uint64_t out_of_cluster_selected = 0;
-    uint64_t fallback_alternate_side = 0;
-    uint64_t fallback_any_available = 0;
-  };
-
   PW_NO_ALLOC void SelectGroupInto(size_t cluster, const sim::MissingMask& mask,
-                       SelectedGroup* selected,
-                       GroupSelectionStats* stats) const;
-  SelectedGroup SelectGroup(size_t cluster,
-                            const sim::MissingMask& mask) const;
+                                   SelectedGroup* selected) const;
 
   /// Groups for every cluster under this mask, into reused storage.
   PW_NO_ALLOC void SelectGroupsInto(const sim::MissingMask& mask,
-                        std::vector<SelectedGroup>* groups,
-                        GroupSelectionStats* stats) const;
-  std::vector<SelectedGroup> SelectGroups(const sim::MissingMask& mask) const;
+                                    std::vector<SelectedGroup>* groups) const;
 
   /// Scaled proximity scores for every node (Eqs. 9-11), given the
   /// per-cluster groups, before baseline normalization.
   PW_NO_ALLOC PW_NODISCARD Status RawNodeScoresInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
-      ProximityEngine::BatchCache* batch_cache, linalg::Vector* scores);
-  PW_NODISCARD Result<linalg::Vector> RawNodeScores(
-      const linalg::Vector& features,
-      const std::vector<SelectedGroup>& groups);
+      linalg::Vector* scores);
 
   /// Raw scores divided by the per-node normal-data baselines (making
   /// scores comparable across clusters of different group sizes).
-  PW_NO_ALLOC PW_NODISCARD Status NodeScoresInto(const linalg::Vector& features,
-                                     const std::vector<SelectedGroup>& groups,
-                                     ProximityEngine::BatchCache* batch_cache,
-                                     linalg::Vector* scores);
+  PW_NO_ALLOC PW_NODISCARD Status NodeScoresInto(
+      const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
+      linalg::Vector* scores);
 
   /// Normal-subspace residual per cluster through its group (the gate
   /// statistic).
   PW_NO_ALLOC PW_NODISCARD Status ClusterNormalResidualsInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
-      ProximityEngine::BatchCache* batch_cache, linalg::Vector* residuals);
-  PW_NODISCARD Result<linalg::Vector> ClusterNormalResiduals(
-      const linalg::Vector& features,
-      const std::vector<SelectedGroup>& groups);
+      linalg::Vector* residuals);
 
-  /// Input validation + Eq. 4 bad-data screen shared by Detect and
-  /// DetectBatch: available nodes carrying non-finite values or points
-  /// beyond `screen_threshold` times their normal-operation ellipse are
-  /// demoted into `scratch.screened_mask`, and the mask detection
-  /// should run under is returned (the input mask when nothing was
-  /// screened). With screening disabled, a non-finite available value
-  /// is rejected via Status instead.
+  /// Input validation + Eq. 4 bad-data screen: available nodes carrying
+  /// non-finite values or points beyond `screen_threshold` times their
+  /// normal-operation ellipse are demoted into `scratch.screened_mask`,
+  /// and the mask detection should run under is returned (the input
+  /// mask when nothing was screened). With screening disabled, a
+  /// non-finite available value is rejected via Status instead.
   PW_NO_ALLOC PW_NODISCARD Result<const sim::MissingMask*> ScreenBadData(
       const linalg::Vector& vm, const linalg::Vector& va,
       const sim::MissingMask& mask, DetectScratch& scratch,
       DetectionResult* result);
 
-  /// Shared loop of the two DetectBatch overloads, parameterized on
-  /// whose scratch/cache state it runs against (thread-local or a
-  /// caller's BatchMemo).
-  PW_NO_ALLOC PW_NODISCARD Result<std::vector<DetectionResult>>
-  DetectBatchImpl(const std::vector<BatchSample>& samples,
-                  ProximityEngine::BatchCache* batch_cache,
-                  DetectScratch& scratch);
-
-  /// Shared body of Detect and DetectBatch. Reuses `scratch` buffers
-  /// (allocation-free once warmed, apart from the vectors that escape
-  /// in the result) and honors a prior group selection left in
-  /// `scratch` when the mask matches (batch fast path).
+  /// Body of Detect. Reuses `scratch` buffers (allocation-free once
+  /// warmed, apart from the vectors that escape in the result); every
+  /// buffer is rewritten before it is read, so no state carries from
+  /// one call to the next.
   PW_NO_ALLOC PW_NODISCARD Result<DetectionResult> DetectImpl(
       const linalg::Vector& vm, const linalg::Vector& va,
-      const sim::MissingMask& mask, ProximityEngine::BatchCache* batch_cache,
-      DetectScratch& scratch);
+      const sim::MissingMask& mask, DetectScratch& scratch);
 
   /// Multi-line identification (max_outage_lines >= 2): greedy residual
   /// peeling anchored on the top-ranked candidate, each further line
@@ -378,17 +293,9 @@ class OutageDetector {
   /// budget, into result->outage_set (and a mirroring result->lines).
   /// Requires scratch.candidates sorted and scratch.pooled_coords
   /// valid (the localization stage state).
-  PW_NODISCARD Status IdentifyOutageSet(
-      const linalg::Vector& features,
-      ProximityEngine::BatchCache* batch_cache, DetectScratch& scratch,
-      DetectionResult* result);
-
-  /// Class residual of `features` with case `c`'s mean shift composed
-  /// on top of the already-peeled mean in scratch.peel_features, over
-  /// the pooled coordinates.
-  PW_NO_ALLOC PW_NODISCARD Result<double> PeeledClassResidual(
-      size_t c, ProximityEngine::BatchCache* batch_cache,
-      DetectScratch& scratch);
+  PW_NODISCARD Status IdentifyOutageSet(const linalg::Vector& features,
+                                        DetectScratch& scratch,
+                                        DetectionResult* result);
 
   const grid::Grid* grid_ = nullptr;          // not owned
   const sim::PmuNetwork* network_ = nullptr;  // not owned
@@ -430,8 +337,7 @@ class OutageDetector {
   /// Maps a node-index group to feature-coordinate indices (identity
   /// for single-channel features, {i, N+i} pairs for kBoth).
   PW_NO_ALLOC void GroupCoordinatesInto(const std::vector<size_t>& nodes,
-                            std::vector<size_t>* coords) const;
-  std::vector<size_t> GroupCoordinates(const std::vector<size_t>& nodes) const;
+                                        std::vector<size_t>* coords) const;
 
   /// Median scaled proximity of each node over normal calibration
   /// samples, per group variant. Detection-group compositions differ

@@ -268,9 +268,8 @@ Status FleetEngine::ReloadModel(TenantId tenant,
   if (model == nullptr) {
     return Status::InvalidArgument("ReloadModel with a null model");
   }
-  // Safe while the shard runs: the swap is atomic, in-flight frames
-  // keep the shared_ptr they loaded, and the drain thread clears the
-  // batch memo when it first observes the new instance.
+  // Safe while the shard runs: the swap is atomic and in-flight frames
+  // keep the shared_ptr they loaded.
   sessions_[tenant]->ReloadModel(std::move(model));
   PW_OBS_COUNTER_INC("fleet.model_reloads");
   return Status::OK();

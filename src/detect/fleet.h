@@ -118,8 +118,8 @@ class FleetEngine {
   PW_NODISCARD Status Submit(TenantId tenant, sim::MeasurementFrame frame);
 
   /// Hot-swaps the tenant's model (any thread, engine running or not).
-  /// In-flight frames finish on the old model; the batch memo clears on
-  /// the first frame under the new one.
+  /// In-flight frames finish on the old model; the next frame runs on
+  /// the new one.
   PW_NODISCARD Status ReloadModel(TenantId tenant,
                                   std::shared_ptr<OutageDetector> model);
   /// Loads a PWDET04 file against the tenant's configured grid/network

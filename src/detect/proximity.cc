@@ -22,11 +22,6 @@ uint64_t GroupCacheKey(uint64_t model_key, const std::vector<size_t>& group) {
   return h;
 }
 
-double ProximityEngine::EvaluateComplete(const SubspaceModel& model,
-                                         const linalg::Vector& sample) {
-  return model.Proximity(sample);
-}
-
 Result<std::shared_ptr<const ProximityEngine::CachedRegressor>>
 ProximityEngine::BuildRegressor(const SubspaceModel& model,
                                 const std::vector<size_t>& group) {
@@ -70,8 +65,7 @@ ProximityEngine::BuildRegressor(const SubspaceModel& model,
 
 PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
     const SubspaceModel& model, uint64_t model_key,
-    const linalg::Vector& sample, const std::vector<size_t>& group,
-    BatchCache* batch_cache) {
+    const linalg::Vector& sample, const std::vector<size_t>& group) {
   const size_t n = model.ambient_dim();
   PW_OBS_COUNTER_INC("proximity.evaluations");
   if (sample.size() != n) {
@@ -83,24 +77,12 @@ PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
   if (group.size() == n) {
     // Complete data: plain projection, no Eq. 9 regressor needed.
     PW_OBS_COUNTER_INC("proximity.complete_evaluations");
-    return EvaluateComplete(model, sample);
+    return model.Proximity(sample);
   }
 
   uint64_t key = GroupCacheKey(model_key, group);
   std::shared_ptr<const CachedRegressor> cached;
-  bool from_batch_memo = false;
-  if (batch_cache != nullptr) {
-    auto it = batch_cache->memo_.find(key);
-    if (it != batch_cache->memo_.end() && it->second->group == group) {
-      cached = it->second;
-      from_batch_memo = true;
-      // Count as a cache hit: the regressor was resolved without a
-      // build, same as the shared-cache path, so the observability
-      // totals match the per-sample path exactly.
-      PW_OBS_COUNTER_INC("proximity.cache_hits");
-    }
-  }
-  if (cached == nullptr) {
+  {
     ReaderLock lock(mu_);
     auto it = cache_.find(key);
     if (it != cache_.end() && it->second->group == group) {
@@ -132,11 +114,8 @@ PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
       cache_size = cache_.size();
     }
     PW_OBS_GAUGE_SET("proximity.cache_size", cache_size);
-  } else if (!from_batch_memo) {
+  } else {
     PW_OBS_COUNTER_INC("proximity.cache_hits");
-  }
-  if (batch_cache != nullptr && !from_batch_memo) {
-    batch_cache->memo_[key] = cached;
   }
 
   // Residual: || R (x_D - mu_D) ||^2 — one Eq. 9 regressor application

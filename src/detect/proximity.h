@@ -35,25 +35,8 @@ namespace phasorwatch::detect {
 /// compute bit-identical regressors). ClearCache() must not run
 /// concurrently with Evaluate().
 class ProximityEngine {
-  struct CachedRegressor;  // defined in the private section below
-
  public:
   ProximityEngine() = default;
-
-  /// Batch-local regressor memo. A DetectBatch pass evaluates the same
-  /// (model, group) pairs for every sample in the batch; holding the
-  /// resolved regressors here skips the shared-mutex lookup after the
-  /// first sample. Counters still tick exactly as on the shared-cache
-  /// path, so observability output is unchanged. Single-threaded: one
-  /// BatchCache per calling thread, never shared.
-  class BatchCache {
-   public:
-    void Clear() { memo_.clear(); }
-
-   private:
-    friend class ProximityEngine;
-    std::unordered_map<uint64_t, std::shared_ptr<const CachedRegressor>> memo_;
-  };
 
   /// Movable so the owning detector stays movable; the mutex itself is
   /// not moved (each engine keeps its own). Moving while other threads
@@ -74,18 +57,13 @@ class ProximityEngine {
   /// Proximity of the sample to `model` using only coordinates in
   /// `group` (must be non-empty and contain no missing nodes).
   /// `model_key` identifies the model for caching (stable unique id).
-  /// `batch_cache`, when non-null, memoizes resolved regressors across
-  /// the caller's batch (see BatchCache). Allocation-free once the
+  /// A group covering every coordinate is the complete-data case and
+  /// reduces to SubspaceModel::Proximity. Allocation-free once the
   /// (model, group) regressor is cached; the cold build path lives in
   /// BuildRegressor.
   PW_NO_ALLOC PW_NODISCARD Result<double> Evaluate(
       const SubspaceModel& model, uint64_t model_key,
-      const linalg::Vector& sample, const std::vector<size_t>& group,
-      BatchCache* batch_cache = nullptr);
-
-  /// Complete-sample proximity (no group restriction, no cache).
-  static double EvaluateComplete(const SubspaceModel& model,
-                                 const linalg::Vector& sample);
+      const linalg::Vector& sample, const std::vector<size_t>& group);
 
   size_t cache_size() const {
     ReaderLock lock(mu_);

@@ -61,18 +61,6 @@ TenantSession::TenantSession(std::shared_ptr<OutageDetector> detector,
   PW_CHECK_GT(options_.vote_window, 0u);
 }
 
-std::shared_ptr<OutageDetector> TenantSession::AcquireModel() {
-  std::shared_ptr<OutageDetector> model =
-      model_.load(std::memory_order_acquire);
-  if (model.get() != memo_model_) {
-    // A reload happened since the batch memo was warmed; its cached
-    // group selection and regressor keys belong to the old instance.
-    batch_memo_.Clear();
-    memo_model_ = model.get();
-  }
-  return model;
-}
-
 void TenantSession::ReloadModel(std::shared_ptr<OutageDetector> model) {
   PW_CHECK(model != nullptr);
   model_.store(std::move(model), std::memory_order_release);
@@ -92,7 +80,8 @@ Result<StreamEvent> TenantSession::Process(const linalg::Vector& vm,
   // End-to-end per-sample latency (detector + debounce), tail-accurate
   // via the like-named quantile histogram.
   PW_TRACE_SCOPE("stream.sample_us");
-  std::shared_ptr<OutageDetector> model = AcquireModel();
+  std::shared_ptr<OutageDetector> model =
+      model_.load(std::memory_order_acquire);
   Result<DetectionResult> raw = model->Detect(vm, va, mask);
   if (!raw.ok()) {
     if (!options_.tolerate_bad_samples ||
@@ -128,62 +117,6 @@ Result<StreamEvent> TenantSession::ProcessFrame(
   last_timestamp_us_ = frame.timestamp_us;
   has_timestamp_ = true;
   return Process(frame.vm, frame.va, frame.mask);
-}
-
-Result<std::vector<StreamEvent>> TenantSession::ProcessBatch(
-    const std::vector<OutageDetector::BatchSample>& samples) {
-  PW_TRACE_SCOPE("stream.batch_us");
-  for (const OutageDetector::BatchSample& sample : samples) {
-    if (sample.vm == nullptr || sample.va == nullptr ||
-        sample.mask == nullptr) {
-      return Status::InvalidArgument("ProcessBatch sample has null fields");
-    }
-  }
-#ifndef PW_OBS_DISABLED
-  const double batch_start_us = obs::MonotonicNowUs();
-#endif
-  std::shared_ptr<OutageDetector> model = AcquireModel();
-  Result<std::vector<DetectionResult>> raws =
-      model->DetectBatch(samples, &batch_memo_);
-  if (raws.ok()) {
-    std::vector<StreamEvent> events;
-    events.reserve(raws.value().size());
-    for (DetectionResult& raw : raws.value()) {
-      events.push_back(Debounce(*model, std::move(raw)));
-    }
-#ifndef PW_OBS_DISABLED
-    // Amortized per-frame latency: the batch path must feed the same
-    // `stream.frame_us` series ProcessFrame feeds, or a monitor that
-    // drains PDC buffers in blocks would report an empty tail.
-    if (!events.empty()) {
-      const double per_sample_us =
-          (obs::MonotonicNowUs() - batch_start_us) /
-          static_cast<double>(events.size());
-      for (size_t i = 0; i < events.size(); ++i) {
-        PW_OBS_QUANTILE_RECORD("stream.frame_us", per_sample_us);
-      }
-      PW_OBS_GAUGE_MAX("stream.frame_us.high_water", per_sample_us);
-    }
-#endif
-    return events;
-  }
-  if (!options_.tolerate_bad_samples ||
-      !IsBadSampleError(raws.status().code())) {
-    return raws.status();
-  }
-  // A bad sample aborts the whole DetectBatch call, so replay the block
-  // sample by sample: only the offending samples become rejected
-  // events. Detector-level counters count the aborted batch prefix a
-  // second time here — operational metrics, not exact tallies, under
-  // fault conditions.
-  std::vector<StreamEvent> events;
-  events.reserve(samples.size());
-  for (const OutageDetector::BatchSample& sample : samples) {
-    PW_ASSIGN_OR_RETURN(StreamEvent event,
-                        Process(*sample.vm, *sample.va, *sample.mask));
-    events.push_back(std::move(event));
-  }
-  return events;
 }
 
 StreamEvent TenantSession::RejectSample(const Status& reason) {
@@ -318,10 +251,6 @@ void TenantSession::Reset() {
   recent_confidences_.clear();
   last_timestamp_us_ = 0;
   has_timestamp_ = false;
-  // The batch memo's group selection belongs to the stream the operator
-  // just acknowledged away; a fresh monitor has no warm selection, and
-  // Reset must behave exactly like one (tests/stream_test.cc pins this).
-  batch_memo_.Clear();
 #ifndef PW_OBS_DISABLED
   if (!label_.empty()) {
     obs::EventLog::Global().Emit("monitor_reset").Str("tenant", label_);
@@ -399,9 +328,6 @@ Status TenantSession::Restore(const TenantSnapshot& snapshot) {
                                 std::memory_order_relaxed);
   counters_.alarms_cleared.store(snapshot.alarms_cleared,
                                  std::memory_order_relaxed);
-  // The memo was warmed by the pre-restore stream; the restored stream
-  // starts clean, exactly like the failed-over session it resumes.
-  batch_memo_.Clear();
   return Status::OK();
 }
 

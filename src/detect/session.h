@@ -16,7 +16,7 @@
 
 namespace phasorwatch::detect {
 
-/// Debouncing policy for a tenant session / streaming monitor.
+/// Debouncing policy for a tenant session.
 struct StreamOptions {
   /// Consecutive outage-positive samples before the alarm is raised.
   /// PMUs deliver 30-60 samples/s, so even 3 costs only ~100 ms of
@@ -115,9 +115,9 @@ struct TenantSnapshot {
 /// stabilizes the candidate line set by majority vote across recent
 /// samples, screens transport-level frame faults, and carries the
 /// tenant-scoped lifecycle (hot model reload, snapshot/restore, tenant
-/// tallies) the fleet engine (detect/fleet.h) builds on. A
-/// single-grid StreamingMonitor (detect/stream.h) is a thin wrapper
-/// over one of these.
+/// tallies) the fleet engine (detect/fleet.h) builds on. It is also the
+/// single-grid entry point: a caller-threaded monitor for one grid is
+/// one TenantSession on a shared_ptr<OutageDetector>.
 ///
 /// Thread-safety contract (single producer, many observers): the
 /// Process* family and Reset()/Restore() mutate debouncing state and
@@ -132,8 +132,8 @@ struct TenantSnapshot {
 /// pin this contract down under ThreadSanitizer.
 class TenantSession {
  public:
-  /// `label` tags this tenant's JSONL events (empty = untagged, the
-  /// single-grid monitor behavior). The detector is shared: sessions
+  /// `label` tags this tenant's JSONL events (empty = untagged, for a
+  /// single-grid monitor). The detector is shared: sessions
   /// for identical grids may point at one trained model.
   TenantSession(std::shared_ptr<OutageDetector> detector,
                 const StreamOptions& options, std::string label = "");
@@ -156,17 +156,6 @@ class TenantSession {
   PW_NODISCARD Result<StreamEvent> ProcessFrame(
       const sim::MeasurementFrame& frame);
 
-  /// Feeds a block of samples (in stream order) through
-  /// OutageDetector::DetectBatch and debounces each result. Events are
-  /// identical to calling Process() sample by sample; the batch
-  /// amortizes the detector's per-sample fixed costs, which matters
-  /// when draining a PDC buffer after a stall. The session keeps the
-  /// batch memo (group selection + regressor fast path) warm across
-  /// calls; Reset() and model reloads clear it. Producer-thread only,
-  /// like Process(). On error no sample of the batch is counted.
-  PW_NODISCARD Result<std::vector<StreamEvent>> ProcessBatch(
-      const std::vector<OutageDetector::BatchSample>& samples);
-
   /// Safe to poll from any thread while the producer runs.
   bool alarm_active() const {
     return alarm_active_.load(std::memory_order_acquire);
@@ -177,17 +166,17 @@ class TenantSession {
   uint64_t samples_processed() const {
     return next_sample_.load(std::memory_order_acquire);
   }
-  /// Drops all debouncing/voting state (e.g. after operator ack),
-  /// including the batch-path memoization. Producer-thread only.
+  /// Drops all debouncing/voting state (e.g. after operator ack).
+  /// Producer-thread only.
   void Reset();
 
   /// Swaps in a freshly trained/loaded model for the same grid and PMU
   /// network (e.g. from a PWDET04 file). Safe from any thread, while
   /// the producer runs: the swap is an atomic shared_ptr store, samples
   /// already in flight finish on the model they loaded, and the first
-  /// sample after the swap runs on the new model with a cleared batch
-  /// memo. Debounce state is carried across the reload — the alarm
-  /// stream must not flap because operations rolled a model.
+  /// sample after the swap runs on the new model. Debounce state is
+  /// carried across the reload — the alarm stream must not flap because
+  /// operations rolled a model.
   void ReloadModel(std::shared_ptr<OutageDetector> model);
 
   /// The model new samples will run on. Safe from any thread.
@@ -212,7 +201,7 @@ class TenantSession {
 
  private:
   /// Advances the debouncing state machine with one raw detection and
-  /// builds its event (the shared tail of Process and ProcessBatch).
+  /// builds its event (the tail of Process).
   StreamEvent Debounce(const OutageDetector& detector, DetectionResult raw);
 
   /// Builds a `sample_rejected` event for a sample the session refuses
@@ -231,21 +220,11 @@ class TenantSession {
       const OutageDetector& detector,
       const std::vector<grid::LineId>& lines) const;
 
-  /// Current model, with the batch memo invalidated if the model
-  /// changed since the memo was warmed. Producer-thread only.
-  std::shared_ptr<OutageDetector> AcquireModel();
-
   /// Atomic swap target for hot reload; all other state below is
   /// producer-thread-owned except where noted.
   std::atomic<std::shared_ptr<OutageDetector>> model_;
   StreamOptions options_;
   std::string label_;
-
-  /// Batch-path memoization, kept warm across ProcessBatch calls.
-  /// Bound to one model instance: cleared on Reset() and whenever
-  /// AcquireModel observes a reload.
-  OutageDetector::BatchMemo batch_memo_;
-  const OutageDetector* memo_model_ = nullptr;
 
   /// Atomic so observers can poll concurrently with the producer; all
   /// writes happen on the producer thread.

@@ -135,9 +135,7 @@ Result<ScenarioResult> RunScenario(const Dataset& dataset,
     }));
   } else {
     // Each outage case owns seed stream c_idx; its samples evaluate
-    // serially within the case, as one DetectBatch per case. Masks are
-    // drawn up front in column order — the same RNG consumption order
-    // as a per-sample loop — so results stay bit-identical.
+    // serially within the case, drawing each mask in column order.
     partials.resize(dataset.outages.size());
     PW_RETURN_IF_ERROR(pool.ParallelFor(
         dataset.outages.size(), [&](size_t c_idx) -> Status {
@@ -145,29 +143,11 @@ Result<ScenarioResult> RunScenario(const Dataset& dataset,
           Rng rng = Rng::Fork(scenario_seed, c_idx);
           std::vector<size_t> cols =
               TestColumns(c.test, options.test_samples_per_case, rng);
-          std::vector<sim::MissingMask> masks;
-          masks.reserve(cols.size());
-          std::vector<std::pair<linalg::Vector, linalg::Vector>> phasors;
-          phasors.reserve(cols.size());
-          std::vector<detect::OutageDetector::BatchSample> batch;
-          batch.reserve(cols.size());
           for (size_t col : cols) {
-            masks.push_back(MakeMask(scenario, n, c.line,
-                                     options.random_missing_count, rng));
-            phasors.push_back(c.test.Sample(col));
-          }
-          for (size_t s = 0; s < cols.size(); ++s) {
-            batch.push_back(
-                {&phasors[s].first, &phasors[s].second, &masks[s]});
-          }
-          PW_ASSIGN_OR_RETURN(std::vector<DetectionResult> detections,
-                              methods.detector().DetectBatch(batch));
-          for (size_t s = 0; s < cols.size(); ++s) {
-            partials[c_idx].subspace.Add(
-                ScoreSample({c.line}, detections[s].lines));
-            partials[c_idx].mlr.Add(ScoreSample(
-                {c.line}, methods.mlr().PredictLines(
-                              phasors[s].first, phasors[s].second, masks[s])));
+            sim::MissingMask mask = MakeMask(scenario, n, c.line,
+                                             options.random_missing_count, rng);
+            PW_RETURN_IF_ERROR(
+                evaluate_sample(partials[c_idx], c.test, col, {c.line}, mask));
           }
           return Status::OK();
         }));

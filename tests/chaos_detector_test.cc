@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "detect/detector.h"
-#include "detect/stream.h"
+#include "detect/session.h"
 #include "grid/ieee_cases.h"
 #include "obs/metrics.h"
 #include "sim/fault_injection.h"
@@ -31,8 +31,8 @@ class ChaosDetectorTest : public ::testing::Test {
     sim::PhasorDataSet normal_test;
     std::vector<grid::LineId> lines;
     std::vector<sim::PhasorDataSet> outage_test;
-    std::unique_ptr<OutageDetector> detector;
-    std::unique_ptr<OutageDetector> detector_noscreen;
+    std::shared_ptr<OutageDetector> detector;
+    std::shared_ptr<OutageDetector> detector_noscreen;
   };
 
   static Shared* shared_;
@@ -84,7 +84,7 @@ class ChaosDetectorTest : public ::testing::Test {
                                           data, DetectorOptions{});
     PW_CHECK_MSG(screened.ok(), screened.status().ToString().c_str());
     shared_->detector =
-        std::make_unique<OutageDetector>(std::move(screened).value());
+        std::make_shared<OutageDetector>(std::move(screened).value());
 
     DetectorOptions off;
     off.screen_bad_data = false;
@@ -92,7 +92,7 @@ class ChaosDetectorTest : public ::testing::Test {
         OutageDetector::Train(shared_->grid, shared_->network, data, off);
     PW_CHECK_MSG(unscreened.ok(), unscreened.status().ToString().c_str());
     shared_->detector_noscreen =
-        std::make_unique<OutageDetector>(std::move(unscreened).value());
+        std::make_shared<OutageDetector>(std::move(unscreened).value());
   }
 
   static void TearDownTestSuite() {
@@ -177,35 +177,45 @@ TEST_F(ChaosDetectorTest, NonFiniteIsRejectedWhenScreeningDisabled) {
   EXPECT_TRUE(shared_->detector_noscreen->Detect(vm, va, mask).ok());
 }
 
-TEST_F(ChaosDetectorTest, BatchScreensIdenticallyToSingleSamples) {
-  // Exercises the DetectBatch fast path's group-selection cache, which
-  // must key on the *effective* (post-screen) mask: clean and spiked
-  // samples interleave, so reuse across equal effective masks and
-  // re-selection across different ones both occur.
+TEST_F(ChaosDetectorTest, InterleavedScreeningMatchesExplicitMasks) {
+  // Clean and spiked samples interleave (the same node twice in a row,
+  // then a different one), so consecutive calls alternate between equal
+  // and different effective (post-screen) masks. Each screened result
+  // must equal a detection with that node masked explicitly, computed
+  // in a separate pass: no selection state may carry across calls.
   const size_t num = shared_->grid.num_buses();
   std::vector<linalg::Vector> vms, vas;
+  std::vector<sim::MissingMask> explicit_masks;
   for (size_t t = 0; t < 6; ++t) {
     auto [vm, va] = shared_->outage_test[1].Sample(t);
-    if (t == 1 || t == 2) vm[4] += 5.0;  // same node twice in a row
-    if (t == 4) va[9] += 4.0;
+    sim::MissingMask mask = sim::MissingMask::None(num);
+    if (t == 1 || t == 2) {  // same node twice in a row
+      vm[4] += 5.0;
+      mask.missing[4] = true;
+    }
+    if (t == 4) {
+      va[9] += 4.0;
+      mask.missing[9] = true;
+    }
     vms.push_back(std::move(vm));
     vas.push_back(std::move(va));
+    explicit_masks.push_back(std::move(mask));
   }
-  sim::MissingMask none = sim::MissingMask::None(num);
-  std::vector<OutageDetector::BatchSample> batch;
+  std::vector<DetectionResult> expected;
   for (size_t t = 0; t < vms.size(); ++t) {
-    batch.push_back({&vms[t], &vas[t], &none});
+    auto masked = shared_->detector->Detect(vms[t], vas[t], explicit_masks[t]);
+    ASSERT_TRUE(masked.ok());
+    expected.push_back(std::move(masked).value());
   }
-  auto batched = shared_->detector->DetectBatch(batch);
-  ASSERT_TRUE(batched.ok());
-  ASSERT_EQ(batched->size(), vms.size());
   for (size_t t = 0; t < vms.size(); ++t) {
-    auto single = shared_->detector->Detect(vms[t], vas[t]);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ((*batched)[t].screened_nodes, single->screened_nodes);
-    EXPECT_EQ((*batched)[t].outage_detected, single->outage_detected);
-    EXPECT_EQ((*batched)[t].decision_score, single->decision_score);
-    EXPECT_EQ((*batched)[t].lines, single->lines);
+    auto screened = shared_->detector->Detect(vms[t], vas[t]);
+    ASSERT_TRUE(screened.ok());
+    const size_t demoted = explicit_masks[t].count();
+    EXPECT_EQ(screened->screened_nodes, demoted);
+    EXPECT_EQ(expected[t].screened_nodes, 0u);
+    EXPECT_EQ(screened->outage_detected, expected[t].outage_detected);
+    EXPECT_EQ(screened->decision_score, expected[t].decision_score);
+    EXPECT_EQ(screened->lines, expected[t].lines);
   }
 }
 
@@ -275,7 +285,7 @@ TEST_F(ChaosDetectorTest, SeededChaosReplayNeverAborts) {
 }
 
 TEST_F(ChaosDetectorTest, StreamRejectsDroppedAndStaleFrames) {
-  StreamingMonitor monitor(shared_->detector.get(), StreamOptions{});
+  TenantSession monitor(shared_->detector, StreamOptions{});
 
   auto fresh = sim::MeasurementFrame::FromDataSet(shared_->normal_test, 0,
                                                   /*timestamp_us=*/1000);
@@ -320,7 +330,7 @@ TEST_F(ChaosDetectorTest, StreamRejectsDroppedAndStaleFrames) {
 TEST_F(ChaosDetectorTest, StrictStreamSurfacesTransportFaults) {
   StreamOptions strict;
   strict.tolerate_bad_samples = false;
-  StreamingMonitor monitor(shared_->detector.get(), strict);
+  TenantSession monitor(shared_->detector, strict);
   auto dropped = sim::MeasurementFrame::FromDataSet(shared_->normal_test, 0,
                                                     /*timestamp_us=*/1000);
   dropped.dropped = true;
@@ -333,7 +343,7 @@ TEST_F(ChaosDetectorTest, StreamToleratesDetectorRejections) {
   // With screening off, NaN samples come back from the detector as
   // InvalidArgument; the tolerant monitor turns them into
   // sample_rejected events instead of propagating the error.
-  StreamingMonitor monitor(shared_->detector_noscreen.get(), StreamOptions{});
+  TenantSession monitor(shared_->detector_noscreen, StreamOptions{});
   auto [vm, va] = shared_->normal_test.Sample(0);
   vm[1] = std::nan("");
   auto event = monitor.Process(vm, va);

@@ -8,7 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "detect/detector.h"
-#include "detect/stream.h"
+#include "detect/session.h"
 #include "eval/dataset.h"
 #include "eval/experiments.h"
 #include "grid/ieee_cases.h"
@@ -97,7 +97,7 @@ TEST_F(CoverageExtraTest, AngleOnlyChannelStillDetects) {
   EXPECT_TRUE(result->outage_detected);
 }
 
-TEST_F(CoverageExtraTest, LoadedModelDrivesStreamingMonitor) {
+TEST_F(CoverageExtraTest, LoadedModelDrivesTenantSession) {
   detect::OutageDetector det = TrainWith({});
   std::stringstream buffer;
   ASSERT_TRUE(det.Save(buffer).ok());
@@ -107,7 +107,9 @@ TEST_F(CoverageExtraTest, LoadedModelDrivesStreamingMonitor) {
 
   detect::StreamOptions sopts;
   sopts.alarm_after = 2;
-  detect::StreamingMonitor monitor(&*loaded, sopts);
+  detect::TenantSession monitor(
+      std::make_shared<detect::OutageDetector>(std::move(loaded).value()),
+      sopts);
   const auto& outage = shared_->dataset->outages[0];
   bool raised = false;
   for (size_t t = 0; t < 6; ++t) {

@@ -1,12 +1,17 @@
 #include "detect/detector.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <memory>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "grid/ieee_cases.h"
+#include "sim/fault_injection.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -321,6 +326,331 @@ TEST_F(DetectorTest, IntrospectionAccessorsWired) {
   EXPECT_GT(shared_->detector->decision_threshold(), 0.0);
   EXPECT_GT(shared_->detector->normal_model().constraints.dim(), 0u);
   EXPECT_GT(shared_->detector->capabilities().NodeLevel().rows(), 0u);
+}
+
+
+// Detect keeps its working buffers in one thread_local scratch shared by
+// every detector on the thread. Interleaving calls across detectors of
+// different grid size (IEEE-14, IEEE-30) and mode (legacy, two-line
+// peeling) must reproduce, bit for bit, what each detector returns on
+// its own on a fresh thread: the scratch carries no state from one call
+// to the next, whichever detector made it and however it returned.
+class DetectScratchTest : public ::testing::Test {
+ protected:
+  struct Sample {
+    linalg::Vector vm;
+    linalg::Vector va;
+    sim::MissingMask mask;
+  };
+
+  struct Corpus {
+    grid::Grid grid;
+    sim::PmuNetwork network;
+    std::unique_ptr<OutageDetector> legacy;
+    std::unique_ptr<OutageDetector> multi;  ///< max_outage_lines = 2
+    std::vector<Sample> samples;
+    size_t fault_begin = 0;  ///< first sample of the fault-injected block
+  };
+
+  static std::unique_ptr<Corpus> ieee14_;
+  static std::unique_ptr<Corpus> ieee30_;
+
+  // Both suites on this fixture share one pair of corpora, trained by
+  // whichever suite runs first and freed at exit.
+  static void SetUpTestSuite() {
+    if (ieee14_ != nullptr) return;
+    auto ieee14 = grid::IeeeCase14();
+    PW_CHECK(ieee14.ok());
+    ieee14_ = BuildCorpus(std::move(ieee14).value(), 3, 2024);
+    auto ieee30 = grid::IeeeCase30();
+    PW_CHECK(ieee30.ok());
+    ieee30_ = BuildCorpus(std::move(ieee30).value(), 4, 30303);
+  }
+
+  // Trains both detectors on a small corpus of `grid` and builds the
+  // sample stream: complete data, outage-endpoint loss (the same mask
+  // twice in a row), random loss, whole-cluster loss, an all-missing
+  // sample (rejected mid-call), and a fault-injected outage block
+  // (gross spikes, frozen channels, non-finite values) that drives the
+  // bad-data screen.
+  static std::unique_ptr<Corpus> BuildCorpus(grid::Grid grid_in,
+                                             size_t clusters, uint64_t seed) {
+    auto network = sim::PmuNetwork::Build(grid_in, clusters);
+    PW_CHECK(network.ok());
+    // The detectors keep non-owning pointers to the grid and network,
+    // so they must live at their final address before training.
+    auto corpus = std::make_unique<Corpus>(Corpus{
+        std::move(grid_in), std::move(network).value(), nullptr, nullptr, {}});
+    const grid::Grid& grid = corpus->grid;
+    const size_t n = grid.num_buses();
+
+    sim::SimulationOptions sim_opts;
+    sim_opts.load.num_states = 16;
+    sim_opts.samples_per_state = 8;
+    Rng rng(seed);
+    auto normal_train = sim::SimulateMeasurements(grid, sim_opts, rng);
+    PW_CHECK(normal_train.ok());
+    auto normal_test = sim::SimulateMeasurements(grid, sim_opts, rng);
+    PW_CHECK(normal_test.ok());
+
+    std::vector<grid::LineId> lines;
+    std::vector<sim::PhasorDataSet> outage_train;
+    std::vector<sim::PhasorDataSet> outage_test;
+    for (const grid::LineId& line : grid.lines()) {
+      if (lines.size() >= 6) break;
+      auto outage_grid = grid.WithLineOut(line);
+      if (!outage_grid.ok()) continue;
+      Rng train_rng = rng.Fork();
+      Rng test_rng = rng.Fork();
+      auto train = sim::SimulateMeasurements(*outage_grid, sim_opts, train_rng);
+      auto test = sim::SimulateMeasurements(*outage_grid, sim_opts, test_rng);
+      if (!train.ok() || !test.ok()) continue;
+      lines.push_back(line);
+      outage_train.push_back(std::move(train).value());
+      outage_test.push_back(std::move(test).value());
+    }
+    PW_CHECK_GE(lines.size(), 4u);
+
+    TrainingData data;
+    data.normal = &*normal_train;
+    data.case_lines = lines;
+    for (const auto& block : outage_train) data.outage.push_back(&block);
+    auto legacy = OutageDetector::Train(grid, corpus->network, data, {});
+    PW_CHECK_MSG(legacy.ok(), legacy.status().ToString().c_str());
+    corpus->legacy =
+        std::make_unique<OutageDetector>(std::move(legacy).value());
+    DetectorOptions multi_opts;
+    multi_opts.max_outage_lines = 2;
+    auto multi =
+        OutageDetector::Train(grid, corpus->network, data, multi_opts);
+    PW_CHECK_MSG(multi.ok(), multi.status().ToString().c_str());
+    corpus->multi = std::make_unique<OutageDetector>(std::move(multi).value());
+
+    std::vector<Sample>& samples = corpus->samples;
+    Rng mask_rng(777);
+    for (size_t c = 0; c < lines.size(); ++c) {
+      auto [vm0, va0] = outage_test[c].Sample(0);
+      samples.push_back({vm0, va0, sim::MissingMask::None(n)});
+      sim::MissingMask endpoint_mask = sim::MissingAtOutage(n, lines[c]);
+      auto [vm1, va1] = outage_test[c].Sample(1);
+      samples.push_back({vm1, va1, endpoint_mask});
+      auto [vm2, va2] = outage_test[c].Sample(2);
+      samples.push_back({vm2, va2, endpoint_mask});
+      auto [vm3, va3] = normal_test->Sample(c);
+      samples.push_back({vm3, va3, sim::MissingRandom(n, 3, {}, mask_rng)});
+    }
+    auto [vm, va] = normal_test->Sample(20);
+    samples.push_back({vm, va, sim::MissingCluster(corpus->network, 0)});
+    sim::MissingMask all_missing = sim::MissingMask::None(n);
+    all_missing.missing.assign(n, true);
+    samples.push_back({vm, va, all_missing});
+
+    sim::PhasorDataSet corrupted = outage_test[0];
+    const size_t num_samples = corrupted.num_samples();
+    sim::FaultScheduleOptions fopts;
+    fopts.gross_errors = 4;
+    fopts.frozen_channels = 2;
+    fopts.non_finite = 2;
+    fopts.window = 3;
+    auto schedule =
+        sim::MakeRandomFaultSchedule(fopts, n, num_samples, 424242);
+    PW_CHECK(schedule.ok());
+    auto injector = sim::FaultInjector::Create(std::move(schedule).value(), n,
+                                               num_samples, 424242);
+    PW_CHECK(injector.ok());
+    std::vector<sim::MissingMask> masks;
+    PW_CHECK(injector->ApplyToDataSet(&corrupted, &masks).ok());
+    corpus->fault_begin = samples.size();
+    for (size_t t = 0; t < num_samples; ++t) {
+      auto [fvm, fva] = corrupted.Sample(t);
+      samples.push_back({fvm, fva, masks[t]});
+    }
+    return corpus;
+  }
+
+  static void ExpectSameResult(const Result<DetectionResult>& a,
+                               const Result<DetectionResult>& b) {
+    ASSERT_EQ(a.ok(), b.ok());
+    if (!a.ok()) {
+      EXPECT_EQ(a.status().code(), b.status().code());
+      return;
+    }
+    EXPECT_EQ(a->outage_detected, b->outage_detected);
+    EXPECT_EQ(a->decision_score, b->decision_score);
+    EXPECT_EQ(a->affected_nodes, b->affected_nodes);
+    EXPECT_EQ(a->lines, b->lines);
+    ASSERT_EQ(a->node_scores.size(), b->node_scores.size());
+    for (size_t i = 0; i < a->node_scores.size(); ++i) {
+      EXPECT_EQ(a->node_scores[i], b->node_scores[i]) << "node " << i;
+    }
+    EXPECT_EQ(a->screened_nodes, b->screened_nodes);
+    // The multi-line identification (empty on a legacy detector) must
+    // match line for line with bit-equal confidences.
+    ASSERT_EQ(a->outage_set.size(), b->outage_set.size());
+    for (size_t i = 0; i < a->outage_set.size(); ++i) {
+      EXPECT_EQ(a->outage_set[i].line, b->outage_set[i].line);
+      EXPECT_EQ(a->outage_set[i].confidence, b->outage_set[i].confidence);
+    }
+  }
+};
+
+std::unique_ptr<DetectScratchTest::Corpus> DetectScratchTest::ieee14_;
+std::unique_ptr<DetectScratchTest::Corpus> DetectScratchTest::ieee30_;
+
+TEST_F(DetectScratchTest, InterleavedDetectorsMatchIsolatedRuns) {
+  // Sizes and modes alternate from one call to the next.
+  struct Lane {
+    OutageDetector* detector;
+    const std::vector<Sample>* samples;
+    bool multi;
+    std::vector<Result<DetectionResult>> isolated;
+  };
+  const Corpus& ieee14 = *ieee14_;
+  const Corpus& ieee30 = *ieee30_;
+  std::vector<Lane> lanes = {{ieee30.multi.get(), &ieee30.samples, true, {}},
+                             {ieee14.legacy.get(), &ieee14.samples, false, {}},
+                             {ieee30.legacy.get(), &ieee30.samples, false, {}},
+                             {ieee14.multi.get(), &ieee14.samples, true, {}}};
+
+  // Reference: each detector alone, in stream order, on a thread of its
+  // own (a scratch no other detector has touched).
+  for (Lane& lane : lanes) {
+    std::thread([&lane] {
+      for (const Sample& s : *lane.samples) {
+        lane.isolated.push_back(lane.detector->Detect(s.vm, s.va, s.mask));
+      }
+    }).join();
+  }
+
+  // Interleaved on this thread, each lane walking its stream backwards
+  // so every call follows a different detector and a different sample
+  // than it did in the reference run.
+  size_t longest = 0;
+  for (const Lane& lane : lanes) {
+    longest = std::max(longest, lane.samples->size());
+  }
+  size_t rejected = 0, screened = 0, multi_results = 0, identified = 0;
+  for (size_t k = 0; k < longest; ++k) {
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      const Lane& lane = lanes[l];
+      if (k >= lane.samples->size()) continue;
+      const size_t i = lane.samples->size() - 1 - k;
+      const Sample& s = (*lane.samples)[i];
+      Result<DetectionResult> result =
+          lane.detector->Detect(s.vm, s.va, s.mask);
+      SCOPED_TRACE(testing::Message() << "lane " << l << " sample " << i);
+      ExpectSameResult(result, lane.isolated[i]);
+      if (!result.ok()) {
+        // Only the all-missing sample is rejected, with DataMissing.
+        EXPECT_EQ(result.status().code(), StatusCode::kDataMissing);
+        ++rejected;
+        continue;
+      }
+      screened += result->screened_nodes;
+      if (lane.multi) {
+        ++multi_results;
+        identified += result->outage_set.size();
+      }
+    }
+  }
+  EXPECT_EQ(rejected, lanes.size());
+  // The fault schedule must actually have driven the screen, and the
+  // parity must cover real peeling runs, not a stream of quiet samples.
+  EXPECT_GT(screened, 0u);
+  EXPECT_GE(identified, multi_results / 2);
+}
+
+// Detect over a batch of samples, back to back on one detector and one
+// thread, the way a session feeds it. Each result must equal the same
+// sample detected alone on a thread whose scratch nothing else has
+// touched, so a warm scratch (the endpoint mask repeats, the previous
+// call may have been rejected) changes nothing.
+class DetectBatchTest : public DetectScratchTest {
+ protected:
+  static std::vector<Sample> Slice(const std::vector<Sample>& samples,
+                                   size_t begin, size_t end) {
+    return {samples.begin() + static_cast<std::ptrdiff_t>(begin),
+            samples.begin() + static_cast<std::ptrdiff_t>(end)};
+  }
+
+  static std::vector<Result<DetectionResult>> DetectInOrder(
+      OutageDetector& detector, const std::vector<Sample>& samples) {
+    std::vector<Result<DetectionResult>> results;
+    for (const Sample& s : samples) {
+      results.push_back(detector.Detect(s.vm, s.va, s.mask));
+    }
+    return results;
+  }
+
+  static std::vector<Result<DetectionResult>> DetectEachAlone(
+      OutageDetector& detector, const std::vector<Sample>& samples) {
+    std::vector<Result<DetectionResult>> results;
+    for (const Sample& s : samples) {
+      std::thread([&] {
+        results.push_back(detector.Detect(s.vm, s.va, s.mask));
+      }).join();
+    }
+    return results;
+  }
+};
+
+TEST_F(DetectBatchTest, BatchMatchesPerSampleDetectBitExact) {
+  const Corpus& c = *ieee30_;
+  std::vector<Sample> samples = Slice(c.samples, 0, c.fault_begin);
+  auto batch = DetectInOrder(*c.legacy, samples);
+  auto alone = DetectEachAlone(*c.legacy, samples);
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "sample " << i);
+    ExpectSameResult(batch[i], alone[i]);
+  }
+}
+
+TEST_F(DetectBatchTest, MultiOutageBatchMatchesPerSampleDetect) {
+  const Corpus& c = *ieee30_;
+  std::vector<Sample> samples = Slice(c.samples, 0, c.fault_begin);
+  auto batch = DetectInOrder(*c.multi, samples);
+  auto alone = DetectEachAlone(*c.multi, samples);
+  size_t identified = 0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "sample " << i);
+    ExpectSameResult(batch[i], alone[i]);
+    if (batch[i].ok()) identified += batch[i]->outage_set.size();
+  }
+  // The parity must cover actual peeling runs, not a batch of quiets.
+  EXPECT_GE(identified, samples.size() / 2);
+}
+
+TEST_F(DetectBatchTest, MultiOutageBatchMatchesPerSampleUnderFaults) {
+  // The peeling layer must give the same answers back to back as alone
+  // even while the bad-data screen shrinks the coordinate set under it.
+  const Corpus& c = *ieee30_;
+  std::vector<Sample> samples =
+      Slice(c.samples, c.fault_begin, c.samples.size());
+  auto batch = DetectInOrder(*c.multi, samples);
+  auto alone = DetectEachAlone(*c.multi, samples);
+  size_t screened = 0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "sample " << i);
+    ExpectSameResult(batch[i], alone[i]);
+    ASSERT_TRUE(batch[i].ok()) << batch[i].status().ToString();
+    screened += batch[i]->screened_nodes;
+  }
+  // The schedule must actually have driven the screen.
+  EXPECT_GT(screened, 0u);
+}
+
+TEST_F(DetectBatchTest, BatchIsIndependentOfSampleOrder) {
+  // Reversing the batch must not change any individual result: nothing
+  // a call leaves in the scratch may leak into the next sample.
+  const Corpus& c = *ieee30_;
+  std::vector<Sample> forward = Slice(c.samples, 0, c.fault_begin);
+  std::vector<Sample> reversed(forward.rbegin(), forward.rend());
+  auto fwd = DetectInOrder(*c.legacy, forward);
+  auto rev = DetectInOrder(*c.legacy, reversed);
+  for (size_t i = 0; i < forward.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "sample " << i);
+    ExpectSameResult(fwd[i], rev[forward.size() - 1 - i]);
+  }
 }
 
 }  // namespace

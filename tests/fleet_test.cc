@@ -8,7 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include "detect/stream.h"
+#include "detect/session.h"
 #include "eval/dataset.h"
 #include "grid/ieee_cases.h"
 
@@ -107,10 +107,10 @@ void ExpectSameSnapshot(const TenantSnapshot& a, const TenantSnapshot& b) {
   EXPECT_EQ(a.alarms_cleared, b.alarms_cleared);
 }
 
-// A single-tenant fleet must land in exactly the state a plain
-// StreamingMonitor reaches on the same frame stream (the wrapper and
-// the engine share TenantSession, so full-state snapshots must match).
-TEST_F(FleetTest, SingleTenantFleetMatchesStreamingMonitor) {
+// A single-tenant fleet must land in exactly the state a serial
+// TenantSession reaches on the same frame stream (the engine drives one
+// session per tenant, so full-state snapshots must match).
+TEST_F(FleetTest, SingleTenantFleetMatchesSerialSession) {
   auto frames = MakeFrames(6, 6);
   // Throw in transport faults the screen must catch identically.
   frames[3].dropped = true;
@@ -119,7 +119,7 @@ TEST_F(FleetTest, SingleTenantFleetMatchesStreamingMonitor) {
   StreamOptions sopts;
   sopts.alarm_after = 2;
   sopts.clear_after = 2;
-  StreamingMonitor monitor(shared_->detector.get(), sopts);
+  TenantSession monitor(shared_->detector, sopts);
   for (const auto& frame : frames) {
     ASSERT_TRUE(monitor.ProcessFrame(frame).ok());
   }
@@ -141,7 +141,7 @@ TEST_F(FleetTest, SingleTenantFleetMatchesStreamingMonitor) {
   EXPECT_EQ(engine.frames_processed(), frames.size());
 
   ExpectSameSnapshot(engine.SnapshotTenant(*tenant).value(),
-                     monitor.session().Snapshot());
+                     monitor.Snapshot());
   EXPECT_EQ(engine.session(*tenant).alarm_active(), monitor.alarm_active());
 }
 

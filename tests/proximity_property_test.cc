@@ -98,7 +98,7 @@ TEST_F(ProximityPropertyTest, RestrictedProximityNeverExceedsComplete) {
   Rng rng(2); // pw-lint: allow(rng-discipline) test-local stream
   for (size_t trial = 0; trial < 100; ++trial) {
     const auto& sample = shared_->samples[trial % shared_->samples.size()];
-    double complete = ProximityEngine::EvaluateComplete(shared_->model, sample);
+    double complete = shared_->model.Proximity(sample);
     auto group = RandomGroup(rng);
     auto prox = engine.Evaluate(shared_->model, 1, sample, group);
     ASSERT_TRUE(prox.ok());
@@ -113,8 +113,7 @@ TEST_F(ProximityPropertyTest, FullGroupMatchesCompleteEvaluation) {
   std::vector<size_t> all(shared_->model.ambient_dim());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
   for (const auto& sample : shared_->samples) {
-    double complete = ProximityEngine::EvaluateComplete(shared_->model, sample);
-    EXPECT_EQ(complete, shared_->model.Proximity(sample));
+    double complete = shared_->model.Proximity(sample);
     auto prox = engine.Evaluate(shared_->model, 1, sample, all);
     ASSERT_TRUE(prox.ok());
     EXPECT_NEAR(*prox, complete, 1e-9 * (1.0 + complete));
@@ -135,20 +134,18 @@ TEST_F(ProximityPropertyTest, TrainingMeanHasZeroProximityUnderAnyGroup) {
 TEST_F(ProximityPropertyTest, EvaluationIsDeterministicAcrossCaches) {
   ProximityEngine engine;
   ProximityEngine fresh_engine;
-  ProximityEngine::BatchCache batch_cache;
   Rng rng(4); // pw-lint: allow(rng-discipline) test-local stream
   for (size_t trial = 0; trial < 20; ++trial) {
     const auto& sample = shared_->samples[trial % shared_->samples.size()];
     auto group = RandomGroup(rng);
     auto first = engine.Evaluate(shared_->model, 1, sample, group);
     auto cached = engine.Evaluate(shared_->model, 1, sample, group);
-    auto batched =
-        fresh_engine.Evaluate(shared_->model, 1, sample, group, &batch_cache);
+    auto rebuilt = fresh_engine.Evaluate(shared_->model, 1, sample, group);
     ASSERT_TRUE(first.ok());
     ASSERT_TRUE(cached.ok());
-    ASSERT_TRUE(batched.ok());
+    ASSERT_TRUE(rebuilt.ok());
     EXPECT_EQ(*first, *cached);   // shared-cache replay is bitwise stable
-    EXPECT_EQ(*first, *batched);  // batch-cache path computes identically
+    EXPECT_EQ(*first, *rebuilt);  // an independent cold build agrees
   }
 }
 

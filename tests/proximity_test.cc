@@ -28,8 +28,6 @@ SubspaceModel MakeModel() {
 TEST(ProximityEngineTest, CompleteSampleMatchesModelProximity) {
   SubspaceModel model = MakeModel();
   Vector x = {0.5, -0.3, 0.2, -0.1};
-  EXPECT_NEAR(ProximityEngine::EvaluateComplete(model, x),
-              model.Proximity(x), 1e-12);
   EXPECT_NEAR(model.Proximity(x), 0.2 * 0.2 + 0.1 * 0.1, 1e-12);
 }
 

@@ -1,8 +1,8 @@
-// Exercises the StreamingMonitor thread-safety contract (stream.h): one
+// Exercises the TenantSession thread-safety contract (session.h): one
 // producer thread feeds samples while observer threads poll
 // alarm_active(), samples_processed(), and the metrics registry. Run
 // under -DPW_TSAN=ON this doubles as the data-race gate for the
-// monitor, the detector's Detect() path, and the ProximityEngine cache.
+// session, the detector's Detect() path, and the ProximityEngine cache.
 
 #include <atomic>
 #include <cstdint>
@@ -15,7 +15,7 @@
 
 #include "common/check.h"
 #include "detect/detector.h"
-#include "detect/stream.h"
+#include "detect/session.h"
 #include "eval/dataset.h"
 #include "grid/ieee_cases.h"
 #include "obs/metrics.h"
@@ -31,7 +31,7 @@ class StreamConcurrencyTest : public ::testing::Test {
     grid::Grid grid;
     sim::PmuNetwork network;
     std::unique_ptr<eval::Dataset> dataset;
-    std::unique_ptr<OutageDetector> detector;
+    std::shared_ptr<OutageDetector> detector;
   };
   static Shared* shared_;
 
@@ -63,7 +63,7 @@ class StreamConcurrencyTest : public ::testing::Test {
                                      training, {});
     PW_CHECK(det.ok());
     shared_->detector =
-        std::make_unique<OutageDetector>(std::move(det).value());
+        std::make_shared<OutageDetector>(std::move(det).value());
   }
 
   static void TearDownTestSuite() {
@@ -79,7 +79,7 @@ TEST_F(StreamConcurrencyTest, ObserversPollWhileProducerFeeds) {
   StreamOptions opts;
   opts.alarm_after = 2;
   opts.clear_after = 2;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
 
   std::atomic<bool> producer_failed{false};
   std::thread producer([&] {
@@ -131,7 +131,7 @@ TEST_F(StreamConcurrencyTest, ObserversPollWhileProducerFeeds) {
 
 TEST_F(StreamConcurrencyTest, MetricsReadableWhileProducerFeeds) {
   constexpr uint64_t kSamples = 60;
-  StreamingMonitor monitor(shared_->detector.get(), {});
+  TenantSession monitor(shared_->detector, {});
 
   std::thread producer([&] {
     const auto& normal = shared_->dataset->normal.test;
@@ -164,16 +164,16 @@ TEST_F(StreamConcurrencyTest, MetricsReadableWhileProducerFeeds) {
 }
 
 TEST_F(StreamConcurrencyTest, ConcurrentDetectorsShareProximityCache) {
-  // Two monitors on the *same* trained detector, fed from two threads:
+  // Two sessions on the *same* trained detector, fed from two threads:
   // Detect() is documented concurrent-safe (the ProximityEngine cache
   // synchronizes internally). Masks force proximity evaluations.
   constexpr uint64_t kSamples = 40;
-  StreamingMonitor m1(shared_->detector.get(), {});
-  StreamingMonitor m2(shared_->detector.get(), {});
+  TenantSession m1(shared_->detector, {});
+  TenantSession m2(shared_->detector, {});
   sim::MissingMask mask = sim::MissingAtOutage(
       shared_->grid.num_buses(), shared_->dataset->outages[0].line);
 
-  auto feed = [&](StreamingMonitor& monitor, const sim::PhasorDataSet& src,
+  auto feed = [&](TenantSession& monitor, const sim::PhasorDataSet& src,
                   const sim::MissingMask& m) {
     for (uint64_t t = 0; t < kSamples; ++t) {
       auto [vm, va] = src.Sample(t % src.num_samples());

@@ -1,4 +1,4 @@
-#include "detect/stream.h"
+#include "detect/session.h"
 
 #include <algorithm>
 #include <memory>
@@ -21,7 +21,7 @@ class StreamTest : public ::testing::Test {
     grid::Grid grid;
     sim::PmuNetwork network;
     std::unique_ptr<eval::Dataset> dataset;
-    std::unique_ptr<OutageDetector> detector;
+    std::shared_ptr<OutageDetector> detector;
   };
   static Shared* shared_;
 
@@ -53,7 +53,7 @@ class StreamTest : public ::testing::Test {
                                      training, {});
     PW_CHECK(det.ok());
     shared_->detector =
-        std::make_unique<OutageDetector>(std::move(det).value());
+        std::make_shared<OutageDetector>(std::move(det).value());
   }
 
   static void TearDownTestSuite() {
@@ -65,7 +65,7 @@ class StreamTest : public ::testing::Test {
 StreamTest::Shared* StreamTest::shared_ = nullptr;
 
 TEST_F(StreamTest, NormalStreamNeverAlarms) {
-  StreamingMonitor monitor(shared_->detector.get(), {});
+  TenantSession monitor(shared_->detector, {});
   for (size_t t = 0; t < 30; ++t) {
     auto [vm, va] = shared_->dataset->normal.test.Sample(
         t % shared_->dataset->normal.test.num_samples());
@@ -81,7 +81,7 @@ TEST_F(StreamTest, AlarmRaisedAfterDebounceAndCleared) {
   StreamOptions opts;
   opts.alarm_after = 3;
   opts.clear_after = 2;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[0];
 
   // Feed outage samples; the alarm must raise on (at earliest) the
@@ -120,7 +120,7 @@ TEST_F(StreamTest, AlarmRaisedAfterDebounceAndCleared) {
 TEST_F(StreamTest, SingleSampleGlitchSuppressed) {
   StreamOptions opts;
   opts.alarm_after = 2;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[1];
 
   // normal, outage, normal, normal ... one glitch must not alarm.
@@ -142,7 +142,7 @@ TEST_F(StreamTest, MajorityVoteStabilizesLines) {
   StreamOptions opts;
   opts.alarm_after = 2;
   opts.vote_window = 6;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[2];
 
   std::vector<grid::LineId> last_lines;
@@ -160,7 +160,7 @@ TEST_F(StreamTest, MajorityVoteStabilizesLines) {
 TEST_F(StreamTest, ResetDropsState) {
   StreamOptions opts;
   opts.alarm_after = 1;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[0];
   auto [vm, va] = outage.test.Sample(0);
   ASSERT_TRUE(monitor.Process(vm, va).ok());
@@ -188,12 +188,12 @@ void ExpectSameEvent(const StreamEvent& a, const StreamEvent& b) {
   }
 }
 
-// Regression: Reset() must clear the batch-path memoization, not just
-// the debounce state. A monitor warmed via ProcessBatch, then Reset,
-// must behave exactly like a freshly constructed monitor on the same
-// subsequent stream (mixed ProcessBatch + Process, missing data and
-// all).
-TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
+// Reset() must drop every trace of the stream it acknowledges away. A
+// session warmed on a missing-data stream (different detection groups,
+// an active alarm), then Reset, must behave exactly like a freshly
+// constructed session on the same subsequent stream (complete and
+// missing data alike).
+TEST_F(StreamTest, ResetAfterWarmMissingDataStreamMatchesFreshSession) {
   StreamOptions opts;
   opts.alarm_after = 2;
   opts.clear_after = 2;
@@ -204,27 +204,20 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
   sim::MissingMask missing =
       sim::MissingAtOutage(shared_->grid.num_buses(), outage.line);
 
-  // Warm the reused monitor's batch memo with a different availability
-  // pattern (missing data selects different detection groups) so stale
-  // memo state would be observable after Reset.
-  StreamingMonitor reused(shared_->detector.get(), opts);
-  {
-    std::vector<std::pair<linalg::Vector, linalg::Vector>> warm;
-    for (size_t t = 0; t < 4; ++t) {
-      warm.push_back(outage.test.Sample(t % outage.test.num_samples()));
-    }
-    std::vector<OutageDetector::BatchSample> batch;
-    for (const auto& [vm, va] : warm) {
-      batch.push_back({&vm, &va, &missing});
-    }
-    ASSERT_TRUE(reused.ProcessBatch(batch).ok());
+  // Warm the reused session with a different availability pattern
+  // (missing data selects different detection groups) so any state
+  // surviving Reset would be observable.
+  TenantSession reused(shared_->detector, opts);
+  for (size_t t = 0; t < 4; ++t) {
+    auto [vm, va] = outage.test.Sample(t % outage.test.num_samples());
+    ASSERT_TRUE(reused.Process(vm, va, missing).ok());
   }
   EXPECT_GT(reused.samples_processed(), 0u);
   reused.Reset();
   EXPECT_EQ(reused.samples_processed(), 0u);
   EXPECT_FALSE(reused.alarm_active());
 
-  StreamingMonitor fresh(shared_->detector.get(), opts);
+  TenantSession fresh(shared_->detector, opts);
 
   // Identical mixed stream into both; events must match bit for bit.
   std::vector<std::pair<linalg::Vector, linalg::Vector>> samples;
@@ -237,22 +230,16 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
     samples.push_back(normal.Sample(t % normal.num_samples()));
     masks.push_back(&missing);
   }
-
-  std::vector<OutageDetector::BatchSample> batch;
   for (size_t k = 0; k < samples.size(); ++k) {
-    batch.push_back({&samples[k].first, &samples[k].second, masks[k]});
-  }
-  auto reused_events = reused.ProcessBatch(batch);
-  auto fresh_events = fresh.ProcessBatch(batch);
-  ASSERT_TRUE(reused_events.ok());
-  ASSERT_TRUE(fresh_events.ok());
-  ASSERT_EQ(reused_events->size(), fresh_events->size());
-  for (size_t k = 0; k < reused_events->size(); ++k) {
-    SCOPED_TRACE("batch event " + std::to_string(k));
-    ExpectSameEvent((*reused_events)[k], (*fresh_events)[k]);
+    auto a = reused.Process(samples[k].first, samples[k].second, *masks[k]);
+    auto b = fresh.Process(samples[k].first, samples[k].second, *masks[k]);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    SCOPED_TRACE("mixed sample " + std::to_string(k));
+    ExpectSameEvent(*a, *b);
   }
 
-  // Tail through the single-sample path too (memo/state interplay).
+  // Tail of complete outage samples.
   for (size_t t = 0; t < 4; ++t) {
     auto [vm, va] = outage.test.Sample(t % outage.test.num_samples());
     auto a = reused.Process(vm, va);
@@ -267,7 +254,7 @@ TEST_F(StreamTest, ResetAfterProcessBatchMatchesFreshMonitor) {
 TEST_F(StreamTest, WorksThroughMissingData) {
   StreamOptions opts;
   opts.alarm_after = 2;
-  StreamingMonitor monitor(shared_->detector.get(), opts);
+  TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[0];
   sim::MissingMask mask =
       sim::MissingAtOutage(shared_->grid.num_buses(), outage.line);
