@@ -101,6 +101,7 @@ inline constexpr int kFleetDone = 15;      // RunOnShard completion latch
 inline constexpr int kThreadPool = 20;     // ThreadPool::mu_
 inline constexpr int kParallelFor = 25;    // ParallelFor ForState::mu
 inline constexpr int kProximityCache = 30; // ProximityEngine::mu_
+inline constexpr int kTenantModel = 35;    // TenantSession model slot (leaf)
 inline constexpr int kMetricsRegistry = 40;// MetricsRegistry::mu_
 inline constexpr int kHistogram = 50;      // Histogram::mu_ (inside registry
                                            // snapshots)

@@ -1,6 +1,5 @@
 #include "detect/fleet.h"
 
-#include <chrono>
 #include <string>
 #include <thread>
 #include <utility>
@@ -17,11 +16,10 @@ namespace phasorwatch::detect {
 namespace {
 
 // Empty-poll backoff for the drain loops: spin-yield first (a frame is
-// usually microseconds away at PMU rates), then sleep so an idle fleet
-// does not burn a core — essential on small machines where producer
-// and shards share cores.
-constexpr size_t kSpinPollsBeforeSleep = 64;
-constexpr auto kIdleSleep = std::chrono::microseconds(200);
+// usually microseconds away at PMU rates), then park until a waker
+// bumps the shard's epoch, so an idle fleet burns no CPU at all —
+// essential on small machines where producer and shards share cores.
+constexpr size_t kSpinPollsBeforePark = 64;
 
 }  // namespace
 
@@ -49,6 +47,50 @@ struct FleetEngine::Shard {
   std::vector<std::function<void()>> control_hooks
       PW_GUARDED_BY(control_mu);
   std::atomic<bool> has_control{false};
+
+  /// Park/wake handshake (docs/FLEET.md, "Idle shards park"). The drain
+  /// thread publishes `parked`, then re-checks for work; a waker
+  /// publishes its work, then checks `parked`. A seq_cst fence sits
+  /// between the store and the load on both sides (Dekker), so at least
+  /// one side sees the other's store: either the drain finds the work
+  /// and never blocks, or the waker finds `parked` and bumps the epoch,
+  /// which either fails the drain's futex compare or wakes it. No
+  /// wake-up can be lost, and a busy shard costs a waker one fence and
+  /// one load.
+  std::atomic<bool> parked{false};
+  std::atomic<uint32_t> wake_epoch{0};
+
+  /// Drain thread only: blocks until a waker bumps the epoch, unless
+  /// the ring, the control inbox, or `stop` already has something.
+  PW_NO_ALLOC void Park(const std::atomic<bool>& stop) {
+    const uint32_t epoch = wake_epoch.load(std::memory_order_acquire);
+    parked.store(true, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // Relaxed is enough after the fence; the loop top re-reads all
+    // three with acquire. SizeApprox is exact on the consumer thread:
+    // only the producer moves, and only from empty to non-empty.
+    if (queue.SizeApprox() == 0 &&
+        !has_control.load(std::memory_order_relaxed) &&
+        !stop.load(std::memory_order_relaxed)) {
+      wake_epoch.wait(epoch, std::memory_order_acquire);
+    }
+    parked.store(false, std::memory_order_relaxed);
+  }
+
+  /// Any thread, after publishing its work (a pushed frame, the stop
+  /// flag, a control hook). Returns true when it woke a parked shard.
+  bool Wake() {
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    // The exchange lets one waker per park pay the futex call; a shard
+    // that is running (the common case) costs only the load.
+    if (!parked.load(std::memory_order_relaxed) ||
+        !parked.exchange(false, std::memory_order_relaxed)) {
+      return false;
+    }
+    wake_epoch.fetch_add(1, std::memory_order_release);
+    wake_epoch.notify_one();
+    return true;
+  }
 
   /// Registry-owned (never deleted); per-shard submit-to-event latency.
   obs::QuantileHistogram* const latency;
@@ -108,6 +150,7 @@ void FleetEngine::Start() {
 void FleetEngine::Stop() {
   if (!running_.load(std::memory_order_acquire)) return;
   stop_requested_.store(true, std::memory_order_release);
+  for (const std::unique_ptr<Shard>& shard : shards_) shard->Wake();
   // Joining the pool waits for the drain loops, which exit only once
   // their ring and control inbox are empty: Stop drains, it never drops.
   pool_.reset();
@@ -153,6 +196,7 @@ Status FleetEngine::Submit(TenantId tenant, sim::MeasurementFrame frame) {
   // accepted counts only frames that made it onto the ring, after the
   // push: the drain side must never observe accepted < processed.
   shard.accepted.fetch_add(1, std::memory_order_release);
+  if (shard.Wake()) PW_OBS_COUNTER_INC("fleet.shard_wakeups");
   PW_OBS_GAUGE_MAX("fleet.queue_high_water", shard.queue.SizeApprox());
   return Status::OK();
 }
@@ -205,12 +249,12 @@ void FleetEngine::DrainLoop(size_t shard_index) {
         !shard.has_control.load(std::memory_order_acquire)) {
       break;
     }
-    // Empty poll: yield first, sleep once the queue has stayed dry.
-    ++idle_polls;
-    if (idle_polls < kSpinPollsBeforeSleep) {
+    // Empty poll: yield first, park once the queue has stayed dry.
+    if (++idle_polls < kSpinPollsBeforePark) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(kIdleSleep);
+      shard.Park(stop_requested_);
+      idle_polls = 0;
     }
   }
   // PW_NO_ALLOC_END
@@ -251,6 +295,7 @@ void FleetEngine::RunOnShard(size_t shard_index,
     });
     shard.has_control.store(true, std::memory_order_release);
   }
+  shard.Wake();
   MutexLock lock(done_mu);
   while (!done) done_cv.Wait(done_mu);
 }
@@ -268,8 +313,8 @@ Status FleetEngine::ReloadModel(TenantId tenant,
   if (model == nullptr) {
     return Status::InvalidArgument("ReloadModel with a null model");
   }
-  // Safe while the shard runs: the swap is atomic and in-flight frames
-  // keep the shared_ptr they loaded.
+  // Safe while the shard runs: the swap is locked and in-flight frames
+  // keep the shared_ptr they copied.
   sessions_[tenant]->ReloadModel(std::move(model));
   PW_OBS_COUNTER_INC("fleet.model_reloads");
   return Status::OK();

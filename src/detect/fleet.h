@@ -76,15 +76,18 @@ struct TenantStatus {
 ///  - Ordering: a tenant lives on exactly one shard, so its frames are
 ///    processed in submission order by one thread (the TenantSession
 ///    producer contract holds by construction).
+///  - Idle: a shard whose ring stays empty parks on a futex and uses no
+///    CPU; Submit, Stop and the snapshot/restore hooks wake it.
 ///  - Lifecycle: ReloadModel/ReloadModelFromFile hot-swap a tenant's
-///    model (atomic shared_ptr; in-flight frames finish on the old
+///    model (locked pointer swap; in-flight frames finish on the old
 ///    model). SnapshotTenant/RestoreTenant run on the owning shard's
 ///    drain thread while the engine runs, so they never race the
 ///    stream.
 ///  - Observability: aggregate detection latency (submit to event) in
 ///    the `fleet.frame_us` quantile histogram plus per-shard
 ///    `fleet.shard<k>.frame_us` histograms; `fleet.frames_submitted`,
-///    `fleet.frames_shed`, `fleet.frames_processed` counters.
+///    `fleet.frames_shed`, `fleet.frames_processed`,
+///    `fleet.shard_wakeups` counters.
 ///
 /// Threading contract: Submit() is single-producer (one ingest thread,
 /// as in a PDC feed) — observers, reloads, snapshots, and TenantRows

@@ -9,6 +9,7 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -52,10 +53,12 @@ std::vector<std::string> OutageSetNames(
 
 TenantSession::TenantSession(std::shared_ptr<OutageDetector> detector,
                              const StreamOptions& options, std::string label)
-    : model_(std::move(detector)),
-      options_(options),
-      label_(std::move(label)) {
-  PW_CHECK(model_.load(std::memory_order_relaxed) != nullptr);
+    : options_(options), label_(std::move(label)) {
+  PW_CHECK(detector != nullptr);
+  {
+    MutexLock lock(model_.mu);
+    model_.detector = std::move(detector);
+  }
   PW_CHECK_GT(options_.alarm_after, 0u);
   PW_CHECK_GT(options_.clear_after, 0u);
   PW_CHECK_GT(options_.vote_window, 0u);
@@ -63,7 +66,12 @@ TenantSession::TenantSession(std::shared_ptr<OutageDetector> detector,
 
 void TenantSession::ReloadModel(std::shared_ptr<OutageDetector> model) {
   PW_CHECK(model != nullptr);
-  model_.store(std::move(model), std::memory_order_release);
+  {
+    MutexLock lock(model_.mu);
+    model_.detector.swap(model);
+  }
+  // `model` now holds the previous detector; this reference drops
+  // outside the lock, and in-flight samples keep their own copies.
   PW_OBS_COUNTER_INC("stream.model_reloads");
 #ifndef PW_OBS_DISABLED
   if (!label_.empty()) {
@@ -80,9 +88,9 @@ Result<StreamEvent> TenantSession::Process(const linalg::Vector& vm,
   // End-to-end per-sample latency (detector + debounce), tail-accurate
   // via the like-named quantile histogram.
   PW_TRACE_SCOPE("stream.sample_us");
-  std::shared_ptr<OutageDetector> model =
-      model_.load(std::memory_order_acquire);
-  Result<DetectionResult> raw = model->Detect(vm, va, mask);
+  // A reload racing this sample swaps the slot, not this copy.
+  const std::shared_ptr<OutageDetector> detector = model();
+  Result<DetectionResult> raw = detector->Detect(vm, va, mask);
   if (!raw.ok()) {
     if (!options_.tolerate_bad_samples ||
         !IsBadSampleError(raw.status().code())) {
@@ -90,7 +98,7 @@ Result<StreamEvent> TenantSession::Process(const linalg::Vector& vm,
     }
     return RejectSample(raw.status());
   }
-  return Debounce(*model, std::move(raw).value());
+  return Debounce(*detector, std::move(raw).value());
 }
 
 Result<StreamEvent> TenantSession::ProcessFrame(

@@ -11,6 +11,7 @@
 
 #include "common/check.h"
 #include "common/status.h"
+#include "common/sync.h"
 #include "detect/detector.h"
 #include "sim/fault_injection.h"
 
@@ -126,8 +127,8 @@ struct TenantSnapshot {
 /// drain loop. The cheap observers alarm_active(),
 /// samples_processed(), and counters() may be polled concurrently from
 /// other threads without locking, and ReloadModel()/model() are safe
-/// from any thread (atomic shared_ptr swap; in-flight samples finish
-/// on the model they started with).
+/// from any thread (a pointer swap under a per-session lock; in-flight
+/// samples finish on the model they started with).
 /// tests/stream_concurrency_test.cc and tests/fleet_concurrency_test.cc
 /// pin this contract down under ThreadSanitizer.
 class TenantSession {
@@ -172,16 +173,17 @@ class TenantSession {
 
   /// Swaps in a freshly trained/loaded model for the same grid and PMU
   /// network (e.g. from a PWDET04 file). Safe from any thread, while
-  /// the producer runs: the swap is an atomic shared_ptr store, samples
-  /// already in flight finish on the model they loaded, and the first
-  /// sample after the swap runs on the new model. Debounce state is
-  /// carried across the reload — the alarm stream must not flap because
-  /// operations rolled a model.
+  /// the producer runs: the swap happens under the session's model
+  /// lock, samples already in flight finish on the model they copied,
+  /// and the first sample after the swap runs on the new model. Debounce
+  /// state is carried across the reload — the alarm stream must not
+  /// flap because operations rolled a model.
   void ReloadModel(std::shared_ptr<OutageDetector> model);
 
   /// The model new samples will run on. Safe from any thread.
   std::shared_ptr<OutageDetector> model() const {
-    return model_.load(std::memory_order_acquire);
+    MutexLock lock(model_.mu);
+    return model_.detector;
   }
 
   /// Copies the mutable detection state for failover. Producer-thread
@@ -220,9 +222,17 @@ class TenantSession {
       const OutageDetector& detector,
       const std::vector<grid::LineId>& lines) const;
 
-  /// Atomic swap target for hot reload; all other state below is
-  /// producer-thread-owned except where noted.
-  std::atomic<std::shared_ptr<OutageDetector>> model_;
+  /// Hot-reload slot: ReloadModel swaps the pointer and every sample
+  /// copies it, both under `mu`, which guards nothing else. (libstdc++'s
+  /// std::atomic<shared_ptr> is a lock bit ThreadSanitizer cannot see.)
+  /// A nested struct, so the guarded-field contract applies to this one
+  /// field; all other state below is producer-thread-owned except
+  /// where noted.
+  struct ModelSlot {
+    mutable Mutex mu{lock_rank::kTenantModel};
+    std::shared_ptr<OutageDetector> detector PW_GUARDED_BY(mu);
+  };
+  ModelSlot model_;
   StreamOptions options_;
   std::string label_;
 

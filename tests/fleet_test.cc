@@ -1,8 +1,10 @@
 #include "detect/fleet.h"
 
+#include <chrono>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -382,6 +384,80 @@ TEST_F(FleetTest, StopDrainsAndEngineRestarts) {
   engine.Stop();  // idempotent
   EXPECT_EQ(engine.frames_processed(), 4u);
   EXPECT_EQ(engine.session(*tenant).samples_processed(), 4u);
+}
+
+// Long enough for every drain loop to finish its spin phase and park.
+// Each test below then has exactly one waker that must reach the shard;
+// a lost wake-up hangs it until the ctest TIMEOUT fails it.
+void IdleUntilShardsPark() {
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+}
+
+TEST_F(FleetTest, StopWakesParkedShardsAndEngineRestarts) {
+  FleetOptions fopts;
+  fopts.num_shards = 3;
+  FleetEngine engine(fopts);
+  auto tenant = engine.AddTenant(Config("grid-a"));
+  ASSERT_TRUE(tenant.ok());
+  engine.Start();
+  IdleUntilShardsPark();
+  engine.Stop();  // joins three parked drain loops
+  EXPECT_FALSE(engine.running());
+
+  engine.Start();
+  IdleUntilShardsPark();
+  ASSERT_TRUE(engine.Submit(*tenant, MakeFrames(0, 1)[0]).ok());
+  engine.Stop();
+  EXPECT_EQ(engine.frames_processed(), 1u);
+}
+
+TEST_F(FleetTest, ControlHooksReachParkedShards) {
+  FleetOptions fopts;
+  fopts.num_shards = 2;
+  FleetEngine engine(fopts);
+  auto tenant_a = engine.AddTenant(Config("grid-a"));
+  auto tenant_b = engine.AddTenant(Config("grid-b"));
+  ASSERT_TRUE(tenant_a.ok());
+  ASSERT_TRUE(tenant_b.ok());
+  engine.Start();
+  for (const auto& frame : MakeFrames(3, 0)) {
+    ASSERT_TRUE(engine.Submit(*tenant_a, frame).ok());
+  }
+  engine.Flush();
+
+  IdleUntilShardsPark();
+  auto snapshot = engine.SnapshotTenant(*tenant_a);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->next_sample_index, 3u);
+
+  IdleUntilShardsPark();
+  ASSERT_TRUE(engine.RestoreTenant(*tenant_b, *snapshot).ok());
+  IdleUntilShardsPark();
+  ExpectSameSnapshot(engine.SnapshotTenant(*tenant_b).value(), *snapshot);
+  engine.Stop();
+}
+
+TEST_F(FleetTest, SubmitWakesParkedShard) {
+  FleetOptions fopts;
+  fopts.num_shards = 1;
+  FleetEngine engine(fopts);
+  auto tenant = engine.AddTenant(Config("grid-a"));
+  ASSERT_TRUE(tenant.ok());
+  engine.Start();
+  IdleUntilShardsPark();
+  ASSERT_TRUE(engine.Submit(*tenant, MakeFrames(1, 0)[0]).ok());
+  // No Flush and no further Submit: the one wake-up must be enough. A
+  // deadline turns a lost wake-up into a failure rather than a hang.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.session(*tenant).samples_processed() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  EXPECT_EQ(engine.session(*tenant).samples_processed(), 1u);
+  engine.Stop();
+  const TenantCounters& counters = engine.session(*tenant).counters();
+  EXPECT_EQ(counters.samples.load(std::memory_order_relaxed), 1u);
 }
 
 }  // namespace
