@@ -9,7 +9,8 @@ tool is the other half of the perf-trajectory loop:
   bench_report.py validate FILE...          schema-check documents
   bench_report.py diff BASE NEW             compare two runs; exit 1 on
       [--threshold T] [--results-only]      any regression beyond T
-                                            (default 0.20 = 20%)
+      [--only REGEX]                        (default 0.20 = 20%); --only
+                                            keeps the keys REGEX matches
   bench_report.py --self-test               in-memory fixture round trip
 
 Regression direction is inferred from the key: results whose dotted
@@ -19,11 +20,16 @@ lower-is-better. Keys
 present on only one side are reported but never gate — adding a
 benchmark must not fail the lane that adds it.
 
+Keys that depend only on the code, not the machine (allocs/op), are
+gated exactly: `diff BASE NEW --only 'allocs_per_op$' --threshold 0`
+fails on any rise, including one from a zero baseline.
+
 Stdlib only; no third-party imports.
 """
 
 import argparse
 import json
+import re
 import sys
 
 SCHEMA = "pw-bench-report-v1"
@@ -109,10 +115,16 @@ def flatten(doc, results_only):
     return flat
 
 
-def diff_docs(base, new, threshold, results_only):
-    """Returns (report_lines, regressions). Gate on regressions != []."""
+def diff_docs(base, new, threshold, results_only, only=None):
+    """Returns (report_lines, regressions). Gate on regressions != [].
+
+    `only`, a regex, keeps the keys it matches (re.search)."""
     base_flat = flatten(base, results_only)
     new_flat = flatten(new, results_only)
+    if only is not None:
+        keep = re.compile(only)
+        base_flat = {k: v for k, v in base_flat.items() if keep.search(k)}
+        new_flat = {k: v for k, v in new_flat.items() if keep.search(k)}
     lines = []
     regressions = []
     for key in sorted(set(base_flat) | set(new_flat)):
@@ -124,10 +136,16 @@ def diff_docs(base, new, threshold, results_only):
             continue
         b, n = base_flat[key], new_flat[key]
         if b == 0.0:
-            # No relative baseline; report absolute movement only.
+            # No relative baseline; report absolute movement only, which
+            # gates only an exact (zero-threshold) comparison.
+            worse = (n < b) if higher_is_better(key) else (n > b)
+            regressed = threshold == 0.0 and worse
             if n != b:
-                lines.append("  ~ %-60s %g -> %g (no relative baseline)" %
-                             (key, b, n))
+                lines.append("  %s %-60s %g -> %g (no relative baseline) %s" %
+                             ("!" if regressed else "~", key, b, n,
+                              "REGRESSION" if regressed else ""))
+            if regressed:
+                regressions.append(key)
             continue
         rel = (n - b) / abs(b)
         direction = "higher-is-better" if higher_is_better(key) \
@@ -164,7 +182,7 @@ def cmd_validate(paths):
     return status
 
 
-def cmd_diff(base_path, new_path, threshold, results_only):
+def cmd_diff(base_path, new_path, threshold, results_only, only):
     try:
         base, new = load(base_path), load(new_path)
     except (OSError, ValueError) as err:
@@ -175,10 +193,10 @@ def cmd_diff(base_path, new_path, threshold, results_only):
         for err in errors:
             print(err, file=sys.stderr)
         return 1
-    lines, regressions = diff_docs(base, new, threshold, results_only)
-    print("diff %s (git %s) -> %s (git %s), threshold %.0f%%:" %
+    lines, regressions = diff_docs(base, new, threshold, results_only, only)
+    print("diff %s (git %s) -> %s (git %s), threshold %.0f%%%s:" %
           (base_path, base["git_sha"], new_path, new["git_sha"],
-           threshold * 100.0))
+           threshold * 100.0, "" if only is None else ", keys /%s/" % only))
     for line in lines:
         print(line)
     if regressions:
@@ -189,8 +207,10 @@ def cmd_diff(base_path, new_path, threshold, results_only):
     return 0
 
 
-def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9):
-    """Minimal valid document with latency, accuracy, and throughput."""
+def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
+             idle_allocs=0):
+    """Minimal valid document with latency, accuracy, throughput, and
+    allocation counts."""
     return {
         "schema": SCHEMA,
         "name": "selftest",
@@ -206,6 +226,11 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9):
                 {"unit": "", "value": 0.95},
             "cascade.ieee14.double_trip.second_trip.set_recall":
                 {"unit": "", "value": set_recall},
+            "BM_DetectSteadyState.14.allocs_per_op":
+                {"unit": "", "value": allocs},
+            "BM_DetectSteadyState.14.alloc_bytes_per_op":
+                {"unit": "", "value": 38.0 * allocs},
+            "BM_Idle.allocs_per_op": {"unit": "", "value": idle_allocs},
         },
         "counters": {"stream.samples": 100},
         "gauges": {"stream.alarm_active": 0.0},
@@ -260,6 +285,23 @@ def self_test():
     _, regs = diff_docs(base, _fixture(100.0, set_recall=1.0), 0.20, False)
     check("cascade set recall gain is an improvement", regs == [])
 
+    allocs = r"allocs_per_op$"
+    _, regs = diff_docs(base, _fixture(100.0), 0.0, False, allocs)
+    check("--only: equal allocs/op pass at threshold 0", regs == [])
+    _, regs = diff_docs(base, _fixture(100.0, allocs=5), 0.0, False, allocs)
+    check("--only: one more alloc/op gates at threshold 0",
+          regs == ["results.BM_DetectSteadyState.14.allocs_per_op"])
+    _, regs = diff_docs(base, _fixture(100.0, allocs=3), 0.0, False, allocs)
+    check("--only: fewer allocs/op is an improvement", regs == [])
+    _, regs = diff_docs(base, _fixture(100.0, idle_allocs=1), 0.0, False,
+                        allocs)
+    check("--only: a rise from zero allocs/op gates at threshold 0",
+          regs == ["results.BM_Idle.allocs_per_op"])
+    lines, regs = diff_docs(base, _fixture(500.0, ia_14=0.1), 0.0, False,
+                            allocs)
+    check("--only: keys outside the filter never gate",
+          regs == [] and lines == [])
+
     failed = [name for name, ok in checks if not ok]
     if failed:
         print("self-test: %d check(s) failed" % len(failed), file=sys.stderr)
@@ -286,6 +328,11 @@ def main(argv):
                         help="compare only the results section (skip the "
                              "registry quantiles, which include training "
                              "and dataset-build noise)")
+    p_diff.add_argument("--only", metavar="REGEX",
+                        help="compare only the keys the regex matches "
+                             "(re.search over e.g. "
+                             "'results.BM_DetectSteadyState.14."
+                             "allocs_per_op')")
     args = parser.parse_args(argv)
 
     if args.self_test:
@@ -294,7 +341,7 @@ def main(argv):
         return cmd_validate(args.files)
     if args.command == "diff":
         return cmd_diff(args.base, args.new, args.threshold,
-                        args.results_only)
+                        args.results_only, args.only)
     parser.print_help()
     return 2
 

@@ -295,11 +295,12 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     const size_t dim = det.normal_class_model_.mean.size();
     const size_t num_cases = data.outage.size();
 
-    // Whitened shift energies ||R d_c||^2: the normal class model
-    // evaluated at mu_c measures exactly ||R (mu_c - mu_n)||^2. Not
-    // stored — Detect recomputes the energy over ITS pooled
-    // coordinates, so that under missing data the drop and its
-    // normalizer always cover the same coordinate set and the delta
+    // Whitened shift energies ||R d_c||^2 over every coordinate: the
+    // normal class model evaluated at mu_c measures exactly
+    // ||R (mu_c - mu_n)||^2. They normalize the complete-coordinate
+    // pass below and are not stored — Detect recomputes the energy over
+    // ITS pooled coordinates, so that under missing data the drop and
+    // its normalizer always cover the same coordinate set and the delta
     // statistic keeps the calibrated scale.
     std::vector<double> shift_energy(num_cases, kProxFloor);
     for (size_t c = 0; c < num_cases; ++c) {
@@ -315,11 +316,13 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng peel_mask_rng(0x9EE15EEDull);
     // Records the spurious deltas of every non-true case on a peeled
-    // sample over one coordinate set. The shift energy is re-evaluated
-    // per coordinate set so masked variants keep the statistic's scale
-    // (Detect does the same over its pooled coordinates).
+    // sample over one coordinate set. A masked coordinate set
+    // re-evaluates the shift energy over itself so masked variants keep
+    // the statistic's scale (Detect does the same over its pooled
+    // coordinates); the complete set reuses `shift_energy`.
     auto record_nulls = [&](const Vector& peeled, size_t t,
                             const std::vector<size_t>& coords) -> Status {
+      const bool complete = &coords == &all_coords;
       PW_ASSIGN_OR_RETURN(
           double r_base,
           det.engine_.Evaluate(det.normal_class_model_, kClassFamilyKey,
@@ -330,10 +333,14 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
             double r,
             det.engine_.Evaluate(det.line_class_models_[c], kClassFamilyKey,
                                  peeled, coords));
-        PW_ASSIGN_OR_RETURN(
-            double energy,
-            det.engine_.Evaluate(det.normal_class_model_, kClassFamilyKey,
-                                 det.line_class_models_[c].mean, coords));
+        double energy = shift_energy[c];
+        if (!complete) {
+          PW_ASSIGN_OR_RETURN(
+              energy, det.engine_.Evaluate(det.normal_class_model_,
+                                           kClassFamilyKey,
+                                           det.line_class_models_[c].mean,
+                                           coords));
+        }
         nulls[c * num_cases + t].push_back(
             (r_base - r) / std::max(energy, kProxFloor));
       }
@@ -556,6 +563,8 @@ struct OutageDetector::DetectScratch {
   std::vector<size_t> pooled_coords;
   std::vector<size_t> order;
   std::vector<bool> selected;
+  /// Normal-class residual over `pooled_coords` (the ratio gate's).
+  double normal_residual = 0.0;
   std::vector<std::pair<double, size_t>> candidates;  // (residual, case)
   /// Multi-line peeling state (max_outage_lines >= 2 only): the sample
   /// with the accepted lines' mean shifts subtracted, and which cases
@@ -671,22 +680,27 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
       return Status::DataMissing("all measurements missing or screened");
     }
     GroupCoordinatesInto(scratch.pooled, &scratch.pooled_coords);
+    // Every case residual lands in `candidates`, which localization
+    // sorts, and the normal residual stays in the scratch as the peel's
+    // baseline: each class residual is evaluated once per detect.
     PW_ASSIGN_OR_RETURN(
-        double normal_residual,
+        scratch.normal_residual,
         engine_.Evaluate(normal_class_model_, kClassFamilyKey, features,
                          scratch.pooled_coords));
+    scratch.candidates.clear();
     double best_line_residual = -1.0;
     for (size_t c = 0; c < case_lines_.size(); ++c) {
       PW_ASSIGN_OR_RETURN(
           double prox,
           engine_.Evaluate(line_class_models_[c], kClassFamilyKey, features,
                            scratch.pooled_coords));
+      scratch.candidates.push_back({prox, c});
       if (best_line_residual < 0.0 || prox < best_line_residual) {
         best_line_residual = prox;
       }
     }
     double ratio =
-        best_line_residual / std::max(normal_residual, kProxFloor);
+        best_line_residual / std::max(scratch.normal_residual, kProxFloor);
     result.decision_score =
         std::max(result.decision_score, ratio_gate_ / std::max(ratio, 1e-9));
   }
@@ -703,8 +717,6 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   PW_OBS_COUNTER_INC("detect.outages_flagged");
 
   PW_TRACE_SCOPE("detect.stage.localization_us");
-  // The pooled coordinates from the gate stage are reused for the
-  // class-model localization below.
 
   // Sorted node list N_t by scaled proximity, ascending (closest first).
   scratch.order.resize(n);
@@ -771,18 +783,12 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   }
 
   // Line disambiguation: rank the trained line cases by the whitened
-  // distance of the sample to each case's class model (all through the
-  // same available coordinates, so residuals are comparable). The
-  // node-ranking prefix localizes the neighborhood for the operator;
-  // F-hat itself comes from the sharper class-model comparison.
-  scratch.candidates.clear();
+  // distance of the sample to each case's class model, as the gate
+  // stage evaluated them (all through the same available coordinates,
+  // so residuals are comparable). The node-ranking prefix localizes the
+  // neighborhood for the operator; F-hat itself comes from the sharper
+  // class-model comparison.
   std::vector<std::pair<double, size_t>>& candidates = scratch.candidates;
-  for (size_t c = 0; c < case_lines_.size(); ++c) {
-    PW_ASSIGN_OR_RETURN(double prox,
-                        engine_.Evaluate(line_class_models_[c], kClassFamilyKey,
-                                         features, scratch.pooled_coords));
-    candidates.push_back({prox, c});
-  }
   std::sort(candidates.begin(), candidates.end());
   if (options_.max_outage_lines >= 2 && !candidates.empty()) {
     // Multi-line identification: composed-pair scoring + greedy residual
@@ -810,13 +816,9 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
   const size_t dim = features.size();
   scratch.peel_taken.assign(num_cases, false);
 
-  // Baseline: normal-class residual over the pooled coordinates (the
-  // same statistic the ratio gate used; the cached regressor makes this
-  // a re-lookup, not a re-factorization).
-  PW_ASSIGN_OR_RETURN(
-      double r0, engine_.Evaluate(normal_class_model_, kClassFamilyKey,
-                                  features, scratch.pooled_coords));
-  r0 = std::max(r0, kProxFloor);
+  // Baseline: the ratio gate's normal-class residual over the pooled
+  // coordinates.
+  const double r0 = std::max(scratch.normal_residual, kProxFloor);
 
   // Resets peel_features to the sample with case c's mean shift
   // subtracted composed on top of whatever is already peeled.

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/workspace.h"
 #include "linalg/svd.h"
 #include "linalg/views.h"
 #include "obs/metrics.h"
@@ -52,15 +51,22 @@ ProximityEngine::BuildRegressor(const SubspaceModel& model,
     for (size_t r = 0; r < k; ++r) c_m(r, c) = b(hidden[c], r);
   }
 
-  linalg::Matrix regressor;
+  // R^T, |D| x k: Evaluate walks it by rows, one per group coordinate.
+  linalg::Matrix r_t;
   if (hidden.empty()) {
-    regressor = c_d;
+    r_t = c_d.Transposed();
   } else {
     PW_ASSIGN_OR_RETURN(linalg::Matrix c_m_pinv, linalg::PseudoInverse(c_m));
-    regressor = c_d - (c_m * (c_m_pinv * c_d));
+    linalg::Matrix projected = c_m * (c_m_pinv * c_d);
+    const linalg::Matrix regressor = c_d - projected;
+    // R^T takes the storage of the k x |D| projection temporary (same
+    // element count, so Assign reuses it) instead of a fresh copy.
+    projected.Assign(group.size(), k);
+    linalg::TransposeInto(regressor, projected);
+    r_t = std::move(projected);
   }
   return std::make_shared<const CachedRegressor>(
-      CachedRegressor{std::move(regressor), group});
+      CachedRegressor{std::move(r_t), group});
 }
 
 PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
@@ -119,31 +125,12 @@ PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
   }
 
   // Residual: || R (x_D - mu_D) ||^2 — one Eq. 9 regressor application
-  // (the missing-data path proper). z comes from the per-thread arena
-  // and the product folds into the norm accumulation row by row, so a
-  // warmed evaluation allocates nothing. The Frame rewinds the arena on
-  // exit: training loops call Evaluate thousands of times with no outer
-  // reset, and without it the arena would grow with iteration count.
+  // (the missing-data path proper), walking the stored R^T by rows with
+  // the centering gathered through the group. Allocation-free once the
+  // per-thread arena is warm.
   PW_OBS_COUNTER_INC("proximity.regressor_applications");
-  Workspace& ws = Workspace::PerThread();
-  Workspace::Frame scratch_frame(ws);
-  linalg::VectorView z(ws.Alloc(group.size()), group.size());
-  for (size_t c = 0; c < group.size(); ++c) {
-    z[c] = sample[group[c]] - model.mean[group[c]];
-  }
-  linalg::ConstMatrixView reg(cached->r);
-  double sum = 0.0;
-  // Row-wise dot-then-square matches Matrix::operator*(Vector) followed
-  // by the squared-norm loop operation for operation: bit-identical.
-  // The view's row() keeps the stride arithmetic inside the linalg
-  // layer (pw-lint forbids raw double* walks over matrix storage here).
-  for (size_t i = 0; i < reg.rows(); ++i) {
-    double dot = 0.0;
-    const double* row = reg.row(i);
-    for (size_t j = 0; j < reg.cols(); ++j) dot += row[j] * z[j];
-    sum += dot * dot;
-  }
-  return sum;
+  return linalg::TransposedTimesNormSq(cached->r_t, sample, model.mean,
+                                       cached->group);
 }
 
 }  // namespace phasorwatch::detect

@@ -76,8 +76,10 @@ class ProximityEngine {
 
  private:
   struct CachedRegressor {
-    // R = (I - C_M C_M^+) C_D, shaped k x |D|.
-    linalg::Matrix r;
+    // R^T with R = (I - C_M C_M^+) C_D, shaped |D| x k: stored
+    // transposed so applying it walks contiguous rows, one per group
+    // coordinate (linalg::TransposedTimesNormSq).
+    linalg::Matrix r_t;
     std::vector<size_t> group;
   };
 

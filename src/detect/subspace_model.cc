@@ -7,6 +7,7 @@
 #include "common/status.h"
 #include "linalg/eigen_sym.h"
 #include "linalg/svd.h"
+#include "linalg/views.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -136,16 +137,9 @@ Subspace SoftIntersectionLowRank(const std::vector<const Subspace*>& parts,
 double SubspaceModel::Proximity(const linalg::Vector& x) const {
   PW_CHECK_EQ(x.size(), mean.size());
   // ||B^T z||^2: squared component of the deviation inside the
-  // constraint directions. The centering (x - mean) folds into the dot
-  // loop, so the hot path allocates nothing.
-  double sum = 0.0;
-  const Matrix& b = constraints.basis();
-  for (size_t k = 0; k < b.cols(); ++k) {
-    double dot = 0.0;
-    for (size_t i = 0; i < x.size(); ++i) dot += b(i, k) * (x[i] - mean[i]);
-    sum += dot * dot;
-  }
-  return sum;
+  // constraint directions, with the centering z = x - mean folded into
+  // the row walk over B.
+  return linalg::TransposedTimesNormSq(constraints.basis(), x, mean, {});
 }
 
 Matrix FeatureMatrix(const sim::PhasorDataSet& data, PhasorChannel channel) {

@@ -1,6 +1,7 @@
 #include "linalg/views.h"
 
 #include "common/check.h"
+#include "common/workspace.h"
 
 namespace phasorwatch::linalg {
 
@@ -140,6 +141,45 @@ PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst) {
     double* d = dst.row(i);
     for (size_t j = 0; j < src.cols(); ++j) d[j] = s[j];
   }
+}
+
+PW_NO_ALLOC double TransposedTimesNormSq(ConstMatrixView a, ConstVectorView x,
+                                         ConstVectorView mean,
+                                         const std::vector<size_t>& gather) {
+  PW_CHECK_EQ(mean.size(), x.size());
+  PW_CHECK_EQ(a.rows(), gather.empty() ? x.size() : gather.size());
+  const size_t k = a.cols();
+  Workspace& ws = Workspace::PerThread();
+  Workspace::Frame frame(ws);
+  double* acc = ws.Alloc(k);  // zeroed
+  auto centered = [&](size_t i) {
+    const size_t src = gather.empty() ? i : gather[i];
+    PW_CHECK_LT(src, x.size());
+    return x.data()[src] - mean.data()[src];
+  };
+  // Four rows per pass keep each accumulator in a register across them;
+  // the adds still land in ascending row order.
+  size_t i = 0;
+  for (; i + 4 <= a.rows(); i += 4) {
+    const double z0 = centered(i), z1 = centered(i + 1);
+    const double z2 = centered(i + 2), z3 = centered(i + 3);
+    const double* r0 = a.row(i);
+    const double* r1 = a.row(i + 1);
+    const double* r2 = a.row(i + 2);
+    const double* r3 = a.row(i + 3);
+    for (size_t j = 0; j < k; ++j) {
+      acc[j] = (((acc[j] + r0[j] * z0) + r1[j] * z1) + r2[j] * z2) +
+               r3[j] * z3;
+    }
+  }
+  for (; i < a.rows(); ++i) {
+    const double z = centered(i);
+    const double* row = a.row(i);
+    for (size_t j = 0; j < k; ++j) acc[j] += row[j] * z;
+  }
+  double sum = 0.0;
+  for (size_t j = 0; j < k; ++j) sum += acc[j] * acc[j];
+  return sum;
 }
 
 }  // namespace phasorwatch::linalg

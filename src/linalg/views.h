@@ -215,6 +215,22 @@ PW_NO_ALLOC void SubtractInto(ConstMatrixView a, ConstMatrixView b, MutableMatri
 /// Copies src into dst (shapes must match; dst disjoint from src).
 PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst);
 
+/// ||a^T z||^2 = sum_j (sum_i a(i, j) * z_i)^2, with
+/// z_i = x[g(i)] - mean[g(i)] where g(i) = gather[i], or g(i) = i when
+/// `gather` is empty. a.rows() must equal gather.size() (x.size() for
+/// the identity). The sample-to-subspace proximity kernel: `a` is a
+/// constraint basis or a stored Eq. 9 regressor transpose.
+///
+/// Walks `a` by rows, four per pass, into a.cols() column accumulators
+/// taken from the per-thread Workspace (inside a Frame), so a row-major
+/// `a` streams contiguously and the accumulator update vectorizes. Each
+/// inner sum still runs over i ascending and the outer sum over j
+/// ascending, so the result is bit-identical to taking the column dots
+/// one at a time.
+PW_NO_ALLOC double TransposedTimesNormSq(ConstMatrixView a, ConstVectorView x,
+                                         ConstVectorView mean,
+                                         const std::vector<size_t>& gather);
+
 }  // namespace phasorwatch::linalg
 
 #endif  // PHASORWATCH_LINALG_VIEWS_H_

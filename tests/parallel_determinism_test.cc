@@ -123,9 +123,10 @@ TEST_F(ParallelDeterminismTest, TrainedModelBitIdenticalAcrossDegrees) {
     training.outage.push_back(&c.train);
   }
 
-  auto serialize = [&](size_t parallelism) {
+  auto serialize = [&](size_t parallelism, size_t max_outage_lines) {
     detect::DetectorOptions opts;
     opts.parallelism = parallelism;
+    opts.max_outage_lines = max_outage_lines;
     auto det = detect::OutageDetector::Train(*grid, *network, training, opts);
     PW_CHECK(det.ok());
     std::ostringstream out;
@@ -133,10 +134,14 @@ TEST_F(ParallelDeterminismTest, TrainedModelBitIdenticalAcrossDegrees) {
     return out.str();
   };
 
-  std::string serial_model = serialize(1);
-  ASSERT_FALSE(serial_model.empty());
-  EXPECT_EQ(serialize(2), serial_model);
-  EXPECT_EQ(serialize(8), serial_model);
+  // max_outage_lines = 2 adds the peel-threshold calibration, whose
+  // thresholds are part of the saved PWDET04 bytes.
+  for (size_t lines : {1u, 2u}) {
+    std::string serial_model = serialize(1, lines);
+    ASSERT_FALSE(serial_model.empty());
+    EXPECT_EQ(serialize(2, lines), serial_model) << "lines=" << lines;
+    EXPECT_EQ(serialize(8, lines), serial_model) << "lines=" << lines;
+  }
 }
 
 TEST_F(ParallelDeterminismTest, ScenarioMetricsBitIdenticalAcrossDegrees) {

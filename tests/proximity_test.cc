@@ -1,10 +1,13 @@
 #include "detect/proximity.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.h"
 #include "common/rng.h"
+#include "linalg/svd.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -133,6 +136,91 @@ TEST(ProximityEngineTest, DistinctModelsDoNotCollide) {
   ASSERT_TRUE(pb.ok());
   EXPECT_NEAR(*pa, 0.0, 1e-10);
   EXPECT_NEAR(*pb, 1.0, 1e-10);
+}
+
+// Reference for ProximityEngine::Evaluate built the way the Eq. 9
+// regressor is defined: R = C_D - C_M (C_M^+ C_D) as a k x |D| matrix,
+// applied as one dot per row of R (the column-walk over R^T), squared
+// and summed. The engine stores R^T and walks it by rows; the two must
+// agree to the last bit.
+double ColumnWalkProximity(const SubspaceModel& model, const Vector& x,
+                           const std::vector<size_t>& group) {
+  const Matrix& b = model.constraints.basis();
+  const size_t n = b.rows();
+  const size_t k = b.cols();
+  std::vector<bool> in_group(n, false);
+  for (size_t idx : group) in_group[idx] = true;
+  std::vector<size_t> hidden;
+  for (size_t i = 0; i < n; ++i) {
+    if (!in_group[i]) hidden.push_back(i);
+  }
+  Matrix c_d(k, group.size());
+  for (size_t c = 0; c < group.size(); ++c) {
+    for (size_t r = 0; r < k; ++r) c_d(r, c) = b(group[c], r);
+  }
+  Matrix regressor = c_d;
+  if (!hidden.empty()) {
+    Matrix c_m(k, hidden.size());
+    for (size_t c = 0; c < hidden.size(); ++c) {
+      for (size_t r = 0; r < k; ++r) c_m(r, c) = b(hidden[c], r);
+    }
+    auto c_m_pinv = linalg::PseudoInverse(c_m);
+    PW_CHECK(c_m_pinv.ok());
+    regressor = c_d - (c_m * (*c_m_pinv * c_d));
+  }
+  double sum = 0.0;
+  for (size_t r = 0; r < k; ++r) {
+    double dot = 0.0;
+    for (size_t c = 0; c < group.size(); ++c) {
+      dot += regressor(r, c) * (x[group[c]] - model.mean[group[c]]);
+    }
+    sum += dot * dot;
+  }
+  return sum;
+}
+
+TEST(ProximityEngineTest, RowWalkMatchesColumnWalkBitExact) {
+  Rng rng(3);
+  const size_t n = 60;
+  for (size_t k : {1u, 3u, 28u, 60u, 61u}) {
+    // A general (non-orthonormal) coefficient matrix, as the whitened
+    // class models carry.
+    SubspaceModel model;
+    model.mean = Vector(n);
+    Matrix basis(n, k);
+    for (size_t i = 0; i < n; ++i) {
+      model.mean[i] = rng.Uniform(-1.0, 1.0);
+      for (size_t j = 0; j < k; ++j) basis(i, j) = rng.Uniform(-1.0, 1.0);
+    }
+    model.constraints = Subspace::FromOrthonormal(basis);
+    ProximityEngine engine;
+    for (int trial = 0; trial < 4; ++trial) {
+      Vector x(n);
+      for (size_t i = 0; i < n; ++i) x[i] = rng.Uniform(-2.0, 2.0);
+      // Empty hidden set: the complete-data path.
+      std::vector<size_t> all(n);
+      for (size_t i = 0; i < n; ++i) all[i] = i;
+      auto complete = engine.Evaluate(model, 7, x, all);
+      ASSERT_TRUE(complete.ok());
+      EXPECT_EQ(*complete, ColumnWalkProximity(model, x, all)) << "k=" << k;
+      EXPECT_EQ(model.Proximity(x), *complete) << "k=" << k;
+      // Masked groups: drop a random 1..12 coordinates.
+      std::vector<size_t> group;
+      const size_t drop = 1 + static_cast<size_t>(rng.UniformInt(12));
+      std::vector<bool> hidden(n, false);
+      for (size_t d = 0; d < drop; ++d) {
+        hidden[static_cast<size_t>(rng.UniformInt(n))] = true;
+      }
+      hidden[0] = true;  // at least one coordinate is always hidden
+      for (size_t i = 0; i < n; ++i) {
+        if (!hidden[i]) group.push_back(i);
+      }
+      auto masked = engine.Evaluate(model, 7, x, group);
+      ASSERT_TRUE(masked.ok());
+      EXPECT_EQ(*masked, ColumnWalkProximity(model, x, group))
+          << "k=" << k << " |D|=" << group.size();
+    }
+  }
 }
 
 TEST(GroupCacheKeyTest, SensitiveToModelAndGroup) {

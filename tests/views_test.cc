@@ -1,8 +1,11 @@
 #include "linalg/views.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/workspace.h"
 #include "linalg/matrix.h"
 
 namespace phasorwatch::linalg {
@@ -148,6 +151,75 @@ TEST(ViewsTest, CopyIntoAndSubtractInto) {
   }
 }
 
+// Column-walk reference for TransposedTimesNormSq: one dot per column
+// of `a`, each over the rows in ascending order. The kernel walks rows
+// instead and must reproduce every rounding of this order.
+double ColumnWalkNormSq(ConstMatrixView a, const Vector& x, const Vector& mean,
+                        const std::vector<size_t>& gather) {
+  double sum = 0.0;
+  for (size_t j = 0; j < a.cols(); ++j) {
+    double dot = 0.0;
+    for (size_t i = 0; i < a.rows(); ++i) {
+      const size_t src = gather.empty() ? i : gather[i];
+      dot += a(i, j) * (x[src] - mean[src]);
+    }
+    sum += dot * dot;
+  }
+  return sum;
+}
+
+TEST(ViewsTest, TransposedTimesNormSqMatchesColumnWalkBitExact) {
+  Rng rng(21);
+  const size_t n = 60;
+  // A scattered, non-monotone gather over half the coordinates.
+  std::vector<size_t> gather;
+  for (size_t i = 0; i < n; i += 2) gather.push_back((7 * i + 3) % n);
+  for (size_t k : {1u, 3u, 28u, 60u, 61u}) {
+    Vector x = RandomVector(n, rng);
+    Vector mean = RandomVector(n, rng);
+    Matrix basis = RandomMatrix(n, k, rng);
+    EXPECT_EQ(TransposedTimesNormSq(basis, x, mean, {}),
+              ColumnWalkNormSq(basis, x, mean, {}))
+        << "identity, k=" << k;
+    Matrix regressor_t = RandomMatrix(gather.size(), k, rng);
+    EXPECT_EQ(TransposedTimesNormSq(regressor_t, x, mean, gather),
+              ColumnWalkNormSq(regressor_t, x, mean, gather))
+        << "gathered, k=" << k;
+  }
+}
+
+TEST(ViewsTest, TransposedTimesNormSqReadsStridedBlocks) {
+  Rng rng(22);
+  Matrix big = RandomMatrix(12, 9, rng);
+  ConstMatrixView block = ConstMatrixView(big).Block(2, 3, 10, 5);
+  Vector x = RandomVector(10, rng);
+  Vector mean = RandomVector(10, rng);
+  EXPECT_EQ(TransposedTimesNormSq(block, x, mean, {}),
+            ColumnWalkNormSq(block, x, mean, {}));
+}
+
+TEST(ViewsTest, TransposedTimesNormSqOfNothingIsZero) {
+  Rng rng(23);
+  Vector x = RandomVector(4, rng);
+  Vector mean = RandomVector(4, rng);
+  // No columns: no constraint to violate.
+  EXPECT_EQ(TransposedTimesNormSq(Matrix(4, 0), x, mean, {}), 0.0);
+  // No rows: an empty sample (no coordinates at all).
+  EXPECT_EQ(TransposedTimesNormSq(Matrix(0, 3), Vector(), Vector(), {}), 0.0);
+}
+
+TEST(ViewsTest, TransposedTimesNormSqLeavesTheWorkspaceAsFound) {
+  Rng rng(24);
+  Matrix a = RandomMatrix(8, 6, rng);
+  Vector x = RandomVector(8, rng);
+  Vector mean = RandomVector(8, rng);
+  Workspace& ws = Workspace::PerThread();
+  const size_t before = ws.used();
+  const double first = TransposedTimesNormSq(a, x, mean, {});
+  EXPECT_EQ(ws.used(), before);
+  EXPECT_EQ(TransposedTimesNormSq(a, x, mean, {}), first);
+}
+
 TEST(ViewsTest, RangesOverlapDetection) {
   double buf[10] = {};
   EXPECT_TRUE(RangesOverlap(buf, 5, buf + 4, 3));
@@ -162,6 +234,20 @@ TEST(ViewsDeathTest, AliasedDestinationAborts) {
   // Writing the product over one of its own inputs would corrupt the
   // remaining reads; the kernel must refuse.
   EXPECT_DEATH(MultiplyInto(a, b, a), "PW_CHECK failed");
+}
+
+TEST(ViewsDeathTest, TransposedTimesNormSqRejectsBadGather) {
+  Rng rng(25);
+  Matrix a = RandomMatrix(3, 2, rng);
+  Vector x = RandomVector(5, rng);
+  Vector mean = RandomVector(5, rng);
+  // One row per gathered coordinate, and every index inside the sample.
+  const std::vector<size_t> short_gather = {0, 1};
+  const std::vector<size_t> outside_gather = {0, 1, 5};
+  EXPECT_DEATH(TransposedTimesNormSq(a, x, mean, short_gather),
+               "PW_CHECK failed");
+  EXPECT_DEATH(TransposedTimesNormSq(a, x, mean, outside_gather),
+               "PW_CHECK failed");
 }
 
 TEST(ViewsDeathTest, ShapeMismatchAborts) {
