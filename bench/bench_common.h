@@ -19,7 +19,7 @@ namespace phasorwatch::bench {
 ///                 are bit-identical either way — see
 ///                 docs/PARALLELISM.md)
 ///   --json PATH : additionally write the machine-readable run report
-///                 (pw-bench-report-v1, obs/report.h) to PATH; the
+///                 (pw-bench-report-v2, obs/report.h) to PATH; the
 ///                 perf-trajectory `BENCH_<name>.json` files compared
 ///                 by scripts/bench_report.py. Off by default, and the
 ///                 harness's stdout is unchanged by it.
@@ -63,7 +63,7 @@ int RunScenarioHarness(const std::string& experiment_id,
                        eval::MissingScenario scenario, int argc, char** argv);
 
 /// Prints the global metrics snapshot (pipeline counters, stage latency
-/// histograms) accumulated over the run.
+/// quantiles) accumulated over the run.
 void PrintMetricsSnapshot();
 
 }  // namespace phasorwatch::bench

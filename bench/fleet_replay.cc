@@ -11,7 +11,7 @@
 //                 core count as everywhere else)
 //   --frames N  : frames replayed per tenant (default 30)
 //   --quick     : CI sizing (128 tenants, 12 frames)
-//   --json PATH : write the pw-bench-report-v1 run report
+//   --json PATH : write the pw-bench-report-v2 run report
 //                 (BENCH_fleet.json trajectory, scripts/bench_report.py)
 
 #include <algorithm>

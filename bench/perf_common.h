@@ -13,7 +13,7 @@ namespace phasorwatch::bench {
 /// Harness-level options for the google-benchmark executables
 /// (perf_linalg, perf_pipeline), layered on top of the library's own
 /// flags:
-///   --json PATH : write the pw-bench-report-v1 run report to PATH
+///   --json PATH : write the pw-bench-report-v2 run report to PATH
 ///                 (the BENCH_<name>.json trajectory files compared by
 ///                 scripts/bench_report.py)
 ///   --quick     : CI sizing — short measurement windows

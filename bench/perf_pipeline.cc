@@ -2,7 +2,7 @@
 // data-generation cost) and per-sample online detection latency (the
 // cost that must beat the PMU reporting interval of ~16-33 ms). After
 // the benchmark tables, prints the observability snapshot accumulated
-// over the run: per-stage detect latency histograms, Eq. 9 regressor
+// over the run: per-stage detect latency quantiles, Eq. 9 regressor
 // counters, and power-flow iteration counts.
 
 #include <cstdio>

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Validate and compare pw-bench-report-v1 documents (BENCH_<name>.json).
+"""Validate and compare pw-bench-report documents (BENCH_<name>.json).
 
 The C++ side (obs/report.h RunReportBuilder, surfaced as `--json PATH`
 on every bench harness) emits one JSON document per run: named numeric
@@ -24,6 +24,11 @@ Keys that depend only on the code, not the machine (allocs/op), are
 gated exactly: `diff BASE NEW --only 'allocs_per_op$' --threshold 0`
 fails on any rise, including one from a zero baseline.
 
+Both schema versions validate: v2 (current) dropped v1's bucketed
+`histograms` section and reports those series under `quantiles`. A quantile
+entry with count > 0 must report its stats in order
+(min <= p50 <= p90 <= p99 <= p999 <= max, over the stats present).
+
 Stdlib only; no third-party imports.
 """
 
@@ -32,7 +37,11 @@ import json
 import re
 import sys
 
-SCHEMA = "pw-bench-report-v1"
+SCHEMA = "pw-bench-report-v2"
+SCHEMAS = ("pw-bench-report-v1", SCHEMA)
+
+# Quantile stats that must be non-decreasing, in this order.
+QUANTILE_ORDER = ("min", "p50", "p90", "p99", "p999", "max")
 
 # Top-level key -> required python type.
 TOP_LEVEL = {
@@ -45,7 +54,6 @@ TOP_LEVEL = {
     "results": dict,
     "counters": dict,
     "gauges": dict,
-    "histograms": dict,
     "quantiles": dict,
 }
 
@@ -69,11 +77,13 @@ def validate_doc(doc, label):
         elif not isinstance(doc[key], want):
             errors.append("%s: key %r is %s, want %s" %
                           (label, key, type(doc[key]).__name__, want.__name__))
+    if not isinstance(doc.get("histograms", {}), dict):  # v1 only
+        errors.append("%s: key 'histograms' is not an object" % label)
     if errors:
         return errors
-    if doc["schema"] != SCHEMA:
-        errors.append("%s: schema is %r, want %r" %
-                      (label, doc["schema"], SCHEMA))
+    if doc["schema"] not in SCHEMAS:
+        errors.append("%s: schema is %r, want one of %r" %
+                      (label, doc["schema"], SCHEMAS))
     for key, entry in doc["results"].items():
         if not isinstance(entry, dict) or "value" not in entry:
             errors.append("%s: results[%r] has no value" % (label, key))
@@ -90,10 +100,28 @@ def validate_doc(doc, label):
         if not isinstance(value, (int, float)):
             errors.append("%s: gauges[%r] is not numeric" % (label, key))
     for section in ("histograms", "quantiles"):
-        for key, snap in doc[section].items():
+        for key, snap in doc.get(section, {}).items():
             if not isinstance(snap, dict) or "count" not in snap:
                 errors.append("%s: %s[%r] has no count" %
                               (label, section, key))
+    for key, snap in doc["quantiles"].items():
+        if isinstance(snap, dict) and snap.get("count", 0) > 0:
+            errors.extend(quantile_order_errors(snap, "%s: quantiles[%r]" %
+                                                (label, key)))
+    return errors
+
+
+def quantile_order_errors(snap, label):
+    """Out-of-order stats of one quantile entry (see QUANTILE_ORDER)."""
+    present = [(stat, snap[stat]) for stat in QUANTILE_ORDER if stat in snap]
+    errors = []
+    for (lo_name, lo), (hi_name, hi) in zip(present, present[1:]):
+        if not (isinstance(lo, (int, float)) and isinstance(hi, (int, float))):
+            errors.append("%s: %s/%s is not numeric" %
+                          (label, lo_name, hi_name))
+        elif lo > hi:
+            errors.append("%s: %s %g > %s %g" %
+                          (label, lo_name, lo, hi_name, hi))
     return errors
 
 
@@ -234,7 +262,6 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
         },
         "counters": {"stream.samples": 100},
         "gauges": {"stream.alarm_active": 0.0},
-        "histograms": {"detect.total_us": {"count": 100, "p50": 50.0}},
         "quantiles": {
             "stream.frame_us":
                 {"count": 100, "p50": 40.0, "p99": p99_14, "p999": p99_14},
@@ -260,6 +287,18 @@ def self_test():
     mistyped["results"]["detect.ieee14.p99_us"]["value"] = "fast"
     check("non-numeric result value is rejected",
           validate_doc(mistyped, "mistyped") != [])
+    check("v2 document without histograms passes",
+          "histograms" not in base and validate_doc(base, "v2") == [])
+    v1 = _fixture(100.0)
+    v1["schema"] = "pw-bench-report-v1"
+    v1["histograms"] = {"detect.total_us": {"count": 100, "p50": 50.0}}
+    check("v1 document with histograms passes",
+          validate_doc(v1, "v1") == [])
+    unordered = _fixture(100.0)
+    unordered["quantiles"]["powerflow.ac.iterations"] = {
+        "count": 10, "min": 4.0, "p50": 3.51, "p90": 4.0, "max": 5.0}
+    check("quantile p50 below min is rejected",
+          validate_doc(unordered, "unordered") != [])
 
     _, regs = diff_docs(base, _fixture(100.0), 0.20, False)
     check("identical runs show no regression", regs == [])
@@ -313,7 +352,8 @@ def self_test():
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="bench_report.py",
-        description="Validate and compare pw-bench-report-v1 documents.")
+        description="Validate and compare pw-bench-report-v1/-v2 "
+                    "documents.")
     parser.add_argument("--self-test", action="store_true",
                         help="run the in-memory fixture checks and exit")
     sub = parser.add_subparsers(dest="command")

@@ -94,7 +94,7 @@ python3 scripts/bench_report.py validate build/BENCH_sparse.json \
   BENCH_sparse.json
 
 # Fleet lane (docs/FLEET.md): the multi-tenant replay must hold its
-# pw-bench-report-v1 schema; the throughput trajectory
+# pw-bench-report-v2 schema; the throughput trajectory
 # (fleet.frames_per_sec, higher-is-better) is diffed against the
 # committed baseline per-PR like the other BENCH files.
 echo "=== perf report (fleet replay) ==="
@@ -142,8 +142,11 @@ ctest --test-dir build-ubsan --output-on-failure
 # ThreadSanitizer gate for the parallel fan-outs: the thread pool, the
 # streaming monitor's producer/observer contract, the fleet engine's
 # park/wake paths (fleet_test drives Stop, control hooks and Submit
-# into parked shards), and the determinism suite (which exercises every
-# parallelized pipeline stage) must be race-free. Benchmarks/examples
+# into parked shards), the determinism suite (which exercises every
+# parallelized pipeline stage), and the obs layer (concurrent quantile
+# Record, timed scopes feeding the trace ring, registry scrapes while
+# recorders run: obs_test, obs_quantile_test, trace_export_test) must
+# be race-free. Benchmarks/examples
 # are skipped — google-benchmark is not TSan-instrumented here and they
 # add nothing to the race surface. GCC's -Wtsan note that
 # atomic_thread_fence is not modeled is expected (fleet.cc's park/wake
@@ -152,10 +155,13 @@ echo "=== PW_TSAN build ==="
 cmake -B build-tsan -G Ninja -DPW_TSAN=ON \
   -DPHASORWATCH_BUILD_BENCHMARKS=OFF -DPHASORWATCH_BUILD_EXAMPLES=OFF
 cmake --build build-tsan --target concurrency_test parallel_determinism_test \
-  fleet_test
+  fleet_test obs_test obs_quantile_test trace_export_test
 ./build-tsan/tests/concurrency_test
 ./build-tsan/tests/parallel_determinism_test
 ./build-tsan/tests/fleet_test
+./build-tsan/tests/obs_test
+./build-tsan/tests/obs_quantile_test
+./build-tsan/tests/trace_export_test
 
 # Clang thread-safety analysis gate (docs/STATIC_ANALYSIS.md): compiles
 # the library with the common/sync.h annotations checked as errors.

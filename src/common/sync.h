@@ -103,8 +103,6 @@ inline constexpr int kParallelFor = 25;    // ParallelFor ForState::mu
 inline constexpr int kProximityCache = 30; // ProximityEngine::mu_
 inline constexpr int kTenantModel = 35;    // TenantSession model slot (leaf)
 inline constexpr int kMetricsRegistry = 40;// MetricsRegistry::mu_
-inline constexpr int kHistogram = 50;      // Histogram::mu_ (inside registry
-                                           // snapshots)
 inline constexpr int kTraceRing = 60;      // TraceRing::mu_
 inline constexpr int kEventLog = 70;       // EventLog::mu_
 }  // namespace lock_rank

@@ -59,8 +59,7 @@ struct ForState {
       if (i >= n) return;
       [[maybe_unused]] auto start = std::chrono::steady_clock::now();
       Status status = RunBody(*body, i);
-      PW_OBS_HISTOGRAM_OBSERVE("pool.task_us", ElapsedUs(start),
-                               obs::DefaultLatencyBucketsUs());
+      PW_OBS_QUANTILE_RECORD("pool.task_us", ElapsedUs(start));
       PW_OBS_COUNTER_INC("pool.tasks_executed");
       MutexLock lock(mu);
       if (!status.ok() && (error.ok() || i < error_index)) {
@@ -146,8 +145,7 @@ bool ThreadPool::RunOneTask() {
     // Fire-and-forget tasks swallow exceptions; ParallelFor bodies
     // convert them to Status before they reach this frame.
   }
-  PW_OBS_HISTOGRAM_OBSERVE("pool.task_us", ElapsedUs(start),
-                           obs::DefaultLatencyBucketsUs());
+  PW_OBS_QUANTILE_RECORD("pool.task_us", ElapsedUs(start));
   PW_OBS_COUNTER_INC("pool.tasks_executed");
   return true;
 }

@@ -1,7 +1,6 @@
 #include "common/workspace.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.h"
 #include "obs/metrics.h"
@@ -13,24 +12,6 @@ namespace {
 // grow past one chunk; doubling from there reaches 118-bus scale in a
 // few warm-up allocations.
 constexpr size_t kInitialChunkDoubles = 4096;
-
-// Cross-thread high-water mark in bytes, mirrored into the
-// workspace.bytes_high_water gauge. Monotone max: per-thread arenas
-// race only to publish a larger footprint, and losing a race to an
-// equal-or-larger value is fine for a diagnostic.
-std::atomic<size_t> g_bytes_high_water{0};
-
-void PublishHighWater(size_t bytes) {
-  size_t prev = g_bytes_high_water.load(std::memory_order_relaxed);
-  while (bytes > prev && !g_bytes_high_water.compare_exchange_weak(
-                             prev, bytes, std::memory_order_relaxed)) {
-  }
-  if (bytes >= prev) {
-    PW_OBS_GAUGE_SET("workspace.bytes_high_water",
-                     static_cast<double>(
-                         g_bytes_high_water.load(std::memory_order_relaxed)));
-  }
-}
 
 }  // namespace
 
@@ -109,7 +90,9 @@ void Workspace::AddChunk(size_t min_doubles) {
   c.cap = cap;
   chunks_.push_back(std::move(c));
   cur_ = chunks_.size() - 1;
-  PublishHighWater(capacity_bytes());
+  // Largest per-thread arena footprint seen since the last registry
+  // reset; Gauge::Max keeps the race between arenas lossless.
+  PW_OBS_GAUGE_MAX("workspace.bytes_high_water", capacity_bytes());
 }
 
 }  // namespace phasorwatch

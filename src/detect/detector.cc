@@ -905,8 +905,7 @@ Status OutageDetector::IdentifyOutageSet(const Vector& features,
     accept(best_case, 1.0 - best / r_base);
     subtract_shift(best_case);
   }
-  PW_OBS_HISTOGRAM_OBSERVE("detect.multi.set_size", result->outage_set.size(),
-                           ::phasorwatch::obs::DefaultIterationBuckets());
+  PW_OBS_QUANTILE_RECORD("detect.multi.set_size", result->outage_set.size());
   return Status::OK();
 }
 

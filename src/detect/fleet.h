@@ -85,7 +85,7 @@ struct TenantStatus {
 ///    stream.
 ///  - Observability: aggregate detection latency (submit to event) in
 ///    the `fleet.frame_us` quantile histogram plus per-shard
-///    `fleet.shard<k>.frame_us` histograms; `fleet.frames_submitted`,
+///    `fleet.shard<k>.frame_us` quantile histograms; `fleet.frames_submitted`,
 ///    `fleet.frames_shed`, `fleet.frames_processed`,
 ///    `fleet.shard_wakeups` counters.
 ///

@@ -104,9 +104,9 @@ Result<StreamEvent> TenantSession::Process(const linalg::Vector& vm,
 Result<StreamEvent> TenantSession::ProcessFrame(
     const sim::MeasurementFrame& frame) {
   // End-to-end frame latency, transport screening included. The
-  // `.high_water` gauge keeps the worst single frame ever seen — the
-  // number an operator compares against the PMU reporting interval.
-  PW_TRACE_SCOPE_HIGH_WATER("stream.frame_us");
+  // series' exact max is the worst single frame ever seen — the number
+  // an operator compares against the PMU reporting interval.
+  PW_TRACE_SCOPE("stream.frame_us");
   if (frame.dropped) {
     PW_OBS_COUNTER_INC("stream.frames_dropped");
     counters_.frames_dropped.fetch_add(1, std::memory_order_relaxed);

@@ -1,92 +1,11 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "common/serialize.h"
 #include "common/sync.h"
 
 namespace phasorwatch::obs {
-
-Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  counts_.assign(bounds_.size() + 1, 0);
-}
-
-void Histogram::Observe(double value) {
-  MutexLock lock(mu_);
-  // Inclusive upper bounds: first bound >= value; past-the-end lands in
-  // the overflow bucket.
-  size_t idx =
-      std::lower_bound(bounds_.begin(), bounds_.end(), value) - bounds_.begin();
-  ++counts_[idx];
-  ++count_;
-  sum_ += value;
-  if (count_ == 1) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-}
-
-double Histogram::Snapshot::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  double target = q * static_cast<double>(count);
-  uint64_t cumulative = 0;
-  for (size_t b = 0; b < counts.size(); ++b) {
-    uint64_t next = cumulative + counts[b];
-    if (static_cast<double>(next) >= target && counts[b] > 0) {
-      double lo = b == 0 ? std::min(min, bounds.empty() ? min : bounds[0])
-                         : bounds[b - 1];
-      double hi = b < bounds.size() ? bounds[b] : max;
-      if (hi < lo) hi = lo;
-      double within = counts[b] == 0
-                          ? 0.0
-                          : (target - static_cast<double>(cumulative)) /
-                                static_cast<double>(counts[b]);
-      return lo + std::clamp(within, 0.0, 1.0) * (hi - lo);
-    }
-    cumulative = next;
-  }
-  return max;
-}
-
-Histogram::Snapshot Histogram::TakeSnapshot() const {
-  MutexLock lock(mu_);
-  Snapshot snap;
-  snap.bounds = bounds_;
-  snap.counts = counts_;
-  snap.count = count_;
-  snap.sum = sum_;
-  snap.min = min_;
-  snap.max = max_;
-  return snap;
-}
-
-void Histogram::Reset() {
-  MutexLock lock(mu_);
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
-}
-
-const std::vector<double>& DefaultLatencyBucketsUs() {
-  static const std::vector<double>* buckets = new std::vector<double>{
-      1,    2.5,   5,     10,    25,     50,     100,    250,
-      500,  1000,  2500,  5000,  10000,  25000,  50000,  100000,
-      250000, 500000, 1000000};
-  return *buckets;
-}
-
-const std::vector<double>& DefaultIterationBuckets() {
-  static const std::vector<double>* buckets = new std::vector<double>{
-      1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 30, 50};
-  return *buckets;
-}
 
 MetricsRegistry& MetricsRegistry::Global() {
   // Leaked singleton: instruments must stay alive for static-duration
@@ -106,14 +25,6 @@ Gauge* MetricsRegistry::GetGauge(const std::string& name) {
   MutexLock lock(mu_);
   auto& slot = gauges_[name];
   if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
-Histogram* MetricsRegistry::GetHistogram(const std::string& name,
-                                         const std::vector<double>& bounds) {
-  MutexLock lock(mu_);
-  auto& slot = histograms_[name];
-  if (slot == nullptr) slot = std::make_unique<Histogram>(bounds);
   return slot.get();
 }
 
@@ -137,12 +48,6 @@ const Gauge* MetricsRegistry::FindGauge(const std::string& name) const {
   return it == gauges_.end() ? nullptr : it->second.get();
 }
 
-const Histogram* MetricsRegistry::FindHistogram(const std::string& name) const {
-  MutexLock lock(mu_);
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 const QuantileHistogram* MetricsRegistry::FindQuantile(
     const std::string& name) const {
   MutexLock lock(mu_);
@@ -161,16 +66,6 @@ std::map<std::string, double> MetricsRegistry::GaugeValues() const {
   MutexLock lock(mu_);
   std::map<std::string, double> out;
   for (const auto& [name, gauge] : gauges_) out[name] = gauge->value();
-  return out;
-}
-
-std::map<std::string, Histogram::Snapshot> MetricsRegistry::HistogramSnapshots()
-    const {
-  MutexLock lock(mu_);
-  std::map<std::string, Histogram::Snapshot> out;
-  for (const auto& [name, histogram] : histograms_) {
-    out[name] = histogram->TakeSnapshot();
-  }
   return out;
 }
 
@@ -205,20 +100,6 @@ std::string MetricsRegistry::TextSnapshot() const {
   for (const auto& [name, gauge] : gauges_) {
     out << "gauge     " << name << " = " << FormatDouble(gauge->value())
         << "\n";
-  }
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram::Snapshot snap = histogram->TakeSnapshot();
-    out << "histogram " << name << " count=" << snap.count;
-    if (snap.count > 0) {
-      out << " mean=" << FormatDouble(snap.mean())
-          << " min=" << FormatDouble(snap.min)
-          << " p50=" << FormatDouble(snap.Quantile(0.5))
-          << " p95=" << FormatDouble(snap.Quantile(0.95))
-          << " p99=" << FormatDouble(snap.Quantile(0.99))
-          << " max=" << FormatDouble(snap.max)
-          << " overflow=" << snap.counts.back();
-    }
-    out << "\n";
   }
   for (const auto& [name, quantile] : quantiles_) {
     QuantileHistogram::Snapshot snap = quantile->TakeSnapshot();
@@ -261,33 +142,6 @@ std::string MetricsRegistry::JsonSnapshot() const {
     append_key(name);
     out += FormatJsonDouble(gauge->value());
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, histogram] : histograms_) {
-    Histogram::Snapshot snap = histogram->TakeSnapshot();
-    if (!first) out += ",";
-    first = false;
-    append_key(name);
-    out += "{\"count\":";
-    out += std::to_string(snap.count);
-    out += ",\"sum\":";
-    out += FormatJsonDouble(snap.sum);
-    out += ",\"min\":";
-    out += FormatJsonDouble(snap.count ? snap.min : 0.0);
-    out += ",\"max\":";
-    out += FormatJsonDouble(snap.count ? snap.max : 0.0);
-    out += ",\"buckets\":[";
-    for (size_t b = 0; b < snap.counts.size(); ++b) {
-      if (b > 0) out += ",";
-      out += "{\"le\":";
-      out += b < snap.bounds.size() ? FormatJsonDouble(snap.bounds[b])
-                                    : std::string("\"inf\"");
-      out += ",\"count\":";
-      out += std::to_string(snap.counts[b]);
-      out += "}";
-    }
-    out += "]}";
-  }
   out += "},\"quantiles\":{";
   first = true;
   for (const auto& [name, quantile] : quantiles_) {
@@ -325,14 +179,12 @@ void MetricsRegistry::ResetAll() {
   MutexLock lock(mu_);
   for (auto& [name, counter] : counters_) counter->Reset();
   for (auto& [name, gauge] : gauges_) gauge->Reset();
-  for (auto& [name, histogram] : histograms_) histogram->Reset();
   for (auto& [name, quantile] : quantiles_) quantile->Reset();
 }
 
 size_t MetricsRegistry::num_instruments() const {
   MutexLock lock(mu_);
-  return counters_.size() + gauges_.size() + histograms_.size() +
-         quantiles_.size();
+  return counters_.size() + gauges_.size() + quantiles_.size();
 }
 
 }  // namespace phasorwatch::obs

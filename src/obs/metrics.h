@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/sync.h"
 #include "obs/quantile.h"
@@ -61,49 +60,6 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram: `bounds` are ascending inclusive upper
-/// bounds; one extra overflow bucket catches everything above the last
-/// bound. Thread-safe via an internal mutex (observations are rare
-/// enough — one per timed scope — that contention is negligible).
-class Histogram {
- public:
-  explicit Histogram(std::vector<double> bounds);
-
-  void Observe(double value);
-
-  struct Snapshot {
-    std::vector<double> bounds;   ///< upper bounds, ascending
-    std::vector<uint64_t> counts; ///< bounds.size() + 1 (last = overflow)
-    uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;  ///< meaningful only when count > 0
-    double max = 0.0;
-    double mean() const { return count == 0 ? 0.0 : sum / count; }
-    /// Linear-interpolated quantile estimate from the bucket counts
-    /// (q in [0, 1]); the overflow bucket clamps to the last bound.
-    double Quantile(double q) const;
-  };
-  Snapshot TakeSnapshot() const;
-  void Reset();
-
- private:
-  const std::vector<double> bounds_;
-  mutable Mutex mu_{lock_rank::kHistogram};
-  std::vector<uint64_t> counts_ PW_GUARDED_BY(mu_);
-  uint64_t count_ PW_GUARDED_BY(mu_) = 0;
-  double sum_ PW_GUARDED_BY(mu_) = 0.0;
-  double min_ PW_GUARDED_BY(mu_) = 0.0;
-  double max_ PW_GUARDED_BY(mu_) = 0.0;
-};
-
-/// Default buckets for latency histograms, in microseconds: roughly
-/// exponential from 1 us to 1 s, matching the spread between a cached
-/// proximity evaluation and a full 118-bus training pass.
-const std::vector<double>& DefaultLatencyBucketsUs();
-
-/// Default buckets for small iteration counts (power-flow solves).
-const std::vector<double>& DefaultIterationBuckets();
-
 /// Process-global registry of named instruments. Get* registers on
 /// first use and returns the same pointer thereafter; instruments are
 /// never deleted, so returned pointers can be cached indefinitely.
@@ -114,11 +70,8 @@ class MetricsRegistry {
 
   Counter* GetCounter(const std::string& name);
   Gauge* GetGauge(const std::string& name);
-  /// `bounds` is used only on first registration; later calls with a
+  /// `options` is used only on first registration; later calls with a
   /// different shape return the existing histogram unchanged.
-  Histogram* GetHistogram(const std::string& name,
-                          const std::vector<double>& bounds);
-  /// Like GetHistogram, `options` only shapes the first registration.
   QuantileHistogram* GetQuantile(const std::string& name,
                                  const QuantileOptions& options);
 
@@ -126,7 +79,6 @@ class MetricsRegistry {
   /// exporters that must not create instruments as a side effect.
   const Counter* FindCounter(const std::string& name) const;
   const Gauge* FindGauge(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
   const QuantileHistogram* FindQuantile(const std::string& name) const;
 
   /// Structured per-section snapshots for exporters (the run-report
@@ -134,14 +86,13 @@ class MetricsRegistry {
   /// consumers emit deterministically ordered documents.
   std::map<std::string, uint64_t> CounterValues() const;
   std::map<std::string, double> GaugeValues() const;
-  std::map<std::string, Histogram::Snapshot> HistogramSnapshots() const;
   std::map<std::string, QuantileHistogram::Snapshot> QuantileSnapshots()
       const;
 
   /// Human-readable snapshot: one line per instrument, sorted by name.
   std::string TextSnapshot() const;
   /// Machine-readable snapshot: a single JSON object with "counters",
-  /// "gauges", and "histograms" sections.
+  /// "gauges", and "quantiles" sections.
   std::string JsonSnapshot() const;
 
   /// Zeroes every registered instrument (names and pointers survive;
@@ -154,14 +105,12 @@ class MetricsRegistry {
  private:
   MetricsRegistry() = default;
 
-  /// Registry rank is below Histogram's: the snapshot methods take each
-  /// instrument's own lock while holding the registry lock.
+  /// Instruments are lock-free, so the registry lock is the only one
+  /// the snapshot methods take.
   mutable Mutex mu_{lock_rank::kMetricsRegistry};
   std::map<std::string, std::unique_ptr<Counter>> counters_
       PW_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>> gauges_ PW_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_
-      PW_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<QuantileHistogram>> quantiles_
       PW_GUARDED_BY(mu_);
 };
@@ -201,10 +150,11 @@ class MetricsRegistry {
     pw_obs_gauge_->Max(static_cast<double>(value));                       \
   } while (0)
 
-/// Records into a quantile histogram with the default latency shape
-/// (microseconds, 0.1 us .. 10 s, <= 6.25% relative error). After the
-/// first hit the cost is a bucket computation plus relaxed atomics —
-/// no locks, no allocations.
+/// Records into a quantile histogram with the default shape (0.1 ..
+/// 1e7, <= 6.25% relative error): microsecond latencies, and small
+/// counts such as solver iterations, whose exact min/max clamp every
+/// reported quantile. After the first hit the cost is a bucket
+/// computation plus relaxed atomics — no locks, no allocations.
 #define PW_OBS_QUANTILE_RECORD(name, value)                               \
   do {                                                                    \
     static ::phasorwatch::obs::QuantileHistogram* pw_obs_quantile_ =      \
@@ -213,21 +163,12 @@ class MetricsRegistry {
     pw_obs_quantile_->Record(static_cast<double>(value));                 \
   } while (0)
 
-#define PW_OBS_HISTOGRAM_OBSERVE(name, value, bounds)                     \
-  do {                                                                    \
-    static ::phasorwatch::obs::Histogram* pw_obs_histogram_ =             \
-        ::phasorwatch::obs::MetricsRegistry::Global().GetHistogram(name,  \
-                                                                   bounds); \
-    pw_obs_histogram_->Observe(static_cast<double>(value));               \
-  } while (0)
-
 #else  // PW_OBS_DISABLED
 
 #define PW_OBS_COUNTER_INC(name) ((void)0)
 #define PW_OBS_COUNTER_ADD(name, delta) ((void)0)
 #define PW_OBS_GAUGE_SET(name, value) ((void)0)
 #define PW_OBS_GAUGE_MAX(name, value) ((void)0)
-#define PW_OBS_HISTOGRAM_OBSERVE(name, value, bounds) ((void)0)
 #define PW_OBS_QUANTILE_RECORD(name, value) ((void)0)
 
 #endif  // PW_OBS_DISABLED

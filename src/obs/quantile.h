@@ -20,9 +20,8 @@ namespace phasorwatch::obs {
 /// so any recorded value lands in a bucket whose width is at most
 /// 1/B of its lower bound. Reported quantiles are therefore accurate
 /// to a relative error of at most 100/B percent (6.25% at the default
-/// B = 16), independent of the value's magnitude — unlike the
-/// fixed-bucket obs::Histogram, whose tail resolution collapses to
-/// "somewhere in the overflow bucket".
+/// B = 16), independent of the value's magnitude, and every quantile is
+/// clamped to the exactly tracked [min, max].
 struct QuantileOptions {
   /// Lowest resolvable value; smaller observations land in the
   /// underflow bucket (reported as <= min).
@@ -39,8 +38,10 @@ struct QuantileOptions {
 /// counters per stripe.
 const QuantileOptions& DefaultLatencyQuantileOptions();
 
-/// Lock-free, allocation-free quantile histogram for hot-path latency
-/// series (HDR-style log bucketing, see QuantileOptions).
+/// Lock-free, allocation-free quantile histogram: the registry's one
+/// distribution instrument, behind every PW_TRACE_SCOPE latency series
+/// and every PW_OBS_QUANTILE_RECORD count series (HDR-style log
+/// bucketing, see QuantileOptions).
 ///
 /// Concurrency: Record() is wait-free apart from bounded CAS retries on
 /// the per-stripe min/max/sum cells and never allocates; counters are

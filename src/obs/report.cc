@@ -56,7 +56,7 @@ RunReportBuilder& RunReportBuilder::AddResult(const std::string& key,
 std::string RunReportBuilder::Json() const {
   const MetricsRegistry& registry = MetricsRegistry::Global();
   std::string out = "{";
-  AppendStringField(&out, "schema", "pw-bench-report-v1");
+  AppendStringField(&out, "schema", "pw-bench-report-v2");
   out += ",";
   AppendStringField(&out, "name", name_);
   out += ",\"created_unix\":";
@@ -130,31 +130,6 @@ std::string RunReportBuilder::Json() const {
     first = false;
     AppendKey(&out, name);
     out += FormatJsonDouble(value);
-  }
-  out += "}";
-
-  // Legacy fixed-bucket histograms: summary statistics only (their
-  // bucket layout is exported by MetricsRegistry::JsonSnapshot when
-  // needed; the report is a trajectory point, not a raw dump).
-  out += ",\"histograms\":{";
-  first = true;
-  for (const auto& [name, snap] : registry.HistogramSnapshots()) {
-    if (!first) out += ",";
-    first = false;
-    AppendKey(&out, name);
-    out += "{\"count\":";
-    out += std::to_string(snap.count);
-    out += ",\"max\":";
-    out += FormatJsonDouble(snap.count ? snap.max : 0.0);
-    out += ",\"mean\":";
-    out += FormatJsonDouble(snap.mean());
-    out += ",\"min\":";
-    out += FormatJsonDouble(snap.count ? snap.min : 0.0);
-    out += ",\"p50\":";
-    out += FormatJsonDouble(snap.Quantile(0.5));
-    out += ",\"p95\":";
-    out += FormatJsonDouble(snap.Quantile(0.95));
-    out += "}";
   }
   out += "}";
 

@@ -10,9 +10,9 @@
 namespace phasorwatch::obs {
 
 /// Builder for the canonical machine-readable run report
-/// (`pw-bench-report-v1`): one JSON document bundling the global
-/// metrics snapshot (counters, gauges, histogram and quantile
-/// summaries), harness-specific numeric results, build provenance
+/// (`pw-bench-report-v2`): one JSON document bundling the global
+/// metrics snapshot (counters, gauges and quantile summaries),
+/// harness-specific numeric results, build provenance
 /// (git SHA, build type, compiler, obs configuration), and host info.
 /// `scripts/bench_report.py` validates the schema and diffs two
 /// reports; every bench harness's `--json <path>` flag is backed by

@@ -107,9 +107,7 @@ double MonotonicNowUs() {
 
 ScopedTimer::~ScopedTimer() {
   const double elapsed_us = MonotonicNowUs() - start_us_;
-  if (histogram_ != nullptr) histogram_->Observe(elapsed_us);
   if (quantile_ != nullptr) quantile_->Record(elapsed_us);
-  if (high_water_ != nullptr) high_water_->Max(elapsed_us);
   TraceRing::Global().Record(
       TraceSpan{name_, start_us_, elapsed_us, CurrentTraceTid()});
 }

@@ -70,23 +70,15 @@ class TraceRing {
 /// Microseconds since the process's first call (monotonic clock).
 double MonotonicNowUs();
 
-/// RAII wall-clock timer: on destruction records the elapsed time into
-/// the given instruments (microseconds) and appends a span to the
-/// global trace ring. Any instrument pointer may be null (skipped).
+/// RAII wall-clock timer: on destruction records the elapsed time
+/// (microseconds) into the given quantile histogram and appends a span
+/// to the global trace ring. A null histogram records the span only.
 /// Use via PW_TRACE_SCOPE below so disabled builds compile the whole
 /// thing out.
 class ScopedTimer {
  public:
-  ScopedTimer(Histogram* histogram, const char* name)
-      : ScopedTimer(histogram, nullptr, nullptr, name) {}
-
-  /// Full form: bucketed histogram, tail-accurate quantile histogram,
-  /// and a high-water gauge (each optional).
-  ScopedTimer(Histogram* histogram, QuantileHistogram* quantile,
-              Gauge* high_water, const char* name)
-      : histogram_(histogram),
-        quantile_(quantile),
-        high_water_(high_water),
+  ScopedTimer(QuantileHistogram* quantile, const char* name)
+      : quantile_(quantile),
         name_(name),
         // The process epoch, not a raw time_point: the first span ever
         // taken pins the epoch here, so exported start offsets are
@@ -99,10 +91,7 @@ class ScopedTimer {
   ~ScopedTimer();
 
  private:
-  // Instruments are not owned; any may be nullptr (ring-only span).
-  Histogram* histogram_;
-  QuantileHistogram* quantile_;
-  Gauge* high_water_;
+  QuantileHistogram* quantile_;  // not owned; may be nullptr
   const char* name_;
   double start_us_;
 };
@@ -114,59 +103,24 @@ class ScopedTimer {
 
 #ifndef PW_OBS_DISABLED
 
-/// Times the enclosing scope into the latency histogram `name` (unit:
-/// microseconds, default buckets), the like-named quantile histogram
-/// (tail-accurate p99/p999 — obs/quantile.h), and the global trace
-/// ring. The instrument pointers are resolved once per call site.
+/// Times the enclosing scope into the quantile histogram `name` (unit:
+/// microseconds, default latency shape — obs/quantile.h) and the global
+/// trace ring. The histogram pointer is resolved once per call site.
 #define PW_TRACE_SCOPE(name)                                              \
   ::phasorwatch::obs::ScopedTimer PW_OBS_CONCAT_(pw_trace_scope_,         \
                                                  __LINE__)(               \
       [] {                                                                \
-        static ::phasorwatch::obs::Histogram* pw_trace_hist_ =            \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetHistogram(   \
-                name, ::phasorwatch::obs::DefaultLatencyBucketsUs());     \
-        return pw_trace_hist_;                                            \
-      }(),                                                                \
-      [] {                                                                \
         static ::phasorwatch::obs::QuantileHistogram* pw_trace_quant_ =   \
             ::phasorwatch::obs::MetricsRegistry::Global().GetQuantile(    \
                 name,                                                     \
                 ::phasorwatch::obs::DefaultLatencyQuantileOptions());     \
         return pw_trace_quant_;                                           \
-      }(),                                                                \
-      nullptr, name)
-
-/// PW_TRACE_SCOPE plus a `<name>.high_water` gauge holding the largest
-/// single duration seen (Gauge::Max). `name` must be a string literal
-/// (the gauge name is built by literal concatenation).
-#define PW_TRACE_SCOPE_HIGH_WATER(name)                                   \
-  ::phasorwatch::obs::ScopedTimer PW_OBS_CONCAT_(pw_trace_scope_,         \
-                                                 __LINE__)(               \
-      [] {                                                                \
-        static ::phasorwatch::obs::Histogram* pw_trace_hist_ =            \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetHistogram(   \
-                name, ::phasorwatch::obs::DefaultLatencyBucketsUs());     \
-        return pw_trace_hist_;                                            \
-      }(),                                                                \
-      [] {                                                                \
-        static ::phasorwatch::obs::QuantileHistogram* pw_trace_quant_ =   \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetQuantile(    \
-                name,                                                     \
-                ::phasorwatch::obs::DefaultLatencyQuantileOptions());     \
-        return pw_trace_quant_;                                           \
-      }(),                                                                \
-      [] {                                                                \
-        static ::phasorwatch::obs::Gauge* pw_trace_gauge_ =               \
-            ::phasorwatch::obs::MetricsRegistry::Global().GetGauge(       \
-                name ".high_water");                                      \
-        return pw_trace_gauge_;                                           \
       }(),                                                                \
       name)
 
 #else  // PW_OBS_DISABLED
 
 #define PW_TRACE_SCOPE(name) ((void)0)
-#define PW_TRACE_SCOPE_HIGH_WATER(name) ((void)0)
 
 #endif  // PW_OBS_DISABLED
 

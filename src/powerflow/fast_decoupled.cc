@@ -204,8 +204,7 @@ Result<PowerFlowSolution> SolveFastDecoupledSparse(
   PW_OBS_COUNTER_INC("powerflow.fd.solves");
   PW_OBS_COUNTER_INC("powerflow.fd.sparse_solves");
   PW_OBS_COUNTER_ADD("powerflow.fd.iterations_total", iter);
-  PW_OBS_HISTOGRAM_OBSERVE("powerflow.fd.iterations", iter,
-                           ::phasorwatch::obs::DefaultIterationBuckets());
+  PW_OBS_QUANTILE_RECORD("powerflow.fd.iterations", iter);
 
   sol.vm = vm;
   sol.va_rad = va;
@@ -384,8 +383,7 @@ Result<PowerFlowSolution> SolveFastDecoupled(
   }
   PW_OBS_COUNTER_INC("powerflow.fd.solves");
   PW_OBS_COUNTER_ADD("powerflow.fd.iterations_total", iter);
-  PW_OBS_HISTOGRAM_OBSERVE("powerflow.fd.iterations", iter,
-                           ::phasorwatch::obs::DefaultIterationBuckets());
+  PW_OBS_QUANTILE_RECORD("powerflow.fd.iterations", iter);
 
   sol.vm = vm;
   sol.va_rad = va;

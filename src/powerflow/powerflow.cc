@@ -221,8 +221,7 @@ Result<PowerFlowSolution> SolveAcCoreDense(const Grid& grid,
   }
   PW_OBS_COUNTER_INC("powerflow.ac.solves");
   PW_OBS_COUNTER_ADD("powerflow.ac.iterations_total", iter);
-  PW_OBS_HISTOGRAM_OBSERVE("powerflow.ac.iterations", iter,
-                           ::phasorwatch::obs::DefaultIterationBuckets());
+  PW_OBS_QUANTILE_RECORD("powerflow.ac.iterations", iter);
 
   sol.vm = vm;
   sol.va_rad = va;
@@ -446,8 +445,7 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
   PW_OBS_COUNTER_INC("powerflow.ac.solves");
   PW_OBS_COUNTER_INC("powerflow.ac.sparse_solves");
   PW_OBS_COUNTER_ADD("powerflow.ac.iterations_total", iter);
-  PW_OBS_HISTOGRAM_OBSERVE("powerflow.ac.iterations", iter,
-                           ::phasorwatch::obs::DefaultIterationBuckets());
+  PW_OBS_QUANTILE_RECORD("powerflow.ac.iterations", iter);
 
   sol.vm = vm;
   sol.va_rad = va;

@@ -1,5 +1,5 @@
-// Tests for the metrics registry: instrument semantics, bucket edge
-// behaviour, snapshot exporters, thread safety, and the macro layer.
+// Tests for the metrics registry: instrument semantics, snapshot
+// exporters, thread safety, and the macro layer.
 
 #include "obs/metrics.h"
 
@@ -64,54 +64,6 @@ TEST(Gauge, ConcurrentAddsAreLossless) {
   EXPECT_EQ(g.value(), static_cast<double>(kThreads) * kPerThread);
 }
 
-TEST(Histogram, BucketBoundsAreInclusiveUpperEdges) {
-  Histogram h({1.0, 10.0, 100.0});
-  h.Observe(0.5);    // <= 1
-  h.Observe(1.0);    // <= 1 (inclusive)
-  h.Observe(1.001);  // <= 10
-  h.Observe(10.0);   // <= 10
-  h.Observe(100.0);  // <= 100
-  h.Observe(1e6);    // overflow
-  auto snap = h.TakeSnapshot();
-  ASSERT_EQ(snap.counts.size(), 4u);  // 3 bounds + overflow
-  EXPECT_EQ(snap.counts[0], 2u);
-  EXPECT_EQ(snap.counts[1], 2u);
-  EXPECT_EQ(snap.counts[2], 1u);
-  EXPECT_EQ(snap.counts[3], 1u);
-  EXPECT_EQ(snap.count, 6u);
-  EXPECT_EQ(snap.min, 0.5);
-  EXPECT_EQ(snap.max, 1e6);
-}
-
-TEST(Histogram, SnapshotStatistics) {
-  Histogram h({1.0, 2.0, 4.0, 8.0});
-  for (double v : {1.0, 2.0, 3.0, 4.0}) h.Observe(v);
-  auto snap = h.TakeSnapshot();
-  EXPECT_EQ(snap.count, 4u);
-  EXPECT_DOUBLE_EQ(snap.sum, 10.0);
-  EXPECT_DOUBLE_EQ(snap.mean(), 2.5);
-  // p0 is the minimum-side edge, p100 the max.
-  EXPECT_LE(snap.Quantile(0.0), snap.Quantile(1.0));
-  double p50 = snap.Quantile(0.5);
-  EXPECT_GE(p50, 1.0);
-  EXPECT_LE(p50, 4.0);
-}
-
-TEST(Histogram, EmptySnapshotIsSane) {
-  Histogram h(DefaultLatencyBucketsUs());
-  auto snap = h.TakeSnapshot();
-  EXPECT_EQ(snap.count, 0u);
-  EXPECT_EQ(snap.mean(), 0.0);
-  EXPECT_EQ(snap.Quantile(0.5), 0.0);
-}
-
-TEST(Histogram, ResetClearsObservations) {
-  Histogram h({1.0, 2.0});
-  h.Observe(1.5);
-  h.Reset();
-  EXPECT_EQ(h.TakeSnapshot().count, 0u);
-}
-
 TEST(MetricsRegistry, GetReturnsStableInstruments) {
   auto& reg = MetricsRegistry::Global();
   reg.ResetAll();
@@ -126,17 +78,17 @@ TEST(MetricsRegistry, GetReturnsStableInstruments) {
   g->Set(1.25);
   EXPECT_EQ(reg.FindGauge("test.registry.gauge"), g);
 
-  Histogram* h =
-      reg.GetHistogram("test.registry.hist", DefaultIterationBuckets());
-  h->Observe(3);
-  EXPECT_EQ(reg.FindHistogram("test.registry.hist"), h);
+  QuantileHistogram* q = reg.GetQuantile("test.registry.quantile",
+                                         DefaultLatencyQuantileOptions());
+  q->Record(3);
+  EXPECT_EQ(reg.FindQuantile("test.registry.quantile"), q);
 
   // ResetAll zeroes values but keeps the instruments alive (macro call
   // sites cache raw pointers).
   reg.ResetAll();
   EXPECT_EQ(a->value(), 0u);
   EXPECT_EQ(g->value(), 0.0);
-  EXPECT_EQ(h->TakeSnapshot().count, 0u);
+  EXPECT_EQ(q->TakeSnapshot().count, 0u);
   EXPECT_EQ(reg.FindCounter("test.registry.counter"), a);
 }
 
@@ -144,26 +96,30 @@ TEST(MetricsRegistry, TextSnapshotListsInstruments) {
   auto& reg = MetricsRegistry::Global();
   reg.GetCounter("test.snapshot.counter")->Increment(7);
   reg.GetGauge("test.snapshot.gauge")->Set(0.5);
-  reg.GetHistogram("test.snapshot.hist", {1.0, 10.0})->Observe(2.0);
+  reg.GetQuantile("test.snapshot.quantile", DefaultLatencyQuantileOptions())
+      ->Record(2.0);
   std::string text = reg.TextSnapshot();
   EXPECT_NE(text.find("test.snapshot.counter"), std::string::npos);
   EXPECT_NE(text.find("test.snapshot.gauge"), std::string::npos);
-  EXPECT_NE(text.find("test.snapshot.hist"), std::string::npos);
+  EXPECT_NE(text.find("quantile  test.snapshot.quantile"), std::string::npos);
+  EXPECT_EQ(text.find("histogram "), std::string::npos);
 }
 
 TEST(MetricsRegistry, JsonSnapshotIsValidJson) {
   auto& reg = MetricsRegistry::Global();
   reg.GetCounter("test.json.counter")->Increment();
   reg.GetGauge("test.json.gauge")->Set(-3.5);
-  reg.GetHistogram("test.json.hist", {1.0, 10.0})->Observe(5.0);
+  reg.GetQuantile("test.json.quantile", DefaultLatencyQuantileOptions())
+      ->Record(5.0);
   std::string json = reg.JsonSnapshot();
   ASSERT_TRUE(ValidateJson(json).ok()) << json;
   auto counters = JsonObjectField(json, "counters");
   ASSERT_TRUE(counters.ok());
   EXPECT_NE(counters->find("test.json.counter"), std::string::npos);
-  auto hists = JsonObjectField(json, "histograms");
-  ASSERT_TRUE(hists.ok());
-  EXPECT_NE(hists->find("\"le\""), std::string::npos);
+  auto quantiles = JsonObjectField(json, "quantiles");
+  ASSERT_TRUE(quantiles.ok());
+  EXPECT_NE(quantiles->find("test.json.quantile"), std::string::npos);
+  EXPECT_FALSE(JsonObjectField(json, "histograms").ok());
 }
 
 TEST(TraceRing, RecordsAndWraps) {
@@ -182,11 +138,11 @@ TEST(TraceRing, RecordsAndWraps) {
 }
 
 TEST(ScopedTimer, RecordsIntoHistogram) {
-  Histogram h(DefaultLatencyBucketsUs());
+  QuantileHistogram q;
   {
-    ScopedTimer timer(&h, "test.scoped");
+    ScopedTimer timer(&q, "test.scoped");
   }
-  auto snap = h.TakeSnapshot();
+  auto snap = q.TakeSnapshot();
   EXPECT_EQ(snap.count, 1u);
   EXPECT_GE(snap.max, 0.0);
 }
@@ -206,9 +162,9 @@ TEST(ObsMacros, CounterAndTraceScopeRecord) {
   const Gauge* g = reg.FindGauge("test.macro.gauge");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->value(), 9.0);
-  const Histogram* h = reg.FindHistogram("test.macro.span_us");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->TakeSnapshot().count, 3u);
+  const QuantileHistogram* q = reg.FindQuantile("test.macro.span_us");
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->TakeSnapshot().count, 3u);
 }
 #endif  // PW_OBS_DISABLED
 

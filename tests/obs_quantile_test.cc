@@ -281,14 +281,15 @@ TEST(ObsMacros, TraceScopeFeedsQuantileTwin) {
   for (int i = 0; i < 3; ++i) {
     PW_TRACE_SCOPE("test.macro.twin_us");
   }
-  // PW_TRACE_SCOPE feeds both the legacy fixed-bucket histogram and the
-  // like-named quantile histogram.
-  const Histogram* h = reg.FindHistogram("test.macro.twin_us");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->TakeSnapshot().count, 3u);
+  // The like-named quantile histogram is the scope's one instrument:
+  // every duration lands there, and no side gauge is registered.
   const QuantileHistogram* q = reg.FindQuantile("test.macro.twin_us");
   ASSERT_NE(q, nullptr);
-  EXPECT_EQ(q->TakeSnapshot().count, 3u);
+  const QuantileHistogram::Snapshot snap = q->TakeSnapshot();
+  EXPECT_EQ(snap.count, 3u);
+  EXPECT_LE(snap.min, snap.p50());
+  EXPECT_LE(snap.p50(), snap.max);
+  EXPECT_EQ(reg.FindGauge("test.macro.twin_us.high_water"), nullptr);
 }
 #endif  // PW_OBS_DISABLED
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "grid/ieee_cases.h"
+#include "obs/metrics.h"
 
 namespace phasorwatch::pf {
 namespace {
@@ -168,6 +169,32 @@ TEST(AcPowerFlowTest, OutageShiftsPhasors) {
   }
   EXPECT_GT(max_shift, 0.01);  // outages leave a visible signature
 }
+
+#ifndef PW_OBS_DISABLED
+TEST(AcPowerFlowTest, IterationSeriesQuantilesStayWithinObservedRange) {
+  auto& reg = obs::MetricsRegistry::Global();
+  reg.ResetAll();
+  // Loads from light to heavy take different iteration counts.
+  constexpr int kSolves = 6;
+  double iterations_sum = 0.0;
+  for (int k = 0; k < kSolves; ++k) {
+    auto grid = TwoBus(10.0 + 40.0 * k, 5.0 + 15.0 * k);
+    ASSERT_TRUE(grid.ok());
+    auto sol = SolveAcPowerFlow(*grid);
+    ASSERT_TRUE(sol.ok()) << sol.status().ToString();
+    iterations_sum += sol->iterations;
+  }
+  const obs::QuantileHistogram* series =
+      reg.FindQuantile("powerflow.ac.iterations");
+  ASSERT_NE(series, nullptr);
+  const obs::QuantileHistogram::Snapshot snap = series->TakeSnapshot();
+  EXPECT_EQ(snap.count, static_cast<uint64_t>(kSolves));
+  EXPECT_EQ(snap.sum, iterations_sum);
+  EXPECT_LE(snap.min, snap.p50());
+  EXPECT_LE(snap.p50(), snap.max);
+  EXPECT_LE(snap.p99(), snap.max);
+}
+#endif  // PW_OBS_DISABLED
 
 TEST(DcPowerFlowTest, MatchesAcAnglesRoughly) {
   auto grid = grid::IeeeCase14();

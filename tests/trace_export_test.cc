@@ -88,7 +88,7 @@ TEST(ChromeTraceJson, ScopedTimerSpansHaveMonotonicNonNegativeTimes) {
   TraceRing& ring = TraceRing::Global();
   ring.Clear();
   for (int i = 0; i < 4; ++i) {
-    ScopedTimer timer(nullptr, nullptr, nullptr, "test.export.span");
+    ScopedTimer timer(nullptr, "test.export.span");
   }
   std::vector<TraceSpan> spans = ring.Dump();
   ASSERT_GE(spans.size(), 4u);
@@ -106,7 +106,7 @@ TEST(ChromeTraceJson, ScopedTimerSpansHaveMonotonicNonNegativeTimes) {
 
 TEST(WriteChromeTrace, WritesLoadableFileFromGlobalRing) {
   TraceRing::Global().Clear();
-  { ScopedTimer timer(nullptr, nullptr, nullptr, "test.export.file_span"); }
+  { ScopedTimer timer(nullptr, "test.export.file_span"); }
   const std::string path = ::testing::TempDir() + "pw_trace_export_test.json";
   ASSERT_TRUE(WriteChromeTrace(path).ok());
   std::ifstream in(path);

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+
 namespace phasorwatch {
 namespace {
 
@@ -108,6 +110,25 @@ TEST(WorkspaceTest, PerThreadReturnsTheSameInstance) {
   Workspace& b = Workspace::PerThread();
   EXPECT_EQ(&a, &b);
 }
+
+#ifndef PW_OBS_DISABLED
+TEST(WorkspaceTest, HighWaterGaugeRepublishesAfterRegistryReset) {
+  auto& reg = obs::MetricsRegistry::Global();
+  {
+    Workspace big;
+    big.Alloc(4096);
+    big.Alloc(4096);  // second chunk
+  }
+  reg.ResetAll();
+  // A fresh one-chunk arena is smaller than the footprint seen before
+  // the reset; the gauge must still report it rather than stay at 0.
+  Workspace small;
+  small.Alloc(16);
+  const obs::Gauge* gauge = reg.FindGauge("workspace.bytes_high_water");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value(), static_cast<double>(small.capacity_bytes()));
+}
+#endif  // PW_OBS_DISABLED
 
 TEST(WorkspaceDeathTest, StaleSpanAbortsAfterReset) {
   Workspace ws;
