@@ -8,8 +8,6 @@
 #include "common/rng.h"
 #include "grid/ieee_cases.h"
 #include "linalg/lu.h"
-#include "linalg/qr.h"
-#include "linalg/sparse.h"
 #include "linalg/svd.h"
 
 namespace pw = phasorwatch;
@@ -79,9 +77,8 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(32)->Arg(118)->Arg(256);
 
-// Dense LU vs Jacobi-preconditioned CG on the reduced DC susceptance
-// Laplacian — the structural argument for sparse solvers in power
-// systems (nnz grows with lines, not buses^2).
+// Dense LU on the reduced DC susceptance Laplacian: the O(n^3) cost
+// that the sparse LU (docs/SPARSE.md) avoids on 300+-bus grids.
 void BM_DcSolveDenseLu(benchmark::State& state) {
   auto grid = pw::grid::EvaluationSystem(static_cast<int>(state.range(0)));
   if (!grid.ok()) {
@@ -102,37 +99,6 @@ void BM_DcSolveDenseLu(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DcSolveDenseLu)->Arg(30)->Arg(57)->Arg(118);
-
-void BM_DcSolveSparseCg(benchmark::State& state) {
-  auto grid = pw::grid::EvaluationSystem(static_cast<int>(state.range(0)));
-  if (!grid.ok()) {
-    state.SkipWithError("grid construction failed");
-    return;
-  }
-  Matrix lap = grid->BuildSusceptanceLaplacian();
-  std::vector<size_t> keep;
-  for (size_t i = 0; i < grid->num_buses(); ++i) {
-    if (i != grid->SlackBus()) keep.push_back(i);
-  }
-  pw::linalg::CsrMatrix sparse = pw::linalg::CsrMatrix::FromDense(
-      lap.SelectSubmatrix(keep, keep));
-  Vector b(keep.size(), 0.1);
-  for (auto _ : state) {
-    auto result = pw::linalg::ConjugateGradientSolve(sparse, b);
-    benchmark::DoNotOptimize(result.value().x);
-  }
-}
-BENCHMARK(BM_DcSolveSparseCg)->Arg(30)->Arg(57)->Arg(118);
-
-void BM_QrFactor(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Matrix a = RandomMatrix(n, n / 2, 6);
-  for (auto _ : state) {
-    auto qr = pw::linalg::QrFactor(a);
-    benchmark::DoNotOptimize(qr.r);
-  }
-}
-BENCHMARK(BM_QrFactor)->Arg(30)->Arg(118);
 
 }  // namespace
 

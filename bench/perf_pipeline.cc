@@ -45,19 +45,6 @@ void BM_AcPowerFlow(benchmark::State& state) {
 BENCHMARK(BM_AcPowerFlow)->Arg(14)->Arg(30)->Arg(57)->Arg(118)
     ->Unit(benchmark::kMillisecond);
 
-void BM_DcPowerFlow(benchmark::State& state) {
-  auto grid = pw::grid::EvaluationSystem(static_cast<int>(state.range(0)));
-  if (!grid.ok()) {
-    state.SkipWithError("grid construction failed");
-    return;
-  }
-  for (auto _ : state) {
-    auto sol = pw::pf::SolveDcPowerFlow(*grid);
-    benchmark::DoNotOptimize(sol.value().va_rad);
-  }
-}
-BENCHMARK(BM_DcPowerFlow)->Arg(14)->Arg(118)->Unit(benchmark::kMillisecond);
-
 // Shared trained detector per system (training is too slow to repeat
 // inside the benchmark loop).
 struct TrainedFixture {

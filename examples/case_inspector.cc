@@ -21,7 +21,6 @@
 #include "common/table_printer.h"
 #include "grid/ieee_cases.h"
 #include "io/matpower.h"
-#include "powerflow/fast_decoupled.h"
 #include "powerflow/flows.h"
 #include "powerflow/powerflow.h"
 
@@ -56,11 +55,7 @@ int main(int argc, char** argv) {
                  sol.status().ToString().c_str());
     return 1;
   }
-  auto fd = pw::pf::SolveFastDecoupled(*grid);
-  std::printf("Newton-Raphson: %d iterations; fast-decoupled: %s\n\n",
-              sol->iterations,
-              fd.ok() ? (std::to_string(fd->iterations) + " iterations").c_str()
-                      : fd.status().ToString().c_str());
+  std::printf("Newton-Raphson: %d iterations\n\n", sol->iterations);
 
   // Voltage profile extremes.
   size_t lo = 0, hi = 0;

@@ -139,29 +139,25 @@ cmake -B build-ubsan -G Ninja -DPW_UBSAN=ON \
 cmake --build build-ubsan
 ctest --test-dir build-ubsan --output-on-failure
 
-# ThreadSanitizer gate for the parallel fan-outs: the thread pool, the
-# streaming monitor's producer/observer contract, the fleet engine's
-# park/wake paths (fleet_test drives Stop, control hooks and Submit
-# into parked shards), the determinism suite (which exercises every
-# parallelized pipeline stage), and the obs layer (concurrent quantile
-# Record, timed scopes feeding the trace ring, registry scrapes while
-# recorders run: obs_test, obs_quantile_test, trace_export_test) must
-# be race-free. Benchmarks/examples
-# are skipped — google-benchmark is not TSan-instrumented here and they
-# add nothing to the race surface. GCC's -Wtsan note that
-# atomic_thread_fence is not modeled is expected (fleet.cc's park/wake
-# fences order no plain data; see docs/PARALLELISM.md).
+# ThreadSanitizer gate, full suite like the ASan/UBSan lanes: every
+# test target is built instrumented and run, so any code path that
+# reaches the thread pool, the fleet's park/wake paths, the streaming
+# monitor or the obs layer is race-checked, not only the concurrency
+# suites. A TSan report exits the test binary with status 66, which
+# ctest counts as a failure. Benchmarks/examples are skipped —
+# google-benchmark is not TSan-instrumented here and they add nothing
+# to the race surface. GCC's -Wtsan note that atomic_thread_fence is
+# not modeled is expected (fleet.cc's park/wake fences order no plain
+# data; see docs/PARALLELISM.md).
 echo "=== PW_TSAN build ==="
 cmake -B build-tsan -G Ninja -DPW_TSAN=ON \
   -DPHASORWATCH_BUILD_BENCHMARKS=OFF -DPHASORWATCH_BUILD_EXAMPLES=OFF
-cmake --build build-tsan --target concurrency_test parallel_determinism_test \
-  fleet_test obs_test obs_quantile_test trace_export_test
-./build-tsan/tests/concurrency_test
-./build-tsan/tests/parallel_determinism_test
-./build-tsan/tests/fleet_test
-./build-tsan/tests/obs_test
-./build-tsan/tests/obs_quantile_test
-./build-tsan/tests/trace_export_test
+cmake --build build-tsan
+# Left out, by construction: SyncTest.UnrankedMutexesAreExemptFromOrdering
+# takes two unranked mutexes in both orders on purpose (it proves the
+# rank detector exempts them), which TSan reports as lock-order inversion.
+ctest --test-dir build-tsan --output-on-failure \
+  -E '^SyncTest\.UnrankedMutexesAreExemptFromOrdering$'
 
 # Clang thread-safety analysis gate (docs/STATIC_ANALYSIS.md): compiles
 # the library with the common/sync.h annotations checked as errors.

@@ -43,8 +43,8 @@ Result<Grid> Grid::Create(std::string name, std::vector<Bus> buses,
   if (buses.empty()) {
     return Status::InvalidArgument("grid requires at least one bus");
   }
-  if (base_mva <= 0.0) {
-    return Status::InvalidArgument("base MVA must be positive");
+  if (!(base_mva > 0.0) || !std::isfinite(base_mva)) {
+    return Status::InvalidArgument("base MVA must be positive and finite");
   }
 
   Grid g;
@@ -84,15 +84,15 @@ Result<Grid> Grid::Create(std::string name, std::vector<Bus> buses,
       return Status::InvalidArgument("self-loop branch at bus " +
                                      std::to_string(br.from_bus));
     }
-    if (br.x <= 0.0) {
+    if (!(br.x > 0.0)) {
       return Status::InvalidArgument("branch " + std::to_string(br.from_bus) +
                                      "-" + std::to_string(br.to_bus) +
                                      " must have positive reactance");
     }
-    if (br.r < 0.0) {
+    if (!(br.r >= 0.0)) {
       return Status::InvalidArgument("branch " + std::to_string(br.from_bus) +
                                      "-" + std::to_string(br.to_bus) +
-                                     " has negative resistance");
+                                     " has negative or NaN resistance");
     }
   }
 

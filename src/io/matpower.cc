@@ -119,8 +119,9 @@ Result<Grid> ParseMatpowerCase(const std::string& contents,
       size_t eq = contents.find('=', at);
       if (eq != std::string::npos) {
         base_mva = std::strtod(contents.c_str() + eq + 1, nullptr);
-        if (base_mva <= 0.0) {
-          return Status::InvalidArgument("non-positive mpc.baseMVA");
+        if (!(base_mva > 0.0) || !std::isfinite(base_mva)) {
+          return Status::InvalidArgument(
+              "non-positive or non-finite mpc.baseMVA");
         }
       }
     }

@@ -1,97 +1,9 @@
 #include "linalg/qr.h"
 
-#include <cmath>
-#include <string>
+#include <algorithm>
 #include <vector>
 
-#include "common/status.h"
-
 namespace phasorwatch::linalg {
-
-QrDecomposition QrFactor(const Matrix& a) {
-  const size_t m = a.rows();
-  const size_t n = a.cols();
-  const size_t k = std::min(m, n);
-
-  // Work on a copy; accumulate Householder reflectors into Q explicitly.
-  Matrix r = a;
-  Matrix q = Matrix::Identity(m);
-
-  std::vector<double> v(m);
-  for (size_t col = 0; col < k; ++col) {
-    // Build the Householder vector for column `col` below the diagonal.
-    double norm = 0.0;
-    for (size_t i = col; i < m; ++i) norm += r(i, col) * r(i, col);
-    norm = std::sqrt(norm);
-    if (norm == 0.0) continue;
-    double alpha = r(col, col) >= 0 ? -norm : norm;
-    double v_norm_sq = 0.0;
-    for (size_t i = col; i < m; ++i) {
-      v[i] = r(i, col);
-      if (i == col) v[i] -= alpha;
-      v_norm_sq += v[i] * v[i];
-    }
-    if (v_norm_sq == 0.0) continue;
-
-    // Apply H = I - 2 v v^T / (v^T v) to R (columns col..n-1).
-    for (size_t j = col; j < n; ++j) {
-      double dot = 0.0;
-      for (size_t i = col; i < m; ++i) dot += v[i] * r(i, j);
-      double scale = 2.0 * dot / v_norm_sq;
-      for (size_t i = col; i < m; ++i) r(i, j) -= scale * v[i];
-    }
-    // Accumulate into Q: Q <- Q H (apply H to Q's columns from the right,
-    // i.e. to each row of Q over indices col..m-1).
-    for (size_t i = 0; i < m; ++i) {
-      double dot = 0.0;
-      for (size_t j = col; j < m; ++j) dot += q(i, j) * v[j];
-      double scale = 2.0 * dot / v_norm_sq;
-      for (size_t j = col; j < m; ++j) q(i, j) -= scale * v[j];
-    }
-  }
-
-  QrDecomposition out;
-  out.q = Matrix(m, k);
-  for (size_t i = 0; i < m; ++i) {
-    for (size_t j = 0; j < k; ++j) out.q(i, j) = q(i, j);
-  }
-  out.r = Matrix(k, n);
-  for (size_t i = 0; i < k; ++i) {
-    for (size_t j = i; j < n; ++j) out.r(i, j) = r(i, j);
-  }
-  return out;
-}
-
-Result<Vector> LeastSquares(const Matrix& a, const Vector& b, double tol) {
-  if (a.rows() != b.size()) {
-    return Status::InvalidArgument("rhs size mismatch in least squares");
-  }
-  if (a.rows() < a.cols()) {
-    return Status::InvalidArgument(
-        "least squares requires rows >= cols (overdetermined system)");
-  }
-  QrDecomposition qr = QrFactor(a);
-  // x solves R x = Q^T b.
-  Vector qtb(a.cols());
-  for (size_t j = 0; j < a.cols(); ++j) {
-    double s = 0.0;
-    for (size_t i = 0; i < a.rows(); ++i) s += qr.q(i, j) * b[i];
-    qtb[j] = s;
-  }
-  const size_t n = a.cols();
-  Vector x(n);
-  for (size_t i = n; i-- > 0;) {
-    double s = qtb[i];
-    for (size_t j = i + 1; j < n; ++j) s -= qr.r(i, j) * x[j];
-    double diag = qr.r(i, i);
-    if (std::fabs(diag) < tol) {
-      return Status::Singular("rank-deficient least-squares system at column " +
-                              std::to_string(i));
-    }
-    x[i] = s / diag;
-  }
-  return x;
-}
 
 Matrix OrthonormalBasis(const Matrix& a, double tol) {
   const size_t m = a.rows();

@@ -1,26 +1,9 @@
 #ifndef PHASORWATCH_LINALG_QR_H_
 #define PHASORWATCH_LINALG_QR_H_
 
-#include "common/check.h"
-#include "common/status.h"
 #include "linalg/matrix.h"
 
 namespace phasorwatch::linalg {
-
-/// Householder QR factorization A = Q R of an m-by-n matrix (m >= n or
-/// m < n both supported; Q is m-by-min(m,n) "thin").
-struct QrDecomposition {
-  Matrix q;  ///< m-by-k with orthonormal columns, k = min(m, n)
-  Matrix r;  ///< k-by-n upper trapezoidal
-};
-
-/// Computes the thin QR factorization of `a`.
-QrDecomposition QrFactor(const Matrix& a);
-
-/// Least-squares solve: x minimizing ||a x - b||_2 for full-column-rank a
-/// (m >= n). Fails with kSingular if R has a tiny diagonal entry.
-PW_NODISCARD Result<Vector> LeastSquares(const Matrix& a, const Vector& b,
-                                         double tol = 1e-12);
 
 /// Orthonormal basis of the column space of `a`: columns of the result
 /// span range(a); rank is decided by |R_ii| > tol * max|R|.

@@ -370,63 +370,4 @@ Result<Vector> SparseLu::Solve(const Vector& b) const {
   return x;
 }
 
-Result<CgResult> ConjugateGradientSolve(const CsrMatrix& a, const Vector& b,
-                                        const CgOptions& options) {
-  if (a.rows() != a.cols()) {
-    return Status::InvalidArgument("CG requires a square matrix");
-  }
-  if (b.size() != a.rows()) {
-    return Status::InvalidArgument("rhs size mismatch in CG solve");
-  }
-  const size_t n = a.rows();
-  Vector diag = a.Diagonal();
-  for (size_t i = 0; i < n; ++i) {
-    if (diag[i] <= 0.0) {
-      return Status::InvalidArgument(
-          "CG preconditioner needs a positive diagonal (row " +
-          std::to_string(i) + ")");
-    }
-  }
-
-  double b_norm = b.Norm();
-  CgResult result;
-  result.x = Vector(n);
-  if (b_norm == 0.0) return result;  // x = 0 solves exactly
-
-  size_t max_iter =
-      options.max_iterations != 0 ? options.max_iterations : 4 * n;
-
-  Vector r = b;  // residual (x starts at zero)
-  Vector z(n);   // preconditioned residual
-  for (size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
-  Vector p = z;
-  double rz = r.Dot(z);
-
-  for (size_t iter = 0; iter < max_iter; ++iter) {
-    Vector ap = a.Multiply(p);
-    double p_ap = p.Dot(ap);
-    if (p_ap <= 0.0) {
-      return Status::InvalidArgument(
-          "matrix is not positive definite (p^T A p <= 0)");
-    }
-    double alpha = rz / p_ap;
-    for (size_t i = 0; i < n; ++i) {
-      result.x[i] += alpha * p[i];
-      r[i] -= alpha * ap[i];
-    }
-    result.relative_residual = r.Norm() / b_norm;
-    result.iterations = iter + 1;
-    if (result.relative_residual < options.tolerance) return result;
-
-    for (size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
-    double rz_next = r.Dot(z);
-    double beta = rz_next / rz;
-    rz = rz_next;
-    for (size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
-  }
-  return Status::NotConverged(
-      "CG reached " + std::to_string(max_iter) + " iterations (residual " +
-      std::to_string(result.relative_residual) + ")");
-}
-
 }  // namespace phasorwatch::linalg

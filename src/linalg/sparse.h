@@ -21,8 +21,8 @@ struct Triplet {
 
 /// Compressed-sparse-row matrix. Power-system matrices (Ybus, the DC
 /// susceptance Laplacian, Jacobians) are over 95% zeros beyond ~50
-/// buses; CSR keeps products and iterative solves linear in the number
-/// of branches instead of quadratic in buses.
+/// buses; CSR keeps products and factorizations near-linear in the
+/// number of branches instead of quadratic in buses.
 ///
 /// The pattern (row_start / col_index) is immutable after assembly;
 /// only the values may change, via UpdateValues / SetValue. That split
@@ -124,12 +124,13 @@ class CsrMatrix {
 /// Newton iteration allocates nothing.
 ///
 /// No partial pivoting is deliberate: every matrix this repo feeds the
-/// solver is either symmetric positive definite (WLS gain, reduced DC
-/// Laplacian) or strongly diagonally dominant in practice (polar
-/// power-flow Jacobians of transmission grids), where static ordering
-/// is numerically safe. A pivot whose magnitude falls below pivot_tol
-/// fails the refactorization with kSingular instead of dividing by
-/// noise, exactly like the dense LuDecomposition.
+/// solver is either symmetric positive definite (the reduced DC
+/// Laplacian of the synthetic-grid builder) or strongly diagonally
+/// dominant in practice (polar power-flow Jacobians of transmission
+/// grids), where static ordering is numerically safe. A pivot whose
+/// magnitude falls below pivot_tol fails the refactorization with
+/// kSingular instead of dividing by noise, exactly like the dense
+/// LuDecomposition.
 ///
 /// SolveInto uses internal scratch, so a single instance is not safe
 /// to share across threads; callers keep per-thread instances (the
@@ -193,26 +194,6 @@ class SparseLu {
   std::vector<double> work_;
   mutable std::vector<double> y_;
 };
-
-/// Options for the conjugate-gradient solver.
-struct CgOptions {
-  double tolerance = 1e-10;  ///< relative residual ||r|| / ||b||
-  size_t max_iterations = 0; ///< 0 = 4 * n
-};
-
-/// Result of a CG solve.
-struct CgResult {
-  Vector x;
-  size_t iterations = 0;
-  double relative_residual = 0.0;
-};
-
-/// Jacobi-preconditioned conjugate gradient for symmetric positive
-/// definite systems (the reduced DC susceptance Laplacian is SPD).
-/// Fails with kNotConverged when the residual does not reach tolerance
-/// and kInvalidArgument on shape mismatches or a non-positive diagonal.
-PW_NODISCARD Result<CgResult> ConjugateGradientSolve(
-    const CsrMatrix& a, const Vector& b, const CgOptions& options = {});
 
 }  // namespace phasorwatch::linalg
 

@@ -50,7 +50,6 @@ Result<std::vector<BranchFlow>> ComputeBranchFlows(
     // the from side. Currents leaving each terminal into the branch:
     C i_from = (ys + charging) * (vf / (tap * tap)) -
                ys * (vt / std::conj(ratio));
-    i_from /= 1.0;  // current on the from bus side of the transformer
     C i_to = (ys + charging) * vt - ys * (vf / ratio);
 
     C s_from = vf * std::conj(i_from);

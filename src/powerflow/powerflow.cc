@@ -1,7 +1,6 @@
 #include "powerflow/powerflow.h"
 
 #include <cmath>
-#include <map>
 #include <string>
 #include <utility>
 
@@ -546,101 +545,6 @@ Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
                                            const PowerFlowOptions& options,
                                            const InjectionOverrides& overrides) {
   return SolveAcPowerFlowImpl(grid, &ybus, options, overrides);
-}
-
-Result<PowerFlowSolution> SolveDcPowerFlow(const Grid& grid,
-                                           const InjectionOverrides& overrides) {
-  PW_TRACE_SCOPE("powerflow.dc.solve_us");
-  PW_OBS_COUNTER_INC("powerflow.dc.solves");
-  const size_t n = grid.num_buses();
-  PW_ASSIGN_OR_RETURN(ScheduledInjections sched,
-                      ResolveInjections(grid, overrides));
-
-  size_t slack = grid.SlackBus();
-
-  // Reduce out the slack row/column, solve B' theta = P.
-  std::vector<size_t> keep;
-  keep.reserve(n - 1);
-  for (size_t i = 0; i < n; ++i) {
-    if (i != slack) keep.push_back(i);
-  }
-  Vector p_reduced(n - 1);
-  for (size_t a = 0; a < keep.size(); ++a) p_reduced[a] = sched.p_pu[keep[a]];
-
-  Vector theta_reduced;
-  PowerFlowSolution sol;
-  sol.vm = Vector(n, 1.0);
-  sol.va_rad = Vector(n, 0.0);
-  sol.p_mw = Vector(n);
-  sol.q_mvar = Vector(n);
-  // Same size policy as PowerFlowOptions::sparse_bus_threshold: small
-  // grids keep the dense Laplacian path (bit-identical baselines);
-  // large synthetics assemble the reduced Laplacian in triplet form
-  // and factor it with the fill-reducing sparse LU.
-  constexpr size_t kDcSparseBusThreshold = 200;
-  if (n >= kDcSparseBusThreshold) {
-    constexpr size_t kAbsent = static_cast<size_t>(-1);
-    std::vector<size_t> red(n, kAbsent);
-    for (size_t a = 0; a < keep.size(); ++a) red[keep[a]] = a;
-    std::map<int, size_t> index;
-    for (size_t i = 0; i < n; ++i) index[grid.bus(i).id] = i;
-    std::vector<linalg::Triplet> trips;
-    trips.reserve(4 * grid.num_branches() + n);
-    for (const auto& br : grid.branches()) {
-      if (!br.in_service) continue;
-      size_t f = index[br.from_bus];
-      size_t t = index[br.to_bus];
-      double w = 1.0 / br.x;
-      if (red[f] != kAbsent) trips.push_back({red[f], red[f], w});
-      if (red[t] != kAbsent) trips.push_back({red[t], red[t], w});
-      if (red[f] != kAbsent && red[t] != kAbsent) {
-        trips.push_back({red[f], red[t], -w});
-        trips.push_back({red[t], red[f], -w});
-      }
-    }
-    linalg::CsrMatrix reduced =
-        linalg::CsrMatrix::FromTriplets(n - 1, n - 1, std::move(trips));
-    auto slu = linalg::SparseLu::Factor(reduced);
-    if (!slu.ok()) {
-      return Status::Singular("DC susceptance matrix is singular: " +
-                              slu.status().message());
-    }
-    PW_ASSIGN_OR_RETURN(theta_reduced, slu->Solve(p_reduced));
-    for (size_t a = 0; a < keep.size(); ++a) {
-      sol.va_rad[keep[a]] = theta_reduced[a];
-    }
-    // Branch-wise DC injections: equivalent to the Laplacian-times-
-    // angle product without materializing the n-by-n Laplacian.
-    for (const auto& br : grid.branches()) {
-      if (!br.in_service) continue;
-      size_t f = index[br.from_bus];
-      size_t t = index[br.to_bus];
-      double flow = (sol.va_rad[f] - sol.va_rad[t]) / br.x;
-      sol.p_mw[f] += flow * grid.base_mva();
-      sol.p_mw[t] -= flow * grid.base_mva();
-    }
-  } else {
-    Matrix lap = grid.BuildSusceptanceLaplacian();
-    Matrix reduced = lap.SelectSubmatrix(keep, keep);
-    auto lu = linalg::LuDecomposition::Factor(reduced);
-    if (!lu.ok()) {
-      return Status::Singular("DC susceptance matrix is singular: " +
-                              lu.status().message());
-    }
-    PW_ASSIGN_OR_RETURN(theta_reduced, lu->Solve(p_reduced));
-    for (size_t a = 0; a < keep.size(); ++a) {
-      sol.va_rad[keep[a]] = theta_reduced[a];
-    }
-    Vector p_injected = lap * sol.va_rad;
-    for (size_t i = 0; i < n; ++i) {
-      sol.p_mw[i] = p_injected[i] * grid.base_mva();
-    }
-  }
-  sol.iterations = 1;
-  double pd_slack = overrides.pd_mw.empty() ? grid.bus(slack).pd_mw
-                                            : overrides.pd_mw[slack];
-  sol.slack_p_mw = sol.p_mw[slack] + pd_slack;
-  return sol;
 }
 
 std::vector<double> BalanceGeneration(const Grid& grid,

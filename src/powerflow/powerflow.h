@@ -79,12 +79,6 @@ PW_NODISCARD Result<PowerFlowSolution> SolveAcPowerFlow(
     const PowerFlowOptions& options = {},
     const InjectionOverrides& overrides = {});
 
-/// Linear DC power-flow approximation: angles from B' theta = P with the
-/// slack angle fixed at zero; magnitudes are all 1 pu. Used for baseline
-/// comparisons and as a fast sanity oracle in tests.
-PW_NODISCARD Result<PowerFlowSolution> SolveDcPowerFlow(
-    const grid::Grid& grid, const InjectionOverrides& overrides = {});
-
 /// Scales PV-bus generation so total scheduled generation tracks the
 /// scaled demand (the paper adjusts output power to follow daily load).
 /// Returns pg overrides aligned with the grid's bus indexing.

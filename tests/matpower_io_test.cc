@@ -2,9 +2,12 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "grid/ieee_cases.h"
 #include "powerflow/powerflow.h"
 
@@ -122,6 +125,27 @@ TEST(MatpowerParseTest, RejectsUnknownGeneratorBus) {
   EXPECT_FALSE(grid.ok());
 }
 
+// strtod reads "nan" and "inf", and a NaN slips past `x <= 0`-style
+// checks. Such values must be rejected, not loaded into a grid.
+TEST(MatpowerParseTest, RejectsNonFiniteBaseAndImpedance) {
+  auto with = [](const std::string& from, const std::string& to) {
+    std::string text = kThreeBusCase;
+    size_t at = text.find(from);
+    PW_CHECK(at != std::string::npos);
+    return text.replace(at, from.size(), to);
+  };
+  const std::string bad_cases[] = {
+      with("mpc.baseMVA = 100", "mpc.baseMVA = nan"),
+      with("mpc.baseMVA = 100", "mpc.baseMVA = inf"),
+      with("1  2  0.01  0.05", "1  2  0.01  nan"),  // reactance
+      with("1  2  0.01  0.05", "1  2  nan   0.05"),  // resistance
+  };
+  for (const std::string& text : bad_cases) {
+    auto grid = ParseMatpowerCase(text);
+    EXPECT_EQ(grid.status().code(), StatusCode::kInvalidArgument) << text;
+  }
+}
+
 TEST(MatpowerParseTest, CommentsAndBlankLinesIgnored) {
   std::string commented = std::string("% leading comment\n") + kThreeBusCase;
   EXPECT_TRUE(ParseMatpowerCase(commented).ok());
@@ -193,6 +217,69 @@ TEST(MatpowerFileTest, LoadMissingFileFails) {
   auto loaded = LoadMatpowerCase("/nonexistent/case.m");
   EXPECT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+// Mutation replay: the parser reads outside bytes, so on any input it
+// must return a Status or a connected Grid, never abort or touch memory
+// it does not own (the ASan and UBSan suite lanes run this too).
+std::vector<std::string> FuzzCorpus() {
+  std::vector<std::string> corpus = {kThreeBusCase};
+  for (int system : {14, 30}) {
+    auto grid = grid::EvaluationSystem(system);
+    PW_CHECK(grid.ok());
+    corpus.push_back(WriteMatpowerCase(*grid));
+  }
+  return corpus;
+}
+
+void ExpectStatusOrConnectedGrid(const std::string& input) {
+  auto grid = ParseMatpowerCase(input);
+  if (grid.ok()) {
+    EXPECT_TRUE(grid->IsConnected()) << "input:\n" << input;
+  } else {
+    EXPECT_FALSE(grid.status().message().empty());
+  }
+}
+
+TEST(MatpowerFuzzReplayTest, EveryTruncatedPrefix) {
+  for (const std::string& text : FuzzCorpus()) {
+    for (size_t len = 0; len <= text.size(); ++len) {
+      ExpectStatusOrConnectedGrid(text.substr(0, len));
+    }
+  }
+}
+
+TEST(MatpowerFuzzReplayTest, SeededMutations) {
+  const std::vector<std::string> corpus = FuzzCorpus();
+  constexpr uint64_t kSeed = 0x6d61747077ULL;
+  constexpr uint64_t kMutations = 2000;
+  for (uint64_t stream = 0; stream < kMutations; ++stream) {
+    Rng rng = Rng::Fork(kSeed, stream);
+    std::string text = corpus[rng.UniformInt(corpus.size())];
+    switch (stream % 3) {
+      case 0: {  // flip 1-8 random bits
+        const uint64_t flips = 1 + rng.UniformInt(8);
+        for (uint64_t f = 0; f < flips; ++f) {
+          text[rng.UniformInt(text.size())] ^=
+              static_cast<char>(1u << rng.UniformInt(8));
+        }
+        break;
+      }
+      case 1: {  // delete a run of 1-16 bytes
+        const size_t at = rng.UniformInt(text.size());
+        text.erase(at, 1 + rng.UniformInt(16));
+        break;
+      }
+      default: {  // splice: a prefix of one corpus, a suffix of another
+        const std::string& other = corpus[rng.UniformInt(corpus.size())];
+        text = text.substr(0, rng.UniformInt(text.size() + 1)) +
+               other.substr(rng.UniformInt(other.size() + 1));
+        break;
+      }
+    }
+    SCOPED_TRACE("mutation stream " + std::to_string(stream));
+    ExpectStatusOrConnectedGrid(text);
+  }
 }
 
 }  // namespace

@@ -1,14 +1,14 @@
 // Randomized property tests: for a family of synthetic grids, the AC
-// solvers must converge, balance power, and agree with each other.
+// Newton-Raphson solver must converge and meet its schedule exactly.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "grid/synthetic.h"
-#include "powerflow/fast_decoupled.h"
 #include "powerflow/flows.h"
 #include "powerflow/powerflow.h"
+#include "powerflow_oracle.h"
 
 namespace phasorwatch::pf {
 namespace {
@@ -31,6 +31,7 @@ TEST_P(PowerFlowPropertyTest, NewtonRaphsonConvergesAndBalances) {
   auto sol = SolveAcPowerFlow(grid);
   ASSERT_TRUE(sol.ok()) << sol.status().ToString();
   EXPECT_LT(sol->final_mismatch, 1e-8);
+  ExpectSatisfiesSchedule(grid, *sol);
 
   // At every PQ bus the computed injection equals the negative demand.
   for (size_t i = 0; i < grid.num_buses(); ++i) {
@@ -50,30 +51,6 @@ TEST_P(PowerFlowPropertyTest, NewtonRaphsonConvergesAndBalances) {
     injections += sol->p_mw[i] - bus.gs_mw * vm2;
   }
   EXPECT_NEAR(injections, TotalLossMw(*flows), 1e-3);
-}
-
-TEST_P(PowerFlowPropertyTest, FastDecoupledAgreesWithNewton) {
-  grid::Grid grid = MakeGrid(GetParam());
-  auto nr = SolveAcPowerFlow(grid);
-  auto fd = SolveFastDecoupled(grid);
-  ASSERT_TRUE(nr.ok());
-  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  for (size_t i = 0; i < grid.num_buses(); ++i) {
-    EXPECT_NEAR(fd->vm[i], nr->vm[i], 1e-6);
-    EXPECT_NEAR(fd->va_rad[i], nr->va_rad[i], 1e-6);
-  }
-}
-
-TEST_P(PowerFlowPropertyTest, DcAnglesApproximateAc) {
-  grid::Grid grid = MakeGrid(GetParam());
-  auto ac = SolveAcPowerFlow(grid);
-  auto dc = SolveDcPowerFlow(grid);
-  ASSERT_TRUE(ac.ok());
-  ASSERT_TRUE(dc.ok());
-  // The lossless linearization tracks the AC angles to first order.
-  for (size_t i = 0; i < grid.num_buses(); ++i) {
-    EXPECT_NEAR(dc->va_rad[i], ac->va_rad[i], 0.12) << "bus " << i;
-  }
 }
 
 TEST_P(PowerFlowPropertyTest, VoltagesStayPhysical) {

@@ -6,6 +6,7 @@
 
 #include "grid/ieee_cases.h"
 #include "obs/metrics.h"
+#include "powerflow_oracle.h"
 
 namespace phasorwatch::pf {
 namespace {
@@ -121,6 +122,7 @@ TEST_P(IeeePowerFlowTest, ConvergesOnEvaluationSystem) {
     EXPECT_GT(sol->vm[i], 0.8) << "bus " << i;
     EXPECT_LT(sol->vm[i], 1.2) << "bus " << i;
   }
+  ExpectSatisfiesSchedule(*grid, *sol);
 }
 
 TEST_P(IeeePowerFlowTest, ActivePowerBalances) {
@@ -195,27 +197,6 @@ TEST(AcPowerFlowTest, IterationSeriesQuantilesStayWithinObservedRange) {
   EXPECT_LE(snap.p99(), snap.max);
 }
 #endif  // PW_OBS_DISABLED
-
-TEST(DcPowerFlowTest, MatchesAcAnglesRoughly) {
-  auto grid = grid::IeeeCase14();
-  ASSERT_TRUE(grid.ok());
-  auto ac = SolveAcPowerFlow(*grid);
-  auto dc = SolveDcPowerFlow(*grid);
-  ASSERT_TRUE(ac.ok());
-  ASSERT_TRUE(dc.ok());
-  for (size_t i = 0; i < grid->num_buses(); ++i) {
-    EXPECT_NEAR(dc->va_rad[i], ac->va_rad[i], 0.1) << "bus " << i;
-  }
-}
-
-TEST(DcPowerFlowTest, SlackAngleIsZero) {
-  auto grid = grid::IeeeCase30();
-  ASSERT_TRUE(grid.ok());
-  auto dc = SolveDcPowerFlow(*grid);
-  ASSERT_TRUE(dc.ok());
-  EXPECT_DOUBLE_EQ(dc->va_rad[grid->SlackBus()], 0.0);
-  EXPECT_DOUBLE_EQ(dc->vm[5], 1.0);
-}
 
 TEST(BalanceGenerationTest, ScalesWithDemand) {
   auto grid = grid::IeeeCase14();

@@ -1,6 +1,6 @@
 // Sparse-vs-dense equivalence lane for the power-flow solvers
-// (docs/SPARSE.md). The sparse Newton-Raphson / fast-decoupled paths
-// solve the same mismatch equations as the dense ones; they differ
+// (docs/SPARSE.md). The sparse Newton-Raphson path solves the same
+// mismatch equations as the dense one; they differ
 // only in elimination order, so states must agree to the documented
 // tolerances on every IEEE system across seeded load draws. The
 // incremental-Ybus patches carry a stronger contract: bit-exact
@@ -16,8 +16,8 @@
 #include "grid/synthetic.h"
 #include "linalg/complex_matrix.h"
 #include "linalg/matrix.h"
-#include "powerflow/fast_decoupled.h"
 #include "powerflow/powerflow.h"
+#include "powerflow_oracle.h"
 
 namespace phasorwatch::pf {
 namespace {
@@ -122,36 +122,6 @@ TEST_P(SparseNewtonEquivalenceTest, PrebuiltYbusMatchesInternalAssembly) {
 INSTANTIATE_TEST_SUITE_P(Systems, SparseNewtonEquivalenceTest,
                          ::testing::Values(14, 30, 57, 118));
 
-class SparseFastDecoupledEquivalenceTest
-    : public ::testing::TestWithParam<int> {};
-
-TEST_P(SparseFastDecoupledEquivalenceTest, MatchesDenseAcrossLoadDraws) {
-  auto grid = grid::EvaluationSystem(GetParam());
-  ASSERT_TRUE(grid.ok());
-
-  FastDecoupledOptions dense_opts;
-  dense_opts.sparse_bus_threshold = 0;
-  FastDecoupledOptions sparse_opts;
-  sparse_opts.sparse_bus_threshold = 1;
-
-  for (uint64_t draw = 0; draw < 3; ++draw) {
-    InjectionOverrides ov =
-        SeededLoadDraw(*grid, 300 + static_cast<uint64_t>(GetParam()), draw);
-    auto dense = SolveFastDecoupled(*grid, dense_opts, ov);
-    auto sparse = SolveFastDecoupled(*grid, sparse_opts, ov);
-    ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-    ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-    EXPECT_LT((dense->vm - sparse->vm).InfNorm(), kStateTol);
-    EXPECT_LT((dense->va_rad - sparse->va_rad).InfNorm(), kStateTol);
-    EXPECT_LT(dense->final_mismatch, dense_opts.tolerance);
-    EXPECT_LT(sparse->final_mismatch, sparse_opts.tolerance);
-    EXPECT_NEAR(dense->iterations, sparse->iterations, 2) << "draw " << draw;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Systems, SparseFastDecoupledEquivalenceTest,
-                         ::testing::Values(14, 30, 57, 118));
-
 class IncrementalYbusTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(IncrementalYbusTest, SparseBuildMatchesDenseBitExactly) {
@@ -230,6 +200,7 @@ TEST(ScaleGridTest, Synthetic300SolvesSparseByDefaultAndMatchesDense) {
 
   auto sparse = SolveAcPowerFlow(*grid);  // defaults: sparse at 300 buses
   ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
+  ExpectSatisfiesSchedule(*grid, *sparse);
 
   PowerFlowOptions dense_opts;
   dense_opts.sparse_bus_threshold = 0;
