@@ -199,6 +199,71 @@ void BM_DetectSteadyStateScreened(benchmark::State& state) {
 BENCHMARK(BM_DetectSteadyStateScreened)->Arg(14)->Arg(30)
     ->Unit(benchmark::kMicrosecond);
 
+// A multi-line detector (max_outage_lines = 2) trained on the shared
+// fixture's corpus, kept per system like the fixture itself.
+pw::detect::OutageDetector* GetMultiLineDetector(int buses) {
+  static std::map<int, pw::detect::OutageDetector*>* cache =
+      new std::map<int, pw::detect::OutageDetector*>();
+  auto it = cache->find(buses);
+  if (it != cache->end()) return it->second;
+  TrainedFixture* fixture = GetFixture(buses);
+  if (fixture == nullptr) return nullptr;
+  pw::detect::TrainingData training;
+  training.normal = &fixture->dataset.normal.train;
+  for (const auto& c : fixture->dataset.outages) {
+    training.case_lines.push_back(c.line);
+    training.outage.push_back(&c.train);
+  }
+  pw::detect::DetectorOptions options;
+  options.max_outage_lines = 2;
+  auto detector = pw::detect::OutageDetector::Train(
+      fixture->grid, fixture->methods.network(), training, options);
+  if (!detector.ok()) return nullptr;
+  auto* trained = new pw::detect::OutageDetector(std::move(detector).value());
+  (*cache)[buses] = trained;
+  return trained;
+}
+
+// Multi-line twin of BM_DetectSteadyState: max_outage_lines = 2 on the
+// same masked outage sample, which clears the gate, so every iteration
+// also runs the greedy peel. The peel rounds reuse the per-thread
+// scratch, so allocs/op must stay at the single-line steady state's
+// count plus the one outage_set entry list that escapes in the result.
+void BM_DetectSteadyStateMulti(benchmark::State& state) {
+  TrainedFixture* fixture = GetFixture(static_cast<int>(state.range(0)));
+  pw::detect::OutageDetector* detector =
+      GetMultiLineDetector(static_cast<int>(state.range(0)));
+  if (fixture == nullptr || detector == nullptr) {
+    state.SkipWithError("fixture construction failed");
+    return;
+  }
+  auto [vm, va] = fixture->dataset.outages[0].test.Sample(0);
+  pw::sim::MissingMask mask = pw::sim::MissingAtOutage(
+      fixture->grid.num_buses(), fixture->dataset.outages[0].line);
+  for (int i = 0; i < 3; ++i) {
+    auto warm = detector->Detect(vm, va, mask);
+    if (!warm.ok() || warm.value().outage_set.empty()) {
+      state.SkipWithError("sample not gated: the peel did not run");
+      return;
+    }
+  }
+  uint64_t allocs_before = pw::bench::AllocCount();
+  uint64_t bytes_before = pw::bench::AllocBytes();
+  for (auto _ : state) {
+    auto result = detector->Detect(vm, va, mask);
+    benchmark::DoNotOptimize(result.value().outage_set);
+  }
+  state.counters["allocs_per_op"] =
+      pw::bench::AllocsPerOp(allocs_before, state.iterations());
+  state.counters["alloc_bytes_per_op"] =
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(pw::bench::AllocBytes() - bytes_before) /
+                static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_DetectSteadyStateMulti)->Arg(30)
+    ->Unit(benchmark::kMicrosecond);
+
 // Threads-vs-wall-time sweep for the dataset build, the pipeline's
 // dominant cost (one AC power flow per solved state per outage case).
 // Arg = parallelism degree; every degree produces a bit-identical

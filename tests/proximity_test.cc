@@ -1,6 +1,8 @@
 #include "detect/proximity.h"
 
+#include <atomic>
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -220,6 +222,176 @@ TEST(ProximityEngineTest, RowWalkMatchesColumnWalkBitExact) {
       EXPECT_EQ(*masked, ColumnWalkProximity(model, x, group))
           << "k=" << k << " |D|=" << group.size();
     }
+  }
+}
+
+// A tiny class family in R^6: a general (non-orthonormal) 6 x 4
+// coefficient matrix shared by a base and three cases with random means.
+ClassFamily MakeTinyFamily(Rng& rng) {
+  const size_t n = 6, k = 4;
+  SubspaceModel base;
+  base.mean = Vector(n);
+  Matrix basis(n, k);
+  for (size_t i = 0; i < n; ++i) {
+    base.mean[i] = rng.Uniform(-1.0, 1.0);
+    for (size_t j = 0; j < k; ++j) basis(i, j) = rng.Uniform(-1.0, 1.0);
+  }
+  base.constraints = Subspace::FromOrthonormal(basis);
+  std::vector<Vector> case_means;
+  for (int c = 0; c < 3; ++c) {
+    Vector mean(n);
+    for (size_t i = 0; i < n; ++i) mean[i] = rng.Uniform(-1.0, 1.0);
+    case_means.push_back(mean);
+  }
+  return ClassFamily(std::move(base), std::move(case_means));
+}
+
+// Case c of the family as a model of its own: the base's coefficients
+// with the case's mean (the per-model oracle).
+SubspaceModel CaseModel(const ClassFamily& family, size_t c) {
+  SubspaceModel model = family.base();
+  model.mean = family.case_mean(c);
+  return model;
+}
+
+// Family residuals and drops against per-model Evaluate over `group`,
+// on a fresh oracle engine.
+void ExpectFamilyMatchesEvaluate(ProximityEngine& engine,
+                                 const ClassFamily& family,
+                                 const Vector& x,
+                                 const std::vector<size_t>& group) {
+  ProximityEngine oracle;
+  FamilyResiduals out;
+  ASSERT_TRUE(engine.EvaluateFamily(family, 9, x, group, &out).ok());
+  auto r0 = oracle.Evaluate(family.base(), 1, x, group);
+  ASSERT_TRUE(r0.ok());
+  // The base residual is the same row walk, summed the same way.
+  EXPECT_EQ(out.normal, *r0);
+  ASSERT_EQ(out.cases.size(), family.num_cases());
+  ASSERT_EQ(out.drops.size(), family.num_cases());
+  for (size_t c = 0; c < family.num_cases(); ++c) {
+    auto r = oracle.Evaluate(CaseModel(family, c), 1, x, group);
+    auto e = oracle.Evaluate(family.base(), 1, family.case_mean(c), group);
+    ASSERT_TRUE(r.ok());
+    ASSERT_TRUE(e.ok());
+    const double scale = *r0 + *e;
+    EXPECT_NEAR(out.cases[c], *r, 1e-12 * scale) << "case " << c;
+    EXPECT_NEAR(out.drops[c], (*r0 - *r) / *e, 1e-12 * scale / *e)
+        << "case " << c;
+  }
+}
+
+TEST(ClassFamilyTest, CompleteAndMaskedPathsMatchEvaluate) {
+  Rng rng(11);
+  const ClassFamily family = MakeTinyFamily(rng);
+  ProximityEngine engine;
+  const std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
+  const std::vector<size_t> masked = {0, 2, 3, 5};
+  for (int trial = 0; trial < 8; ++trial) {
+    Vector x(6);
+    for (size_t i = 0; i < 6; ++i) x[i] = rng.Uniform(-2.0, 2.0);
+    ExpectFamilyMatchesEvaluate(engine, family, x, all);
+    ExpectFamilyMatchesEvaluate(engine, family, x, masked);
+  }
+  // Complete data builds no entry; the masked set one, however often
+  // it is evaluated.
+  EXPECT_EQ(engine.cache_size(), 1u);
+  FamilyResiduals out;
+  ASSERT_TRUE(engine.EvaluateFamily(family, 9, Vector(6), {1, 2, 4}, &out)
+                  .ok());
+  EXPECT_EQ(engine.cache_size(), 2u);
+  // Another family key is another entry for the same set.
+  ASSERT_TRUE(engine.EvaluateFamily(family, 10, Vector(6), masked, &out).ok());
+  EXPECT_EQ(engine.cache_size(), 3u);
+  EXPECT_FALSE(engine.EvaluateFamily(family, 9, Vector(5), masked, &out).ok());
+  EXPECT_FALSE(engine.EvaluateFamily(family, 9, Vector(6), {}, &out).ok());
+}
+
+TEST(ClassFamilyTest, EnergiesAreShiftProjectionNorms) {
+  Rng rng(12);
+  const ClassFamily family = MakeTinyFamily(rng);
+  ProximityEngine engine;
+  // At the base mean y = 0, so r_c = e_c = ||R d_c||^2 exactly; the
+  // reference applies the regressor column by column.
+  const Vector& mu = family.base().mean;
+  for (const std::vector<size_t>& group :
+       {std::vector<size_t>{0, 1, 2, 3, 4, 5}, std::vector<size_t>{1, 3, 4},
+        std::vector<size_t>{0, 1, 2, 4, 5}}) {
+    FamilyResiduals out;
+    ASSERT_TRUE(engine.EvaluateFamily(family, 9, mu, group, &out).ok());
+    EXPECT_EQ(out.normal, 0.0);
+    for (size_t c = 0; c < family.num_cases(); ++c) {
+      const double energy =
+          ColumnWalkProximity(family.base(), family.case_mean(c), group);
+      if (group.size() == 6) {
+        EXPECT_NEAR(family.complete_energies()[c], energy, 1e-12 * energy);
+      }
+      EXPECT_NEAR(out.cases[c], energy, 1e-12 * energy) << "case " << c;
+      EXPECT_EQ(out.drops[c], -1.0) << "case " << c;
+    }
+    // On a case's own mean the sample sits on that case: r_c = 0 (the
+    // clamp absorbs the cancellation) and its drop is one.
+    for (size_t c = 0; c < family.num_cases(); ++c) {
+      ASSERT_TRUE(engine.EvaluateFamily(family, 9, family.case_mean(c),
+                                        group, &out)
+                      .ok());
+      EXPECT_GE(out.cases[c], 0.0);
+      EXPECT_NEAR(out.cases[c], 0.0, 1e-12 * out.normal);
+      EXPECT_NEAR(out.drops[c], 1.0, 1e-12);
+    }
+  }
+}
+
+TEST(ClassFamilyTest, EntryWithoutEnergiesIsRebuiltInPlace) {
+  Rng rng(13);
+  const ClassFamily family = MakeTinyFamily(rng);
+  ProximityEngine engine;
+  const std::vector<size_t> group = {0, 1, 3, 4};
+  Vector x(6);
+  for (size_t i = 0; i < 6; ++i) x[i] = rng.Uniform(-2.0, 2.0);
+  // A plain Evaluate under the family key caches the regressor alone.
+  auto plain = engine.Evaluate(family.base(), 9, x, group);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(engine.cache_size(), 1u);
+  FamilyResiduals out;
+  ASSERT_TRUE(engine.EvaluateFamily(family, 9, x, group, &out).ok());
+  EXPECT_EQ(engine.cache_size(), 1u);
+  EXPECT_EQ(out.normal, *plain);
+  ExpectFamilyMatchesEvaluate(engine, family, x, group);
+  // And the replaced entry still serves plain evaluations.
+  auto again = engine.Evaluate(family.base(), 9, x, group);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *plain);
+}
+
+TEST(ClassFamilyTest, RacingThreadsOnAColdKeyAgreeBitExact) {
+  Rng rng(14);
+  const ClassFamily family = MakeTinyFamily(rng);
+  Vector x(6);
+  for (size_t i = 0; i < 6; ++i) x[i] = rng.Uniform(-2.0, 2.0);
+  const std::vector<size_t> group = {0, 2, 3, 4, 5};
+  ProximityEngine engine;
+  constexpr int kThreads = 4;
+  std::vector<FamilyResiduals> results(kThreads);
+  std::vector<Status> statuses(kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Start together so the cold build races.
+      ready.fetch_add(1, std::memory_order_acq_rel);
+      while (ready.load(std::memory_order_acquire) < kThreads) {
+      }
+      statuses[t] = engine.EvaluateFamily(family, 9, x, group, &results[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(engine.cache_size(), 1u);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_TRUE(statuses[t].ok());
+    EXPECT_EQ(results[t].normal, results[0].normal);
+    EXPECT_EQ(results[t].cases.values(), results[0].cases.values());
+    EXPECT_EQ(results[t].drops.values(), results[0].drops.values());
   }
 }
 
