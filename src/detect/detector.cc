@@ -64,15 +64,16 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   ThreadPool pool(ResolveParallelism(options.parallelism));
 
   // 1. Subspace model per condition. The normal model keeps its full
-  // basis: the whitened classification models are built from it.
+  // basis until the whitened classification family is built from it.
   // Per-line models are independent SVD/eigensolve problems, so the
   // loop fans out across the pool; results land in their own slots and
-  // are bit-identical at any parallelism degree.
+  // are bit-identical at any parallelism degree. They only feed the
+  // case means and the node subspaces below, so they are not kept.
   SubspaceModelOptions normal_opts = options.subspace;
   normal_opts.keep_full_basis = true;
   PW_ASSIGN_OR_RETURN(det.normal_model_,
                       LearnSubspaceModel(*data.normal, normal_opts));
-  det.line_models_.resize(data.outage.size());
+  std::vector<SubspaceModel> line_models(data.outage.size());
   PW_RETURN_IF_ERROR(pool.ParallelFor(
       data.outage.size(), [&](size_t c) -> Status {
         const sim::PhasorDataSet* block = data.outage[c];
@@ -80,17 +81,22 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
           return Status::InvalidArgument(
               "outage training block missing/wrong size");
         }
-        PW_ASSIGN_OR_RETURN(det.line_models_[c],
+        PW_ASSIGN_OR_RETURN(line_models[c],
                             LearnSubspaceModel(*block, options.subspace));
         return Status::OK();
       }));
   std::vector<Vector> case_means;
-  case_means.reserve(det.line_models_.size());
-  for (const SubspaceModel& m : det.line_models_) case_means.push_back(m.mean);
+  case_means.reserve(line_models.size());
+  for (const SubspaceModel& m : line_models) case_means.push_back(m.mean);
   det.class_family_ = ClassFamily(
       MakeWhitenedClassModel(det.normal_model_, det.normal_model_.mean,
                              data.normal->num_samples()),
       std::move(case_means));
+  // Detect reads a model's mean and constraint basis only; drop the
+  // spectrum and full basis so neither this model nor the node
+  // fallback copies below carry state the saved file does not.
+  det.normal_model_.singular_values = Vector();
+  det.normal_model_.full_basis = Matrix();
 
   // 2. Node-based union/intersection subspaces (Eq. 3). Nodes with no
   // valid outage case fall back to the normal model's constraints so
@@ -104,7 +110,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::vector<const SubspaceModel*> incident;
     for (size_t c = 0; c < det.case_lines_.size(); ++c) {
       if (det.case_lines_[c].i == i || det.case_lines_[c].j == i) {
-        incident.push_back(&det.line_models_[c]);
+        incident.push_back(&line_models[c]);
       }
     }
     if (incident.empty()) {

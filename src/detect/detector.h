@@ -315,7 +315,6 @@ class OutageDetector {
   DetectorOptions options_;
 
   SubspaceModel normal_model_;
-  std::vector<SubspaceModel> line_models_;       // per training case
   /// Classification models for line disambiguation: the whitened
   /// classification twin of the normal model (the family base) and, per
   /// line case, the same (well-estimated) coefficient matrix paired with

@@ -1,7 +1,8 @@
 // Model persistence for the trained outage detector. The file carries
-// every learned artifact (subspace models, ellipses, capabilities,
-// groups, gates, baselines) plus a fingerprint of the grid and PMU
-// network it was trained on; it does NOT carry the grid itself.
+// what Detect reads (subspace models, class family, ellipses, groups,
+// gates, baselines), the capability table behind the groups, and a
+// fingerprint of the grid and PMU network it was trained on; it does
+// NOT carry the grid itself.
 
 #include <cmath>
 #include <fstream>
@@ -13,11 +14,14 @@
 namespace phasorwatch::detect {
 namespace {
 
-// Bumped whenever the layout changes (PWDET03 added the bad-data
+// Bumped whenever the layout changes; older files are rejected as
+// unreadable rather than misparsed. PWDET03 added the bad-data
 // screening options; PWDET04 the multi-line identification options and
-// calibrated per-case peel thresholds); older files are rejected as
-// unreadable rather than misparsed.
-constexpr uint64_t kMagic = 0x5057444554303400ull;  // "PWDET04\0"
+// calibrated per-case peel thresholds; PWDET05 keeps only what Detect
+// reads: a model record is its mean and constraint basis (no spectrum,
+// no full SVD basis), the class family is stored once as its base plus
+// the case means, and the per-line models are gone.
+constexpr uint64_t kMagic = 0x5057444554303500ull;  // "PWDET05\0"
 
 using linalg::Matrix;
 using linalg::Subspace;
@@ -27,8 +31,14 @@ void WriteVector(BinaryWriter& w, const Vector& v) {
   w.WriteDoubleVector(v.values());
 }
 
-Result<Vector> ReadVector(BinaryReader& r) {
-  PW_ASSIGN_OR_RETURN(std::vector<double> values, r.ReadDoubleVector());
+// Sizes are checked against the caller's expectation before anything
+// is allocated, so a corrupt length prefix can neither request an
+// outsized buffer nor leave a table misshapen for Detect to index.
+Result<Vector> ReadVector(BinaryReader& r, size_t size) {
+  PW_ASSIGN_OR_RETURN(std::vector<double> values, r.ReadDoubleVector(size));
+  if (values.size() != size) {
+    return Status::InvalidArgument("vector size does not match the model");
+  }
   return Vector(std::move(values));
 }
 
@@ -40,11 +50,11 @@ void WriteMatrix(BinaryWriter& w, const Matrix& m) {
   }
 }
 
-Result<Matrix> ReadMatrix(BinaryReader& r) {
-  PW_ASSIGN_OR_RETURN(uint64_t rows, r.ReadU64());
+Result<Matrix> ReadMatrix(BinaryReader& r, size_t rows, size_t max_cols) {
+  PW_ASSIGN_OR_RETURN(uint64_t stored_rows, r.ReadU64());
   PW_ASSIGN_OR_RETURN(uint64_t cols, r.ReadU64());
-  if (rows > (1u << 20) || cols > (1u << 20) || rows * cols > (1u << 28)) {
-    return Status::InvalidArgument("matrix dimensions exceed limits");
+  if (stored_rows != rows || cols > max_cols) {
+    return Status::InvalidArgument("matrix shape does not match the model");
   }
   Matrix m(rows, cols);
   for (size_t i = 0; i < rows; ++i) {
@@ -55,41 +65,20 @@ Result<Matrix> ReadMatrix(BinaryReader& r) {
   return m;
 }
 
+// A model record: the mean and the constraint basis, nothing else
+// Detect reads.
 void WriteModel(BinaryWriter& w, const SubspaceModel& model) {
   WriteVector(w, model.mean);
   WriteMatrix(w, model.constraints.basis());
-  WriteVector(w, model.singular_values);
-  WriteMatrix(w, model.full_basis);
 }
 
-// A line case's class model is the family base with the case's mean
-// (docs/MATH.md §4); it is stored as a full model so the layout stays
-// PWDET04.
-void WriteClassModel(BinaryWriter& w, const SubspaceModel& base,
-                     const Vector& case_mean) {
-  WriteVector(w, case_mean);
-  WriteMatrix(w, base.constraints.basis());
-  WriteVector(w, base.singular_values);
-  WriteMatrix(w, base.full_basis);
-}
-
-bool SameDoubles(const Matrix& a, const Matrix& b) {
-  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < a.cols(); ++j) {
-      if (a(i, j) != b(i, j)) return false;
-    }
-  }
-  return true;
-}
-
-Result<SubspaceModel> ReadModel(BinaryReader& r) {
+// `dim` is the feature dimension of the saved channel; a basis never
+// has more columns than its ambient dimension.
+Result<SubspaceModel> ReadModel(BinaryReader& r, size_t dim) {
   SubspaceModel model;
-  PW_ASSIGN_OR_RETURN(model.mean, ReadVector(r));
-  PW_ASSIGN_OR_RETURN(Matrix basis, ReadMatrix(r));
+  PW_ASSIGN_OR_RETURN(model.mean, ReadVector(r, dim));
+  PW_ASSIGN_OR_RETURN(Matrix basis, ReadMatrix(r, dim, dim));
   model.constraints = Subspace::FromOrthonormal(std::move(basis));
-  PW_ASSIGN_OR_RETURN(model.singular_values, ReadVector(r));
-  PW_ASSIGN_OR_RETURN(model.full_basis, ReadMatrix(r));
   return model;
 }
 
@@ -145,15 +134,13 @@ Status OutageDetector::Save(std::ostream& out) const {
     w.WriteU64(line.j);
   }
 
-  // Models.
+  // Models. The class family is its base record followed by the case
+  // means; the cases share the base's coefficients (docs/MATH.md §4).
   WriteModel(w, normal_model_);
-  const SubspaceModel& class_base = class_family_.base();
-  WriteModel(w, class_base);
-  w.WriteU64(line_models_.size());
-  for (const SubspaceModel& m : line_models_) WriteModel(w, m);
+  WriteModel(w, class_family_.base());
   w.WriteU64(class_family_.num_cases());
   for (size_t c = 0; c < class_family_.num_cases(); ++c) {
-    WriteClassModel(w, class_base, class_family_.case_mean(c));
+    WriteVector(w, class_family_.case_mean(c));
   }
   w.WriteU64(node_models_.size());
   for (const NodeSubspaces& node : node_models_) {
@@ -277,55 +264,42 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
     det.case_lines_.push_back(grid::LineId(i, j));
   }
 
-  PW_ASSIGN_OR_RETURN(det.normal_model_, ReadModel(r));
-  PW_ASSIGN_OR_RETURN(SubspaceModel class_base, ReadModel(r));
-  if (class_base.ambient_dim() != class_base.constraints.basis().rows() ||
-      class_base.constraints.basis().cols() == 0) {
+  // Every model record lives in the feature space of the saved channel.
+  const size_t n = grid.num_buses();
+  const size_t dim =
+      det.options_.subspace.channel == PhasorChannel::kBoth ? 2 * n : n;
+  PW_ASSIGN_OR_RETURN(det.normal_model_, ReadModel(r, dim));
+  PW_ASSIGN_OR_RETURN(SubspaceModel class_base, ReadModel(r, dim));
+  if (class_base.constraints.basis().cols() == 0) {
     return Status::InvalidArgument("class model shape is corrupt");
   }
-  PW_ASSIGN_OR_RETURN(uint64_t num_line_models, r.ReadU64());
-  if (num_line_models != num_cases) {
-    return Status::InvalidArgument("line model count mismatch");
+  PW_ASSIGN_OR_RETURN(uint64_t num_case_means, r.ReadU64());
+  if (num_case_means != num_cases) {
+    return Status::InvalidArgument("class case count mismatch");
   }
-  det.line_models_.reserve(num_line_models);
-  for (uint64_t c = 0; c < num_line_models; ++c) {
-    PW_ASSIGN_OR_RETURN(SubspaceModel m, ReadModel(r));
-    det.line_models_.push_back(std::move(m));
-  }
-  PW_ASSIGN_OR_RETURN(uint64_t num_class_models, r.ReadU64());
-  if (num_class_models != num_cases) {
-    return Status::InvalidArgument("class model count mismatch");
-  }
-  // Every class model shares the base's coefficients; only the means
-  // are kept, and the family rebuilds its shifts and complete-data
-  // energies from them.
+  // The family rebuilds its shifts and complete-data energies from the
+  // case means.
   std::vector<Vector> case_means;
-  case_means.reserve(num_class_models);
-  for (uint64_t c = 0; c < num_class_models; ++c) {
-    PW_ASSIGN_OR_RETURN(SubspaceModel m, ReadModel(r));
-    if (m.mean.size() != class_base.ambient_dim() ||
-        !SameDoubles(m.constraints.basis(), class_base.constraints.basis()) ||
-        m.singular_values.values() != class_base.singular_values.values() ||
-        !SameDoubles(m.full_basis, class_base.full_basis)) {
-      return Status::InvalidArgument(
-          "class model does not share the family coefficients");
-    }
-    case_means.push_back(std::move(m.mean));
+  case_means.reserve(num_case_means);
+  for (uint64_t c = 0; c < num_case_means; ++c) {
+    PW_ASSIGN_OR_RETURN(Vector mean, ReadVector(r, dim));
+    case_means.push_back(std::move(mean));
   }
   det.class_family_ =
       ClassFamily(std::move(class_base), std::move(case_means));
   PW_ASSIGN_OR_RETURN(uint64_t num_nodes, r.ReadU64());
-  if (num_nodes != grid.num_buses()) {
+  if (num_nodes != n) {
     return Status::InvalidArgument("node model count mismatch");
   }
   det.node_models_.resize(num_nodes);
   for (uint64_t i = 0; i < num_nodes; ++i) {
-    PW_ASSIGN_OR_RETURN(det.node_models_[i].union_model, ReadModel(r));
-    PW_ASSIGN_OR_RETURN(det.node_models_[i].intersection_model, ReadModel(r));
+    PW_ASSIGN_OR_RETURN(det.node_models_[i].union_model, ReadModel(r, dim));
+    PW_ASSIGN_OR_RETURN(det.node_models_[i].intersection_model,
+                        ReadModel(r, dim));
   }
 
   PW_ASSIGN_OR_RETURN(uint64_t num_ellipses, r.ReadU64());
-  if (num_ellipses != grid.num_buses()) {
+  if (num_ellipses != n) {
     return Status::InvalidArgument("ellipse count mismatch");
   }
   det.ellipses_.reserve(num_ellipses);
@@ -346,9 +320,15 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   }
   std::vector<std::vector<double>> per_case(num_capability_rows);
   for (uint64_t c = 0; c < num_capability_rows; ++c) {
-    PW_ASSIGN_OR_RETURN(per_case[c], r.ReadDoubleVector());
+    PW_ASSIGN_OR_RETURN(per_case[c], r.ReadDoubleVector(n));
+    if (per_case[c].size() != n) {
+      return Status::InvalidArgument("capability row size mismatch");
+    }
   }
-  PW_ASSIGN_OR_RETURN(Matrix node_level, ReadMatrix(r));
+  PW_ASSIGN_OR_RETURN(Matrix node_level, ReadMatrix(r, n, n));
+  if (node_level.cols() != n) {
+    return Status::InvalidArgument("capability table shape mismatch");
+  }
   det.capabilities_ =
       CapabilityTable::FromData(std::move(per_case), std::move(node_level));
 
@@ -358,14 +338,14 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   }
   det.groups_.resize(num_groups);
   for (uint64_t c = 0; c < num_groups; ++c) {
-    PW_ASSIGN_OR_RETURN(det.groups_[c].in_cluster, r.ReadSizeVector());
-    PW_ASSIGN_OR_RETURN(det.groups_[c].out_of_cluster, r.ReadSizeVector());
+    PW_ASSIGN_OR_RETURN(det.groups_[c].in_cluster, r.ReadSizeVector(n));
+    PW_ASSIGN_OR_RETURN(det.groups_[c].out_of_cluster, r.ReadSizeVector(n));
     // Group members index into per-node tables at detection time, so a
     // corrupt index must be caught here, not by a crash in Detect.
     for (const auto* members :
          {&det.groups_[c].in_cluster, &det.groups_[c].out_of_cluster}) {
       for (size_t m : *members) {
-        if (m >= grid.num_buses()) {
+        if (m >= n) {
           return Status::InvalidArgument("group member references unknown bus");
         }
       }
@@ -381,9 +361,10 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
     PW_ASSIGN_OR_RETURN(det.gates_[c].out_of_cluster, r.ReadDouble());
   }
   PW_ASSIGN_OR_RETURN(det.ratio_gate_, r.ReadDouble());
-  PW_ASSIGN_OR_RETURN(det.peel_tau_, r.ReadDoubleVector());
   const bool multi = det.options_.max_outage_lines >= 2;
-  if (det.peel_tau_.size() != (multi ? num_cases * num_cases : 0)) {
+  const size_t num_tau = multi ? num_cases * num_cases : 0;
+  PW_ASSIGN_OR_RETURN(det.peel_tau_, r.ReadDoubleVector(num_tau));
+  if (det.peel_tau_.size() != num_tau) {
     return Status::InvalidArgument("peel calibration size mismatch");
   }
   for (double tau : det.peel_tau_) {
@@ -391,12 +372,8 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
       return Status::InvalidArgument("corrupt peel threshold");
     }
   }
-  PW_ASSIGN_OR_RETURN(det.node_baseline_in_, ReadVector(r));
-  PW_ASSIGN_OR_RETURN(det.node_baseline_out_, ReadVector(r));
-  if (det.node_baseline_in_.size() != grid.num_buses() ||
-      det.node_baseline_out_.size() != grid.num_buses()) {
-    return Status::InvalidArgument("baseline size mismatch");
-  }
+  PW_ASSIGN_OR_RETURN(det.node_baseline_in_, ReadVector(r, n));
+  PW_ASSIGN_OR_RETURN(det.node_baseline_out_, ReadVector(r, n));
   return det;
 }
 

@@ -82,7 +82,7 @@ struct TenantCounters {
 /// debounce counters, the vote window, the frame watermark, and the
 /// per-tenant tallies — everything needed to resume a tenant's stream
 /// on another engine (failover) minus the model itself, which ships
-/// separately as a PWDET04 file. A session restored from a snapshot
+/// separately as a PWDET05 file. A session restored from a snapshot
 /// and fed the same subsequent frames produces bit-identical events to
 /// the session the snapshot was taken from.
 struct TenantSnapshot {
@@ -172,7 +172,7 @@ class TenantSession {
   void Reset();
 
   /// Swaps in a freshly trained/loaded model for the same grid and PMU
-  /// network (e.g. from a PWDET04 file). Safe from any thread, while
+  /// network (e.g. from a PWDET05 file). Safe from any thread, while
   /// the producer runs: the swap happens under the session's model
   /// lock, samples already in flight finish on the model they copied,
   /// and the first sample after the swap runs on the new model. Debounce

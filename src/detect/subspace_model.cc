@@ -292,7 +292,6 @@ SubspaceModel MakeWhitenedClassModel(const SubspaceModel& reference,
 
   SubspaceModel model;
   model.mean = std::move(mean);
-  model.singular_values = s;
   // Deliberately a non-orthonormal coefficient matrix (see header).
   model.constraints = Subspace::FromOrthonormal(std::move(whitened));
   return model;
