@@ -93,15 +93,6 @@ build/bench/perf_pipeline --quick --json build/BENCH_sparse.json \
 python3 scripts/bench_report.py validate build/BENCH_sparse.json \
   BENCH_sparse.json
 
-# Fleet lane (docs/FLEET.md): the multi-tenant replay must hold its
-# pw-bench-report-v2 schema; the throughput trajectory
-# (fleet.frames_per_sec, higher-is-better) is diffed against the
-# committed baseline per-PR like the other BENCH files.
-echo "=== perf report (fleet replay) ==="
-build/bench/fleet_replay --quick --json build/BENCH_fleet.json > /dev/null
-python3 scripts/bench_report.py validate build/BENCH_fleet.json \
-  BENCH_fleet.json
-
 # pwbench lane (pwbench/BENCHMARK.md): the benchmark package compiles
 # src/ through its own CMake project into .bench_build/, so this builds
 # the library API exactly as the benchmark pipeline does, then runs

@@ -218,8 +218,8 @@ void FleetEngine::DrainLoop(size_t shard_index) {
   // The dispatch loop is the fleet's steady-state hot path: one pop,
   // one session call, two histogram records, one counter tick. It must
   // not allocate — per-frame heap traffic at 1000 tenants x 30 Hz
-  // would dominate the latency tail (verified by alloc_counter in
-  // bench/fleet_replay.cc; the lint region keeps it that way).
+  // would dominate the latency tail (pwbench measures it as
+  // session.allocs_per_frame; the lint region keeps it that way).
   // PW_NO_ALLOC_BEGIN(fleet shard drain)
   for (;;) {
     if (shard.has_control.load(std::memory_order_acquire)) {
@@ -329,7 +329,7 @@ Status FleetEngine::ReloadModelFromFile(TenantId tenant,
         "tenant \"" + config.name +
         "\" has no grid/network configured for file reload");
   }
-  // The PWDET04 load (and its fingerprint check against the tenant's
+  // The PWDET05 load (and its fingerprint check against the tenant's
   // configuration) runs here, on the caller's thread — the shard never
   // touches the filesystem.
   PW_ASSIGN_OR_RETURN(OutageDetector loaded, OutageDetector::LoadFromFile(
