@@ -24,10 +24,10 @@ Keys that depend only on the code, not the machine (allocs/op), are
 gated exactly: `diff BASE NEW --only 'allocs_per_op$' --threshold 0`
 fails on any rise, including one from a zero baseline.
 
-Both schema versions validate: v2 (current) dropped v1's bucketed
-`histograms` section and reports those series under `quantiles`. A quantile
-entry with count > 0 must report its stats in order
-(min <= p50 <= p90 <= p99 <= p999 <= max, over the stats present).
+Only pw-bench-report-v2 validates; v1 documents (with their bucketed
+`histograms` section) are rejected. A quantile entry with count > 0 must
+report its stats in order (min <= p50 <= p90 <= p99 <= p999 <= max,
+over the stats present).
 
 Stdlib only; no third-party imports.
 """
@@ -38,7 +38,6 @@ import re
 import sys
 
 SCHEMA = "pw-bench-report-v2"
-SCHEMAS = ("pw-bench-report-v1", SCHEMA)
 
 # Quantile stats that must be non-decreasing, in this order.
 QUANTILE_ORDER = ("min", "p50", "p90", "p99", "p999", "max")
@@ -77,13 +76,11 @@ def validate_doc(doc, label):
         elif not isinstance(doc[key], want):
             errors.append("%s: key %r is %s, want %s" %
                           (label, key, type(doc[key]).__name__, want.__name__))
-    if not isinstance(doc.get("histograms", {}), dict):  # v1 only
-        errors.append("%s: key 'histograms' is not an object" % label)
     if errors:
         return errors
-    if doc["schema"] not in SCHEMAS:
-        errors.append("%s: schema is %r, want one of %r" %
-                      (label, doc["schema"], SCHEMAS))
+    if doc["schema"] != SCHEMA:
+        errors.append("%s: schema is %r, want %r" %
+                      (label, doc["schema"], SCHEMA))
     for key, entry in doc["results"].items():
         if not isinstance(entry, dict) or "value" not in entry:
             errors.append("%s: results[%r] has no value" % (label, key))
@@ -99,13 +96,10 @@ def validate_doc(doc, label):
     for key, value in doc["gauges"].items():
         if not isinstance(value, (int, float)):
             errors.append("%s: gauges[%r] is not numeric" % (label, key))
-    for section in ("histograms", "quantiles"):
-        for key, snap in doc.get(section, {}).items():
-            if not isinstance(snap, dict) or "count" not in snap:
-                errors.append("%s: %s[%r] has no count" %
-                              (label, section, key))
     for key, snap in doc["quantiles"].items():
-        if isinstance(snap, dict) and snap.get("count", 0) > 0:
+        if not isinstance(snap, dict) or "count" not in snap:
+            errors.append("%s: quantiles[%r] has no count" % (label, key))
+        elif snap["count"] > 0:
             errors.extend(quantile_order_errors(snap, "%s: quantiles[%r]" %
                                                 (label, key)))
     return errors
@@ -287,13 +281,10 @@ def self_test():
     mistyped["results"]["detect.ieee14.p99_us"]["value"] = "fast"
     check("non-numeric result value is rejected",
           validate_doc(mistyped, "mistyped") != [])
-    check("v2 document without histograms passes",
-          "histograms" not in base and validate_doc(base, "v2") == [])
     v1 = _fixture(100.0)
     v1["schema"] = "pw-bench-report-v1"
     v1["histograms"] = {"detect.total_us": {"count": 100, "p50": 50.0}}
-    check("v1 document with histograms passes",
-          validate_doc(v1, "v1") == [])
+    check("v1 document is rejected", validate_doc(v1, "v1") != [])
     unordered = _fixture(100.0)
     unordered["quantiles"]["powerflow.ac.iterations"] = {
         "count": 10, "min": 4.0, "p50": 3.51, "p90": 4.0, "max": 5.0}
@@ -352,8 +343,7 @@ def self_test():
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="bench_report.py",
-        description="Validate and compare pw-bench-report-v1/-v2 "
-                    "documents.")
+        description="Validate and compare pw-bench-report-v2 documents.")
     parser.add_argument("--self-test", action="store_true",
                         help="run the in-memory fixture checks and exit")
     sub = parser.add_subparsers(dest="command")
