@@ -9,6 +9,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include <benchmark/benchmark.h>
 
@@ -171,7 +172,7 @@ void BM_DetectSteadyStateScreened(benchmark::State& state) {
     return;
   }
   auto [vm, va] = fixture->dataset.outages[0].test.Sample(0);
-  vm[5] += 5.0;  // unit-scale gross error, far beyond screen_threshold
+  vm[5] += 5.0;  // unit-scale gross error, far beyond kScreenThreshold
   va[5] -= 3.0;
   pw::sim::MissingMask mask = pw::sim::MissingAtOutage(
       fixture->grid.num_buses(), fixture->dataset.outages[0].line);
@@ -462,6 +463,20 @@ void RunDetectLatencyProbe(pw::bench::ReportResults* results, bool quick) {
   }
 }
 
+// The report is named after its file, BENCH_<name>.json, so the sparse
+// lane's report says "sparse"; any other file name gives "pipeline".
+std::string ReportNameFor(const std::string& json_path) {
+  constexpr std::string_view kPrefix = "BENCH_";
+  constexpr std::string_view kSuffix = ".json";
+  const std::string file = json_path.substr(json_path.find_last_of('/') + 1);
+  if (file.size() > kPrefix.size() + kSuffix.size() &&
+      file.starts_with(kPrefix) && file.ends_with(kSuffix)) {
+    return file.substr(kPrefix.size(),
+                       file.size() - kPrefix.size() - kSuffix.size());
+  }
+  return "pipeline";
+}
+
 }  // namespace
 
 // Custom main (instead of benchmark_main) so the run ends with the
@@ -477,6 +492,6 @@ int main(int argc, char** argv) {
   RunDetectLatencyProbe(&results, config.quick);
   std::printf("\n%s",
               pw::obs::MetricsRegistry::Global().TextSnapshot().c_str());
-  return pw::bench::MaybeWriteJsonReport(config.json_path, "pipeline",
-                                         results);
+  return pw::bench::MaybeWriteJsonReport(
+      config.json_path, ReportNameFor(config.json_path), results);
 }

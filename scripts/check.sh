@@ -16,7 +16,10 @@ skip_lane() {
   SKIPPED_LANES="${SKIPPED_LANES}  - $1: SKIPPED ($2)\n"
 }
 
-cmake -B build -G Ninja
+# No generator is forced here: `build` may already exist from the plain
+# `cmake -B build -S .` configure (Unix Makefiles), and CMake refuses to
+# switch the generator of an existing build directory.
+cmake -B build -S .
 cmake --build build
 
 # Static-analysis gate (see docs/STATIC_ANALYSIS.md): the project

@@ -39,15 +39,9 @@ Result<T> ReadRaw(std::istream& in, const char* what) {
 }  // namespace
 
 void BinaryWriter::WriteU64(uint64_t value) { WriteRaw(out_, value); }
-void BinaryWriter::WriteI64(int64_t value) { WriteRaw(out_, value); }
 void BinaryWriter::WriteDouble(double value) { WriteRaw(out_, value); }
 void BinaryWriter::WriteBool(bool value) {
   WriteRaw(out_, static_cast<uint8_t>(value ? 1 : 0));
-}
-
-void BinaryWriter::WriteString(const std::string& value) {
-  WriteU64(value.size());
-  out_.write(value.data(), static_cast<std::streamsize>(value.size()));
 }
 
 void BinaryWriter::WriteDoubleVector(const std::vector<double>& values) {
@@ -63,7 +57,6 @@ void BinaryWriter::WriteSizeVector(const std::vector<size_t>& values) {
 Result<uint64_t> BinaryReader::ReadU64() {
   return ReadRaw<uint64_t>(in_, "u64");
 }
-Result<int64_t> BinaryReader::ReadI64() { return ReadRaw<int64_t>(in_, "i64"); }
 Result<double> BinaryReader::ReadDouble() {
   return ReadRaw<double>(in_, "double");
 }
@@ -74,19 +67,6 @@ Result<bool> BinaryReader::ReadBool() {
     return Status::InvalidArgument("corrupt bool value");
   }
   return raw == 1;
-}
-
-Result<std::string> BinaryReader::ReadString(size_t max_length) {
-  PW_ASSIGN_OR_RETURN(uint64_t size, ReadU64());
-  if (size > max_length) {
-    return Status::InvalidArgument("string length exceeds limit");
-  }
-  std::string value(size, '\0');
-  in_.read(value.data(), static_cast<std::streamsize>(size));
-  if (in_.gcount() != static_cast<std::streamsize>(size)) {
-    return Status::InvalidArgument("truncated string");
-  }
-  return value;
 }
 
 Result<std::vector<double>> BinaryReader::ReadDoubleVector(size_t max_size) {

@@ -50,10 +50,8 @@ class BinaryWriter {
   explicit BinaryWriter(std::ostream& out) : out_(out) {}
 
   void WriteU64(uint64_t value);
-  void WriteI64(int64_t value);
   void WriteDouble(double value);
   void WriteBool(bool value);
-  void WriteString(const std::string& value);
   void WriteDoubleVector(const std::vector<double>& values);
   void WriteSizeVector(const std::vector<size_t>& values);
 
@@ -64,20 +62,19 @@ class BinaryWriter {
 };
 
 /// Counterpart reader; every method validates stream state and sizes,
-/// returning kInvalidArgument on truncated or corrupt input.
+/// returning kInvalidArgument on truncated or corrupt input. A vector's
+/// length prefix is checked against the caller's `max_size` before
+/// anything is allocated, so every caller must say how long the vector
+/// can be.
 class BinaryReader {
  public:
   explicit BinaryReader(std::istream& in) : in_(in) {}
 
   PW_NODISCARD Result<uint64_t> ReadU64();
-  PW_NODISCARD Result<int64_t> ReadI64();
   PW_NODISCARD Result<double> ReadDouble();
   PW_NODISCARD Result<bool> ReadBool();
-  PW_NODISCARD Result<std::string> ReadString(size_t max_length = 1 << 20);
-  PW_NODISCARD Result<std::vector<double>> ReadDoubleVector(
-      size_t max_size = 1 << 28);
-  PW_NODISCARD Result<std::vector<size_t>> ReadSizeVector(
-      size_t max_size = 1 << 28);
+  PW_NODISCARD Result<std::vector<double>> ReadDoubleVector(size_t max_size);
+  PW_NODISCARD Result<std::vector<size_t>> ReadSizeVector(size_t max_size);
 
  private:
   std::istream& in_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/check.h"
@@ -36,6 +37,34 @@ constexpr double kProxFloor = 1e-15;
 // distribution (single-case training): no residual drop ever clears it,
 // so such a case can only be the anchor line, never a peeled addition.
 constexpr double kPeelTauNever = 1e300;
+
+// The paper's fixed pipeline (Sec. IV). No caller varies these.
+// Eigenvalue threshold of the soft constraint intersection used for
+// the node union subspaces (Eq. 3).
+constexpr double kSoftIntersectionTol = 0.6;
+// Ellipse inflation for the capability learning (Eq. 4).
+constexpr double kEllipseMargin = 1.15;
+// Proximity rule: stop extending the affected-node prefix when the
+// next score jumps by more than this factor (the elbow), and never
+// take more than kMaxAffectedNodes nodes.
+constexpr double kGapFactor = 12.0;
+constexpr size_t kMaxAffectedNodes = 6;
+// Normal training samples used to calibrate the gates.
+constexpr size_t kCalibrationSamples = 60;
+// The outage gate fires when a cluster's normal-subspace residual
+// exceeds this multiple of the largest residual seen on normal
+// calibration data with the same detection-group variant.
+constexpr double kGateMargin = 2.5;
+// Second, scale-free gate: an outage is also declared when the best
+// line-model residual falls below this fraction of the normal-model
+// residual (both over the pooled detection group). Train pulls it down
+// if normal calibration data gets close to a line model.
+constexpr double kRatioGate = 0.8;
+// Absolute margin on top of every calibrated peel threshold tau(c | t)
+// (the drop statistic is ~ +1 for a genuinely present line): trades
+// missed weak second lines for fewer phantom ones on data beyond the
+// calibration corpus.
+constexpr double kPeelMargin = 0.05;
 
 }  // namespace
 
@@ -117,8 +146,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
       det.node_models_[i].union_model = det.normal_model_;
       det.node_models_[i].intersection_model = det.normal_model_;
     } else {
-      det.node_models_[i] = BuildNodeSubspaces(
-          incident, options.soft_intersection_tol, lowrank_nodes);
+      det.node_models_[i] =
+          BuildNodeSubspaces(incident, kSoftIntersectionTol, lowrank_nodes);
     }
     return Status::OK();
   }));
@@ -132,7 +161,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
       points.push_back({data.normal->vm(i, t), data.normal->va(i, t)});
     }
     PW_ASSIGN_OR_RETURN(EllipseModel ellipse,
-                        EllipseModel::Fit(points, options.ellipse_margin));
+                        EllipseModel::Fit(points, kEllipseMargin));
     det.ellipses_.push_back(ellipse);
   }
 
@@ -164,7 +193,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   const size_t num_clusters = network.num_clusters();
   det.gates_.assign(num_clusters, {});
   size_t normal_take =
-      std::min(options.calibration_samples, data.normal->num_samples());
+      std::min(kCalibrationSamples, data.normal->num_samples());
   if (normal_take == 0) {
     return Status::InvalidArgument("no calibration samples available");
   }
@@ -205,7 +234,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         for (size_t i = 0; i < n; ++i) raw_scores[i].push_back(scores[i]);
       }
       for (size_t c = 0; c < num_clusters; ++c) {
-        double gate = worst[c] * options.gate_margin;
+        double gate = worst[c] * kGateMargin;
         if (variant == 0) {
           det.gates_[c].in_cluster = gate;
         } else {
@@ -225,9 +254,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   }
 
   // Calibrate the ratio gate: on normal data the best line-model
-  // residual should stay well above ratio_gate * normal residual; pull
+  // residual should stay well above kRatioGate * normal residual; pull
   // the gate down if any normal calibration sample gets close.
-  det.ratio_gate_ = options.ratio_gate;
   {
     PW_TRACE_SCOPE("detect.train.ratio_calibration_us");
     // Evaluate normal calibration samples both complete and under a
@@ -263,9 +291,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
                           ratio_for(features, mask.AvailableIndices()));
       lowest_normal_ratio = std::min(lowest_normal_ratio, masked_ratio);
     }
-    det.ratio_gate_ =
-        std::min(det.ratio_gate_, 0.9 * lowest_normal_ratio);
-    if (lowest_normal_ratio < options.ratio_gate) {
+    det.ratio_gate_ = std::min(kRatioGate, 0.9 * lowest_normal_ratio);
+    if (lowest_normal_ratio < kRatioGate) {
       PW_LOG(Warning) << "ratio gate pulled down to " << det.ratio_gate_
                       << " on " << grid.name()
                       << " (normal data approaches a line model)";
@@ -280,21 +307,16 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   // every other case c would have scored (FamilyResiduals::drops, the
   // statistic Detect thresholds) — the null distribution of a
   // spurious second line riding on a real first one. The thresholds
-  // are conditioned on the anchor: tau(c | t) is the configured
-  // quantile of the (c, t) cell plus the margin, because the leftover
+  // are conditioned on the anchor: tau(c | t) is the maximum of the
+  // (c, t) cell plus kPeelMargin, because the leftover
   // nonlinearity of a real outage t is systematic — some neighbors c
   // always pick up part of it — and a threshold pooled across anchors
   // would let exactly those phantoms through. The calibration sweeps
-  // the FULL training corpus (not calibration_samples): each (c, t)
-  // cell needs dense sampling for its own quantile. Skipped entirely
-  // at the default max_outage_lines = 1 so legacy training stays
-  // bit-identical.
+  // the FULL training corpus (not kCalibrationSamples) so each (c, t)
+  // cell is densely sampled. Skipped entirely at the default
+  // max_outage_lines = 1 so legacy training stays bit-identical.
   if (options.max_outage_lines >= 2) {
     PW_TRACE_SCOPE("detect.train.peel_calibration_us");
-    if (options.peel_null_quantile <= 0.0 ||
-        options.peel_null_quantile > 1.0) {
-      return Status::InvalidArgument("peel_null_quantile must be in (0, 1]");
-    }
     std::vector<size_t> all_nodes(n);
     std::iota(all_nodes.begin(), all_nodes.end(), size_t{0});
     std::vector<size_t> all_coords;
@@ -303,22 +325,27 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     const size_t dim = shifts.rows();
     const size_t num_cases = data.outage.size();
 
-    std::vector<std::vector<double>> nulls(num_cases * num_cases);
+    // Running maximum per (c, t) cell; -inf marks a cell with no sample
+    // (the diagonal, or a case with an empty training block).
+    constexpr double kUnsampled = -std::numeric_limits<double>::infinity();
+    det.peel_tau_.assign(num_cases * num_cases, kUnsampled);
     std::vector<size_t> masked_coords;
     FamilyResiduals family;
     // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
     Rng peel_mask_rng(0x9EE15EEDull);
-    // Records the spurious deltas of every non-true case on a peeled
-    // sample over one coordinate set. Each drop is normalized by the
-    // shift energy over that same set, as Detect's is over its pooled
-    // coordinates, so masked variants keep the statistic's scale.
+    // Folds the spurious deltas of every non-true case on a peeled
+    // sample over one coordinate set into their cells. Each drop is
+    // normalized by the shift energy over that same set, as Detect's is
+    // over its pooled coordinates, so masked variants keep the
+    // statistic's scale.
     auto record_nulls = [&](const Vector& peeled, size_t t,
                             const std::vector<size_t>& coords) -> Status {
       PW_RETURN_IF_ERROR(det.engine_.EvaluateFamily(
           det.class_family_, kClassFamilyKey, peeled, coords, &family));
       for (size_t c = 0; c < num_cases; ++c) {
         if (c == t) continue;
-        nulls[c * num_cases + t].push_back(family.drops[c]);
+        double& cell = det.peel_tau_[c * num_cases + t];
+        cell = std::max(cell, family.drops[c]);
       }
       return Status::OK();
     };
@@ -340,15 +367,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         PW_RETURN_IF_ERROR(record_nulls(peeled, t, masked_coords));
       }
     }
-    det.peel_tau_.assign(num_cases * num_cases, kPeelTauNever);
-    for (size_t cell = 0; cell < nulls.size(); ++cell) {
-      if (nulls[cell].empty()) continue;  // diagonal / unsampled case
-      std::sort(nulls[cell].begin(), nulls[cell].end());
-      const size_t idx = std::min(
-          nulls[cell].size() - 1,
-          static_cast<size_t>(options.peel_null_quantile *
-                              static_cast<double>(nulls[cell].size())));
-      det.peel_tau_[cell] = nulls[cell][idx] + options.peel_margin;
+    for (double& tau : det.peel_tau_) {
+      tau = tau == kUnsampled ? kPeelTauNever : tau + kPeelMargin;
     }
   }
 
@@ -357,7 +377,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::vector<SelectedGroup> groups;
     det.SelectGroupsInto(sim::MissingMask::None(n), &groups);
     size_t per_case = std::max<size_t>(
-        1, options.calibration_samples / data.outage.size());
+        1, kCalibrationSamples / data.outage.size());
     size_t gated = 0, total = 0;
     Vector residuals;
     for (const sim::PhasorDataSet* block : data.outage) {
@@ -545,27 +565,16 @@ struct OutageDetector::DetectScratch {
   std::vector<bool> peel_taken;
 };
 
-PW_NO_ALLOC Result<const sim::MissingMask*> OutageDetector::ScreenBadData(
+PW_NO_ALLOC const sim::MissingMask* OutageDetector::ScreenBadData(
     const Vector& vm, const Vector& va, const sim::MissingMask& mask,
     DetectScratch& scratch, DetectionResult* result) {
   const size_t n = mask.size();
   bool copied = false;
   for (size_t i = 0; i < n; ++i) {
     if (mask.missing[i]) continue;
-    const bool finite = std::isfinite(vm[i]) && std::isfinite(va[i]);
-    if (!options_.screen_bad_data) {
-      if (finite) continue;
-      // Screening off is an ablation/debug posture, not a license to
-      // propagate garbage: NaN/Inf never flows into the subspace math.
-      return Status::InvalidArgument(
-          "non-finite measurement at available node " + std::to_string(i) +
-          " (bad-data screening disabled)");
-    }
-    bool bad = !finite;
-    if (!bad && ellipses_[i].QuadraticForm({vm[i], va[i]}) >
-                    options_.screen_threshold) {
-      bad = true;
-    }
+    const bool bad = !std::isfinite(vm[i]) || !std::isfinite(va[i]) ||
+                     ellipses_[i].QuadraticForm({vm[i], va[i]}) >
+                         kScreenThreshold;
     if (!bad) continue;
     if (!copied) {
       scratch.screened_mask.missing.assign(mask.missing.begin(),
@@ -604,17 +613,16 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   const Vector& features = scratch.features;
   DetectionResult result;
 
-  // Stage 0: input validation + Eq. 4 bad-data screen. Nodes whose
+  // Stage 0: Eq. 4 bad-data screen. Nodes whose
   // measurements are non-finite or grossly outside their normal
   // envelope are demoted to "unavailable", so the group selection below
   // re-selects around them exactly as it does for missing data. The
   // screened values never enter the subspace math: every evaluation
   // downstream restricts to coordinates of the effective mask.
-  const sim::MissingMask* effective = &mask;
+  const sim::MissingMask* effective = nullptr;
   {
     PW_TRACE_SCOPE("detect.stage.screen_us");
-    PW_ASSIGN_OR_RETURN(effective,
-                        ScreenBadData(vm, va, mask, scratch, &result));
+    effective = ScreenBadData(vm, va, mask, scratch, &result);
   }
 
   // Stage 1: pick the detection group for every cluster under the
@@ -705,10 +713,10 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   selected[order[0]] = true;
   double prev_score = std::max(result.node_scores[order[0]], kProxFloor);
   for (size_t rank = 1;
-       rank < n && affected.size() < options_.max_affected_nodes; ++rank) {
+       rank < n && affected.size() < kMaxAffectedNodes; ++rank) {
     size_t node = order[rank];
     double score = result.node_scores[node];
-    if (score > prev_score * options_.gap_factor) break;  // elbow
+    if (score > prev_score * kGapFactor) break;  // elbow
     bool adjacent = false;
     for (size_t nb : grid_->Neighbors(node)) {
       if (selected[nb]) {

@@ -40,14 +40,27 @@ enum class LocalizationMode {
   kProximityRule,
 };
 
-/// End-to-end tuning for the subspace outage detector.
+/// Screen level of the Eq. 4 bad-data screen (docs/ROBUSTNESS.md):
+/// before detection, an available node whose phasor point carries a
+/// non-finite value or lies beyond this multiple of its normal-operation
+/// ellipse bound is gross bad data in the Li et al. (arXiv:1502.05789)
+/// sense and is demoted to "unavailable", so the Eq. 10 group selection
+/// re-selects around it. Genuine outages move a node's phasors outside
+/// its ellipse — that excursion is exactly what detection keys on — so
+/// the screen must sit far above it. Measured on the IEEE 14/30/57/118
+/// evaluation systems: genuine quadratic forms stay below ~8.5e2
+/// (normal data below ~2), while unit-scale gross errors (±0.5 pu,
+/// ±1 rad) land at 1.7e3+ except on IEEE-57, whose wide normal envelope
+/// puts some spikes lower.
+inline constexpr double kScreenThreshold = 1e3;
+
+/// End-to-end tuning for the subspace outage detector: only the values
+/// callers vary. The rest of the paper's fixed pipeline is constants in
+/// detector.cc and groups.cc.
 struct DetectorOptions {
   SubspaceModelOptions subspace;
   DetectionGroupOptions groups;
   LocalizationMode localization = LocalizationMode::kClassModel;
-  /// Eigenvalue threshold of the soft constraint intersection used for
-  /// the node union subspaces (Eq. 3).
-  double soft_intersection_tol = 0.6;
   /// Grids at or above this many buses compose the node union
   /// subspaces through the low-rank Gram path instead of the dense
   /// ambient-dimension eigensolve (0 disables). Same policy knob as
@@ -56,72 +69,20 @@ struct DetectorOptions {
   /// while 300+-bus training drops from O(nodes * n^3) to
   /// O(nodes * n * r^2) with r the summed incident-model ranks.
   size_t sparse_bus_threshold = 200;
-  /// Ellipse inflation for the capability learning (Eq. 4).
-  double ellipse_margin = 1.15;
   /// Apply the proximity scaling of Eq. 11 (ablation switch).
   bool use_scaling = true;
-  /// Stop extending the affected-node prefix when the next score jumps
-  /// by more than this factor (the "proximity rule" elbow).
-  double gap_factor = 12.0;
-  /// Hard cap on the affected-node prefix.
-  size_t max_affected_nodes = 6;
-  /// Calibration samples for the per-cluster normal-residual gates.
-  size_t calibration_samples = 60;
   /// Line disambiguation: candidate lines whose per-line outage-model
   /// residual is within this factor of the best line are reported in
   /// F-hat (values > 1 allow multi-line outage sets).
   double line_window = 1.5;
-  /// The outage gate fires when a cluster's normal-subspace residual
-  /// exceeds `gate_margin` times the largest residual seen on normal
-  /// calibration data with the same detection-group variant.
-  double gate_margin = 2.5;
-  /// Bad-data screening (docs/ROBUSTNESS.md): before detection, every
-  /// available node's phasor point is checked against its Eq. 4
-  /// normal-operation ellipse; a point carrying a non-finite value or
-  /// lying beyond `screen_threshold` times the ellipse bound is gross
-  /// bad data in the Li et al. (arXiv:1502.05789) sense and is demoted
-  /// to "unavailable", so the Eq. 10 group selection re-selects around
-  /// it. With screening disabled, non-finite available values are
-  /// rejected via Status instead (garbage must never flow silently).
-  bool screen_bad_data = true;
-  /// Ellipse-bound multiple separating outage physics from bad data.
-  /// Genuine outages move a node's phasors outside its ellipse — that
-  /// excursion is exactly what detection keys on — so the screen must
-  /// sit far above it. Measured on the IEEE 14/30/57/118 evaluation
-  /// systems: genuine quadratic forms stay below ~8.5e2 (normal data
-  /// below ~2), while unit-scale gross errors (±0.5 pu, ±1 rad) land
-  /// at 1.7e3+ except on IEEE-57, whose wide normal envelope puts some
-  /// spikes lower. The default passes all genuine physics with margin;
-  /// tighten per deployment if its normal envelope allows.
-  double screen_threshold = 1e3;
-  /// Second, scale-free gate: an outage is also declared when the best
-  /// line-model residual falls below this fraction of the normal-model
-  /// residual (both over the pooled detection group). Calibrated
-  /// downward if normal data ever gets close to a line model.
-  double ratio_gate = 0.8;
   /// Multi-line identification (docs/ROBUSTNESS.md): upper bound on the
   /// outage-set size recovered by greedy residual peeling. The default
   /// of 1 keeps the legacy single-line pipeline — training, detection,
   /// and serialization are bit-identical to a pre-multi-line detector,
   /// and DetectionResult::outage_set stays empty (no allocation on the
-  /// hot path). Values >= 2 enable the peeling + composed-pair layer.
+  /// hot path). Values >= 2 enable the peeling layer, whose acceptance
+  /// thresholds Train calibrates (OutageDetector::peel_threshold).
   size_t max_outage_lines = 1;
-  /// Acceptance calibration for the peeling layer: a further line c is
-  /// accepted on top of anchor t only when its normalized residual drop
-  ///   delta_c = (r_before - r_after) / ||R d_c||^2
-  /// exceeds a threshold tau(c | t) learned at train time. Train peels
-  /// each single-outage training sample of case t by its true line and
-  /// records the spurious delta_c every OTHER case scores on the peeled
-  /// sample; tau(c | t) is this quantile of the (c, t) null cell. The
-  /// default 1.0 takes the cell maximum: on training-distribution
-  /// single-outage data, no phantom second line is ever accepted, by
-  /// construction.
-  double peel_null_quantile = 1.0;
-  /// Absolute margin added on top of every calibrated tau(c | t) (the
-  /// delta statistic is ~ +1 for a genuinely present line): trades
-  /// missed weak second lines for fewer phantom ones on data beyond
-  /// the calibration corpus.
-  double peel_margin = 0.05;
   /// Worker threads for the per-line subspace training fan-out: 0 = one
   /// per hardware core, 1 = serial. Overridable via PW_THREADS (see
   /// common/thread_pool.h). Trained models are bit-identical at every
@@ -148,7 +109,7 @@ struct DetectionResult {
   /// > 1 means an outage was declared.
   double decision_score = 0.0;
   /// Available nodes demoted to "unavailable" by the bad-data screen
-  /// (DetectorOptions::screen_bad_data) before detection ran.
+  /// (kScreenThreshold) before detection ran.
   size_t screened_nodes = 0;
   /// Identified outage set in peeling order, with per-line confidence.
   /// Empty unless DetectorOptions::max_outage_lines >= 2; when
@@ -281,13 +242,12 @@ class OutageDetector {
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
       linalg::Vector* residuals);
 
-  /// Input validation + Eq. 4 bad-data screen: available nodes carrying
-  /// non-finite values or points beyond `screen_threshold` times their
-  /// normal-operation ellipse are demoted into `scratch.screened_mask`,
-  /// and the mask detection should run under is returned (the input
-  /// mask when nothing was screened). With screening disabled, a
-  /// non-finite available value is rejected via Status instead.
-  PW_NO_ALLOC PW_NODISCARD Result<const sim::MissingMask*> ScreenBadData(
+  /// Eq. 4 bad-data screen: available nodes carrying non-finite values
+  /// or points beyond kScreenThreshold times their normal-operation
+  /// ellipse are demoted into `scratch.screened_mask`, and the mask
+  /// detection should run under is returned (the input mask when
+  /// nothing was screened).
+  PW_NO_ALLOC const sim::MissingMask* ScreenBadData(
       const linalg::Vector& vm, const linalg::Vector& va,
       const sim::MissingMask& mask, DetectScratch& scratch,
       DetectionResult* result);
@@ -335,14 +295,14 @@ class OutageDetector {
     double out_of_cluster = 1.0;
   };
   std::vector<GateThresholds> gates_;
-  /// Calibrated ratio gate (see DetectorOptions::ratio_gate).
+  /// Calibrated ratio gate: the fixed level, pulled down when normal
+  /// calibration data approaches a line model (detector.cc).
   double ratio_gate_ = 0.5;
   /// Peeling acceptance thresholds, conditioned on the anchor: a
   /// num_cases x num_cases row-major matrix (empty unless
   /// max_outage_lines >= 2) where entry [c * num_cases + t] gates case
-  /// c joining an outage set anchored on case t
-  /// (DetectorOptions::peel_null_quantile of the spurious-drop null
-  /// cell, plus peel_margin).
+  /// c joining an outage set anchored on case t (the maximum of the
+  /// spurious-drop null cell plus a fixed margin, detector.cc).
   std::vector<double> peel_tau_;
 
   /// Maps a node-index group to feature-coordinate indices (identity

@@ -9,6 +9,13 @@
 namespace phasorwatch::detect {
 namespace {
 
+// "p approx 1" threshold of Eq. 8: nodes whose learned capability for
+// every member of the cluster is at least this join the group.
+constexpr double kCapabilityThreshold = 0.90;
+// Minimum members per group; when the Eq. 8 set is smaller the
+// highest-scoring remaining nodes fill it up.
+constexpr size_t kMinGroupSize = 3;
+
 // Worst-case capability of node `k` over every affected node in the
 // cluster: min over i in C of p_{i,k}. This is the score Eq. 8's
 // intersection ranks by.
@@ -123,14 +130,14 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
 
     std::vector<size_t> learned;
     for (const auto& [score, k] : scored) {
-      if (score >= options_.capability_threshold &&
+      if (score >= kCapabilityThreshold &&
           learned.size() < options_.max_group_size) {
         learned.push_back(k);
       }
     }
     // Ensure a workable group even when the threshold filters everyone:
     // take the best-scoring nodes.
-    size_t need = std::min(options_.min_group_size, scored.size());
+    size_t need = std::min(kMinGroupSize, scored.size());
     if (learned.size() < need) {
       PW_OBS_COUNTER_INC("groups.builder.min_size_backfills");
     }

@@ -10,14 +10,10 @@
 
 namespace phasorwatch::detect {
 
-/// Tuning knobs for detection-group formation (Sec. IV-B).
+/// Tuning knobs for detection-group formation (Sec. IV-B). Eq. 8's
+/// capability threshold and the minimum group size are fixed in
+/// groups.cc.
 struct DetectionGroupOptions {
-  /// "p approx 1" threshold of Eq. 8: nodes whose learned capability for
-  /// every member of the cluster is at least this join the group.
-  double capability_threshold = 0.90;
-  /// Minimum members per group; when the Eq. 8 set is smaller the
-  /// highest-scoring remaining nodes fill it up.
-  size_t min_group_size = 3;
   /// Cap on members per group (keeps proximity evaluation cheap).
   size_t max_group_size = 12;
   /// Fraction of the learned (Eq. 8) members included, on top of the

@@ -20,8 +20,11 @@ namespace {
 // calibrated per-case peel thresholds; PWDET05 keeps only what Detect
 // reads: a model record is its mean and constraint basis (no spectrum,
 // no full SVD basis), the class family is stored once as its base plus
-// the case means, and the per-line models are gone.
-constexpr uint64_t kMagic = 0x5057444554303500ull;  // "PWDET05\0"
+// the case means, and the per-line models are gone. PWDET06 drops the
+// detector settings no caller varies (the proximity-rule elbow and cap,
+// the screen switch and level, the peel quantile and margin): they are
+// constants of the code, not of the model.
+constexpr uint64_t kMagic = 0x5057444554303600ull;  // "PWDET06\0"
 
 using linalg::Matrix;
 using linalg::Subspace;
@@ -117,15 +120,9 @@ Status OutageDetector::Save(std::ostream& out) const {
   w.WriteU64(static_cast<uint64_t>(options_.subspace.channel));
   w.WriteU64(static_cast<uint64_t>(options_.localization));
   w.WriteBool(options_.use_scaling);
-  w.WriteDouble(options_.gap_factor);
-  w.WriteU64(options_.max_affected_nodes);
   w.WriteDouble(options_.line_window);
   w.WriteU64(options_.groups.max_group_size);
-  w.WriteBool(options_.screen_bad_data);
-  w.WriteDouble(options_.screen_threshold);
   w.WriteU64(options_.max_outage_lines);
-  w.WriteDouble(options_.peel_null_quantile);
-  w.WriteDouble(options_.peel_margin);
 
   // Cases.
   w.WriteU64(case_lines_.size());
@@ -224,31 +221,14 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   }
   det.options_.localization = static_cast<LocalizationMode>(localization);
   PW_ASSIGN_OR_RETURN(det.options_.use_scaling, r.ReadBool());
-  PW_ASSIGN_OR_RETURN(det.options_.gap_factor, r.ReadDouble());
-  PW_ASSIGN_OR_RETURN(uint64_t max_affected, r.ReadU64());
-  det.options_.max_affected_nodes = static_cast<size_t>(max_affected);
   PW_ASSIGN_OR_RETURN(det.options_.line_window, r.ReadDouble());
   PW_ASSIGN_OR_RETURN(uint64_t max_group, r.ReadU64());
   det.options_.groups.max_group_size = static_cast<size_t>(max_group);
-  PW_ASSIGN_OR_RETURN(det.options_.screen_bad_data, r.ReadBool());
-  PW_ASSIGN_OR_RETURN(det.options_.screen_threshold, r.ReadDouble());
-  if (!std::isfinite(det.options_.screen_threshold) ||
-      det.options_.screen_threshold <= 0.0) {
-    return Status::InvalidArgument("corrupt screen threshold");
-  }
   PW_ASSIGN_OR_RETURN(uint64_t max_outage_lines, r.ReadU64());
   if (max_outage_lines == 0 || max_outage_lines > grid.num_lines()) {
     return Status::InvalidArgument("corrupt max outage lines");
   }
   det.options_.max_outage_lines = static_cast<size_t>(max_outage_lines);
-  PW_ASSIGN_OR_RETURN(det.options_.peel_null_quantile, r.ReadDouble());
-  PW_ASSIGN_OR_RETURN(det.options_.peel_margin, r.ReadDouble());
-  if (!std::isfinite(det.options_.peel_null_quantile) ||
-      det.options_.peel_null_quantile <= 0.0 ||
-      det.options_.peel_null_quantile > 1.0 ||
-      !std::isfinite(det.options_.peel_margin)) {
-    return Status::InvalidArgument("corrupt multi-line thresholds");
-  }
 
   PW_ASSIGN_OR_RETURN(uint64_t num_cases, r.ReadU64());
   if (num_cases > grid.num_lines()) {

@@ -17,10 +17,10 @@
 namespace phasorwatch::detect {
 namespace {
 
-// Errors the session may absorb as rejected samples under
-// tolerate_bad_samples: malformed measurements and data starvation are
-// facts of life on a PMU feed. Everything else (internal errors,
-// numerical failures) still propagates.
+// Errors the session absorbs as rejected samples: malformed
+// measurements and data starvation are facts of life on a PMU feed.
+// Everything else (internal errors, numerical failures) still
+// propagates.
 bool IsBadSampleError(StatusCode code) {
   return code == StatusCode::kInvalidArgument ||
          code == StatusCode::kDataMissing;
@@ -92,10 +92,7 @@ Result<StreamEvent> TenantSession::Process(const linalg::Vector& vm,
   const std::shared_ptr<OutageDetector> detector = model();
   Result<DetectionResult> raw = detector->Detect(vm, va, mask);
   if (!raw.ok()) {
-    if (!options_.tolerate_bad_samples ||
-        !IsBadSampleError(raw.status().code())) {
-      return raw.status();
-    }
+    if (!IsBadSampleError(raw.status().code())) return raw.status();
     return RejectSample(raw.status());
   }
   return Debounce(*detector, std::move(raw).value());
@@ -110,17 +107,13 @@ Result<StreamEvent> TenantSession::ProcessFrame(
   if (frame.dropped) {
     PW_OBS_COUNTER_INC("stream.frames_dropped");
     counters_.frames_dropped.fetch_add(1, std::memory_order_relaxed);
-    Status reason = Status::DataMissing("frame dropped in transport");
-    if (!options_.tolerate_bad_samples) return reason;
-    return RejectSample(reason);
+    return RejectSample(Status::DataMissing("frame dropped in transport"));
   }
   if (has_timestamp_ && frame.timestamp_us <= last_timestamp_us_) {
     PW_OBS_COUNTER_INC("stream.frames_stale");
     counters_.frames_stale.fetch_add(1, std::memory_order_relaxed);
-    Status reason = Status::InvalidArgument(
-        "frame timestamp did not advance (stale or replayed data)");
-    if (!options_.tolerate_bad_samples) return reason;
-    return RejectSample(reason);
+    return RejectSample(Status::InvalidArgument(
+        "frame timestamp did not advance (stale or replayed data)"));
   }
   last_timestamp_us_ = frame.timestamp_us;
   has_timestamp_ = true;
@@ -453,7 +446,9 @@ Result<TenantSnapshot> TenantSnapshot::ReadFrom(std::istream& in) {
   }
   snapshot.recent_votes.reserve(num_votes);
   for (uint64_t v = 0; v < num_votes; ++v) {
-    PW_ASSIGN_OR_RETURN(std::vector<size_t> flat, reader.ReadSizeVector());
+    // Two bus indices per line.
+    PW_ASSIGN_OR_RETURN(std::vector<size_t> flat,
+                        reader.ReadSizeVector(2 * kMaxVoteLines));
     if (flat.size() % 2 != 0) {
       return Status::InvalidArgument(
           "tenant snapshot vote has a dangling bus index");
@@ -472,8 +467,9 @@ Result<TenantSnapshot> TenantSnapshot::ReadFrom(std::istream& in) {
   }
   snapshot.recent_confidences.reserve(num_confidences);
   for (uint64_t v = 0; v < num_confidences; ++v) {
-    PW_ASSIGN_OR_RETURN(std::vector<double> confidences,
-                        reader.ReadDoubleVector());
+    PW_ASSIGN_OR_RETURN(
+        std::vector<double> confidences,
+        reader.ReadDoubleVector(snapshot.recent_votes[v].size()));
     if (confidences.size() != snapshot.recent_votes[v].size()) {
       return Status::InvalidArgument(
           "tenant snapshot vote and its confidences disagree on line count");

@@ -17,7 +17,12 @@
 
 namespace phasorwatch::detect {
 
-/// Debouncing policy for a tenant session.
+/// Debouncing policy for a tenant session. A PMU feed drops frames,
+/// garbles payloads, and repeats stale data, so samples the detector
+/// rejects as malformed or data-starved, and dropped or stale frames,
+/// always become `sample_rejected` events: the debouncing state is
+/// untouched, exactly as if the sample had never arrived, and only
+/// programming errors propagate as a Status.
 struct StreamOptions {
   /// Consecutive outage-positive samples before the alarm is raised.
   /// PMUs deliver 30-60 samples/s, so even 3 costs only ~100 ms of
@@ -28,15 +33,6 @@ struct StreamOptions {
   /// Sliding window of recent positive detections used for the majority
   /// vote over candidate lines.
   size_t vote_window = 8;
-  /// A PMU feed drops frames, garbles payloads, and repeats stale data;
-  /// a monitor that returns an error on every such sample is useless in
-  /// production. With this set (the default), samples the detector
-  /// rejects as malformed or data-starved become `sample_rejected`
-  /// events — the debouncing state is untouched, exactly as if the
-  /// sample had never arrived — and only programming errors propagate.
-  /// Clear it to surface every rejection as a Status (strict mode for
-  /// tests and offline replays).
-  bool tolerate_bad_samples = true;
 };
 
 /// One processed sample's outcome.
@@ -47,9 +43,9 @@ struct StreamEvent {
   bool alarm_active = false;
   bool alarm_raised = false;   ///< transitioned to active at this sample
   bool alarm_cleared = false;  ///< transitioned to inactive at this sample
-  /// The sample was dropped, stale, or rejected by the detector
-  /// (StreamOptions::tolerate_bad_samples); debouncing state was not
-  /// advanced and `raw`/`lines` carry no detection.
+  /// The sample was dropped, stale, or rejected by the detector (see
+  /// StreamOptions); debouncing state was not advanced and `raw`/`lines`
+  /// carry no detection.
   bool sample_rejected = false;
   /// Majority-voted candidate lines over the vote window (stable F-hat);
   /// empty while no alarm is active.
@@ -82,7 +78,7 @@ struct TenantCounters {
 /// debounce counters, the vote window, the frame watermark, and the
 /// per-tenant tallies — everything needed to resume a tenant's stream
 /// on another engine (failover) minus the model itself, which ships
-/// separately as a PWDET05 file. A session restored from a snapshot
+/// separately as a PWDET06 file. A session restored from a snapshot
 /// and fed the same subsequent frames produces bit-identical events to
 /// the session the snapshot was taken from.
 struct TenantSnapshot {
@@ -105,6 +101,10 @@ struct TenantSnapshot {
   uint64_t frames_stale = 0;
   uint64_t alarms_raised = 0;
   uint64_t alarms_cleared = 0;
+
+  /// Most candidate lines one vote may carry in a snapshot; a longer
+  /// length prefix is corrupt input and is refused before allocating.
+  static constexpr size_t kMaxVoteLines = 1 << 16;
 
   /// Binary round trip (PWSNAP02, little-endian, length-prefixed).
   PW_NODISCARD Status WriteTo(std::ostream& out) const;
@@ -172,7 +172,7 @@ class TenantSession {
   void Reset();
 
   /// Swaps in a freshly trained/loaded model for the same grid and PMU
-  /// network (e.g. from a PWDET05 file). Safe from any thread, while
+  /// network (e.g. from a PWDET06 file). Safe from any thread, while
   /// the producer runs: the swap happens under the session's model
   /// lock, samples already in flight finish on the model they copied,
   /// and the first sample after the swap runs on the new model. Debounce

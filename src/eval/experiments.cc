@@ -347,8 +347,8 @@ Result<std::vector<ChaosResult>> RunChaosScenario(
                   det.status().code() != StatusCode::kDataMissing) {
                 return det.status();
               }
-              // The detector refused the sample (all dark, or garbage
-              // with screening off): an outage it could not identify.
+              // The detector refused the sample (every node dark or
+              // screened): an outage it could not identify.
               ++part.rejected;
               part.acc.Add({0.0, 0.0});
               continue;

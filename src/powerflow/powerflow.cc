@@ -91,9 +91,7 @@ Result<PowerFlowSolution> SolveAcCoreDense(const Grid& grid,
 
   Vector vm(n), va(n);
   for (size_t i = 0; i < n; ++i) {
-    const Bus& bus = grid.bus(i);
-    bool fixed_vm = types[i] != BusType::kPQ;
-    vm[i] = fixed_vm ? bus.vm_setpoint : (options.flat_start ? 1.0 : bus.vm_setpoint);
+    vm[i] = types[i] != BusType::kPQ ? grid.bus(i).vm_setpoint : 1.0;
     va[i] = 0.0;
   }
 
@@ -327,10 +325,7 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
 
   Vector vm(n), va(n);
   for (size_t i = 0; i < n; ++i) {
-    const Bus& bus = grid.bus(i);
-    bool fixed_vm = types[i] != BusType::kPQ;
-    vm[i] =
-        fixed_vm ? bus.vm_setpoint : (options.flat_start ? 1.0 : bus.vm_setpoint);
+    vm[i] = types[i] != BusType::kPQ ? grid.bus(i).vm_setpoint : 1.0;
     va[i] = 0.0;
   }
 

@@ -10,11 +10,11 @@
 
 namespace phasorwatch::pf {
 
-/// Options for the Newton-Raphson AC power-flow solver.
+/// Options for the Newton-Raphson AC power-flow solver. Every solve
+/// starts flat: Vm = 1 on PQ buses (setpoint on PV and slack), Va = 0.
 struct PowerFlowOptions {
   double tolerance = 1e-8;  ///< max |mismatch| in per-unit power
   int max_iterations = 30;
-  bool flat_start = true;   ///< start from Vm=1, Va=0 (else bus setpoints)
   /// Enforce generator reactive capability: PV buses whose solved Q
   /// violates [qmin, qmax] are demoted to PQ pinned at the limit and
   /// the case is re-solved (classic one-way PV->PQ switching). Only

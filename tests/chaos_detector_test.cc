@@ -19,10 +19,7 @@
 namespace phasorwatch::detect {
 namespace {
 
-// Shared fixture: one IEEE-14 corpus, two detectors trained on it —
-// the default (bad-data screening on) and a screening-off twin. The
-// screen flag does not influence training, so the two hold identical
-// models and differ only in Detect-time behavior.
+// Shared fixture: one IEEE-14 corpus and the detector trained on it.
 class ChaosDetectorTest : public ::testing::Test {
  protected:
   struct Shared {
@@ -32,7 +29,6 @@ class ChaosDetectorTest : public ::testing::Test {
     std::vector<grid::LineId> lines;
     std::vector<sim::PhasorDataSet> outage_test;
     std::shared_ptr<OutageDetector> detector;
-    std::shared_ptr<OutageDetector> detector_noscreen;
   };
 
   static Shared* shared_;
@@ -55,7 +51,7 @@ class ChaosDetectorTest : public ::testing::Test {
 
     shared_ = new Shared{std::move(grid).value(), std::move(network).value(),
                          std::move(normal_test).value(), {},      {},
-                         nullptr,                        nullptr};
+                         nullptr};
 
     std::vector<sim::PhasorDataSet> outage_train;
     size_t taken = 0;
@@ -80,19 +76,11 @@ class ChaosDetectorTest : public ::testing::Test {
     data.case_lines = shared_->lines;
     for (const auto& block : outage_train) data.outage.push_back(&block);
 
-    auto screened = OutageDetector::Train(shared_->grid, shared_->network,
-                                          data, DetectorOptions{});
-    PW_CHECK_MSG(screened.ok(), screened.status().ToString().c_str());
+    auto trained = OutageDetector::Train(shared_->grid, shared_->network,
+                                         data, DetectorOptions{});
+    PW_CHECK_MSG(trained.ok(), trained.status().ToString().c_str());
     shared_->detector =
-        std::make_shared<OutageDetector>(std::move(screened).value());
-
-    DetectorOptions off;
-    off.screen_bad_data = false;
-    auto unscreened =
-        OutageDetector::Train(shared_->grid, shared_->network, data, off);
-    PW_CHECK_MSG(unscreened.ok(), unscreened.status().ToString().c_str());
-    shared_->detector_noscreen =
-        std::make_shared<OutageDetector>(std::move(unscreened).value());
+        std::make_shared<OutageDetector>(std::move(trained).value());
   }
 
   static void TearDownTestSuite() {
@@ -134,20 +122,24 @@ TEST_F(ChaosDetectorTest, GrossSpikeScreensLikeMaskingTheNode) {
 }
 
 TEST_F(ChaosDetectorTest, CleanDataIsUntouchedByScreening) {
-  // On clean data the screen is a no-op: the screened and unscreened
-  // detectors (identical models) agree bit for bit, and the figure
-  // pipelines stay byte-identical with screening enabled.
+  // On clean data the screen is a no-op: genuine outage physics sits
+  // below kScreenThreshold, nothing is demoted, and the result is
+  // exactly the one detection under the caller's own (empty) mask
+  // gives, so the figure pipelines are unchanged by the screen.
+  const size_t n = shared_->grid.num_buses();
   for (size_t c = 0; c < shared_->lines.size(); ++c) {
     for (size_t t = 0; t < 5; ++t) {
       auto [vm, va] = shared_->outage_test[c].Sample(t);
-      auto with = shared_->detector->Detect(vm, va);
-      auto without = shared_->detector_noscreen->Detect(vm, va);
-      ASSERT_TRUE(with.ok());
-      ASSERT_TRUE(without.ok());
-      EXPECT_EQ(with->screened_nodes, 0u);
-      EXPECT_EQ(with->outage_detected, without->outage_detected);
-      EXPECT_EQ(with->decision_score, without->decision_score);
-      EXPECT_EQ(with->lines, without->lines);
+      auto screened = shared_->detector->Detect(vm, va);
+      auto explicit_mask =
+          shared_->detector->Detect(vm, va, sim::MissingMask::None(n));
+      ASSERT_TRUE(screened.ok());
+      ASSERT_TRUE(explicit_mask.ok());
+      EXPECT_EQ(screened->screened_nodes, 0u);
+      EXPECT_EQ(screened->outage_detected, explicit_mask->outage_detected);
+      EXPECT_EQ(screened->decision_score, explicit_mask->decision_score);
+      EXPECT_EQ(screened->lines, explicit_mask->lines);
+      EXPECT_EQ(screened->affected_nodes, explicit_mask->affected_nodes);
     }
   }
 }
@@ -163,18 +155,6 @@ TEST_F(ChaosDetectorTest, NonFiniteIsScreenedWhenEnabled) {
   for (size_t i = 0; i < result->node_scores.size(); ++i) {
     EXPECT_TRUE(std::isfinite(result->node_scores[i]));
   }
-}
-
-TEST_F(ChaosDetectorTest, NonFiniteIsRejectedWhenScreeningDisabled) {
-  auto [vm, va] = shared_->normal_test.Sample(0);
-  va[3] = std::nan("");
-  auto result = shared_->detector_noscreen->Detect(vm, va);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  // Masked garbage is not garbage: the same values behind a mask pass.
-  sim::MissingMask mask = sim::MissingMask::None(shared_->grid.num_buses());
-  mask.missing[3] = true;
-  EXPECT_TRUE(shared_->detector_noscreen->Detect(vm, va, mask).ok());
 }
 
 TEST_F(ChaosDetectorTest, InterleavedScreeningMatchesExplicitMasks) {
@@ -327,29 +307,32 @@ TEST_F(ChaosDetectorTest, StreamRejectsDroppedAndStaleFrames) {
   EXPECT_FALSE(event->sample_rejected);
 }
 
-TEST_F(ChaosDetectorTest, StrictStreamSurfacesTransportFaults) {
-  StreamOptions strict;
-  strict.tolerate_bad_samples = false;
-  TenantSession monitor(shared_->detector, strict);
-  auto dropped = sim::MeasurementFrame::FromDataSet(shared_->normal_test, 0,
-                                                    /*timestamp_us=*/1000);
-  dropped.dropped = true;
-  auto event = monitor.ProcessFrame(dropped);
-  ASSERT_FALSE(event.ok());
-  EXPECT_EQ(event.status().code(), StatusCode::kDataMissing);
-}
-
 TEST_F(ChaosDetectorTest, StreamToleratesDetectorRejections) {
-  // With screening off, NaN samples come back from the detector as
-  // InvalidArgument; the tolerant monitor turns them into
-  // sample_rejected events instead of propagating the error.
-  TenantSession monitor(shared_->detector_noscreen, StreamOptions{});
+  // The detector rejects a sample of the wrong size (InvalidArgument)
+  // and one with every node masked (DataMissing); the monitor turns
+  // both into sample_rejected events instead of propagating the error,
+  // and the debouncing state does not advance.
+  const size_t n = shared_->grid.num_buses();
+  TenantSession monitor(shared_->detector, StreamOptions{});
   auto [vm, va] = shared_->normal_test.Sample(0);
-  vm[1] = std::nan("");
-  auto event = monitor.Process(vm, va);
-  ASSERT_TRUE(event.ok());
-  EXPECT_TRUE(event->sample_rejected);
-  EXPECT_EQ(monitor.samples_processed(), 1u);
+  sim::MissingMask all_missing;
+  all_missing.missing.assign(n, true);
+  ASSERT_EQ(shared_->detector->Detect(vm, va, all_missing).status().code(),
+            StatusCode::kDataMissing);
+
+  auto starved = monitor.Process(vm, va, all_missing);
+  ASSERT_TRUE(starved.ok());
+  EXPECT_TRUE(starved->sample_rejected);
+
+  linalg::Vector short_vm(n - 1), short_va(n - 1);
+  auto malformed = monitor.Process(short_vm, short_va,
+                                   sim::MissingMask::None(n - 1));
+  ASSERT_TRUE(malformed.ok());
+  EXPECT_TRUE(malformed->sample_rejected);
+
+  EXPECT_EQ(monitor.samples_processed(), 2u);
+  EXPECT_EQ(monitor.counters().samples_rejected.load(), 2u);
+  EXPECT_EQ(monitor.counters().samples.load(), 0u);
 }
 
 }  // namespace

@@ -684,12 +684,12 @@ class ClassFamilyParityTest : public DetectScratchTest {
   static std::vector<size_t> PooledCoords(const OutageDetector& det,
                                           const Sample& s) {
     const size_t n = s.mask.size();
-    const double threshold = DetectorOptions{}.screen_threshold;
     std::vector<size_t> nodes;
     for (size_t i = 0; i < n; ++i) {
       if (s.mask.missing[i]) continue;
       if (!std::isfinite(s.vm[i]) || !std::isfinite(s.va[i])) continue;
-      if (det.ellipses()[i].QuadraticForm({s.vm[i], s.va[i]}) > threshold) {
+      if (det.ellipses()[i].QuadraticForm({s.vm[i], s.va[i]}) >
+          kScreenThreshold) {
         continue;
       }
       nodes.push_back(i);

@@ -10,8 +10,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/serialize.h"
 #include "detect/session.h"
 #include "eval/dataset.h"
+#include "fuzz_mutations.h"
 #include "grid/ieee_cases.h"
 
 namespace phasorwatch::detect {
@@ -24,6 +26,9 @@ class FleetTest : public ::testing::Test {
     sim::PmuNetwork network;
     std::unique_ptr<eval::Dataset> dataset;
     std::shared_ptr<OutageDetector> detector;
+    /// The same training data at max_outage_lines = 2 (votes carry
+    /// per-line confidences).
+    std::shared_ptr<OutageDetector> multi_detector;
   };
   static Shared* shared_;
 
@@ -33,7 +38,7 @@ class FleetTest : public ::testing::Test {
     auto network = sim::PmuNetwork::Build(*grid, 3);
     PW_CHECK(network.ok());
     shared_ = new Shared{std::move(grid).value(), std::move(network).value(),
-                         nullptr, nullptr};
+                         nullptr, nullptr, nullptr};
 
     eval::DatasetOptions dopts;
     dopts.train_states = 16;
@@ -56,6 +61,13 @@ class FleetTest : public ::testing::Test {
     PW_CHECK(det.ok());
     shared_->detector =
         std::make_shared<OutageDetector>(std::move(det).value());
+    DetectorOptions multi_opts;
+    multi_opts.max_outage_lines = 2;
+    auto multi = OutageDetector::Train(shared_->grid, shared_->network,
+                                       training, multi_opts);
+    PW_CHECK(multi.ok());
+    shared_->multi_detector =
+        std::make_shared<OutageDetector>(std::move(multi).value());
   }
 
   static void TearDownTestSuite() {
@@ -288,6 +300,122 @@ TEST_F(FleetTest, SnapshotReadRejectsCorruptStream) {
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
+// The PWSNAP02 header up to (not including) the vote count: magic,
+// next sample index, alarm flag and the two debounce counters.
+std::string SnapshotHeaderBytes() {
+  std::stringstream buffer;
+  PW_CHECK(TenantSnapshot{}.WriteTo(buffer).ok());
+  return buffer.str().substr(0, 8 + 8 + 1 + 8 + 8);
+}
+
+TEST_F(FleetTest, SnapshotLengthPrefixesAreCapped) {
+  // A corrupt vote length is refused by its cap before any element is
+  // read (no oversized buffer), and a confidence vector may not be
+  // longer than its vote.
+  auto read = [](const std::string& bytes) {
+    std::stringstream in(bytes);
+    return TenantSnapshot::ReadFrom(in);
+  };
+  std::stringstream vote_bytes;
+  BinaryWriter vote(vote_bytes);
+  vote.WriteU64(1);  // one vote
+  vote.WriteU64(2 * TenantSnapshot::kMaxVoteLines + 1);
+  auto too_long = read(SnapshotHeaderBytes() + vote_bytes.str());
+  ASSERT_FALSE(too_long.ok());
+  EXPECT_EQ(too_long.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(too_long.status().message(), "vector length exceeds limit");
+
+  std::stringstream confidence_bytes;
+  BinaryWriter confidence(confidence_bytes);
+  confidence.WriteU64(1);  // one vote of one line
+  confidence.WriteSizeVector({0, 1});
+  confidence.WriteU64(1);  // one confidence vector, two entries long
+  confidence.WriteU64(2);
+  auto misaligned = read(SnapshotHeaderBytes() + confidence_bytes.str());
+  ASSERT_FALSE(misaligned.ok());
+  EXPECT_EQ(misaligned.status().message(), "vector length exceeds limit");
+}
+
+// Snapshot replay: ReadFrom parses outside bytes, so on any input it
+// must return a Status or a snapshot that Restore accepts or refuses
+// with a Status; a restored session must then take a frame. Returns
+// whether the bytes restored. The ASan and UBSan suite lanes run both
+// replays below.
+bool ReplaySnapshot(const std::string& bytes, TenantSession& session,
+                    const sim::MeasurementFrame& frame) {
+  std::stringstream in(bytes);
+  auto snapshot = TenantSnapshot::ReadFrom(in);
+  if (!snapshot.ok()) {
+    EXPECT_FALSE(snapshot.status().message().empty());
+    return false;
+  }
+  Status restored = session.Restore(*snapshot);
+  if (!restored.ok()) {
+    EXPECT_FALSE(restored.message().empty());
+    return false;
+  }
+  static_cast<void>(session.ProcessFrame(frame).ok());
+  return true;
+}
+
+// Two snapshots of a multi-line session: with two votes in its window
+// (after `frames`, two outage frames), and fresh.
+std::vector<std::string> SnapshotCorpus(
+    std::shared_ptr<OutageDetector> detector,
+    const std::vector<sim::MeasurementFrame>& frames) {
+  TenantSession session(std::move(detector), {});
+  auto save = [&session] {
+    std::stringstream buffer;
+    PW_CHECK(session.Snapshot().WriteTo(buffer).ok());
+    return buffer.str();
+  };
+  const std::string fresh = save();
+  for (const auto& frame : frames) PW_CHECK(session.ProcessFrame(frame).ok());
+  return {save(), fresh};
+}
+
+TEST_F(FleetTest, SnapshotTruncationAtAnyPrefixReturnsStatus) {
+  const std::string bytes =
+      SnapshotCorpus(shared_->multi_detector, MakeFrames(2, 0)).front();
+  std::stringstream in(bytes);
+  auto full = TenantSnapshot::ReadFrom(in);
+  ASSERT_TRUE(full.ok());
+  ASSERT_EQ(full->recent_votes.size(), 2u);
+  ASSERT_FALSE(full->recent_votes[0].empty());
+  EXPECT_EQ(full->recent_confidences[0].size(),
+            full->recent_votes[0].size());
+
+  // A proper prefix is a truncated snapshot: it must never read.
+  TenantSession session(shared_->multi_detector, {});
+  const auto frame = MakeFrames(1, 0).front();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_FALSE(ReplaySnapshot(bytes.substr(0, len), session, frame))
+        << "prefix " << len;
+  }
+  EXPECT_TRUE(ReplaySnapshot(bytes, session, frame));
+}
+
+TEST_F(FleetTest, SnapshotMutationsNeverCrash) {
+  // Seeded bit flips, deleted runs and splices of both snapshots.
+  const std::vector<std::string> corpus =
+      SnapshotCorpus(shared_->multi_detector, MakeFrames(2, 0));
+  TenantSession session(shared_->multi_detector, {});
+  const auto frame = MakeFrames(1, 0).front();
+  constexpr uint64_t kSeed = 0x70777366ULL;
+  constexpr uint64_t kMutations = 2000;
+  size_t restored = 0;
+  for (uint64_t stream = 0; stream < kMutations; ++stream) {
+    SCOPED_TRACE("mutation stream " + std::to_string(stream));
+    restored += ReplaySnapshot(MutateCorpus(corpus, kSeed, stream), session,
+                               frame)
+                    ? 1
+                    : 0;
+  }
+  // Flips in counters and timestamps restore; the replay must have
+  // driven restored sessions, not only the parser.
+  EXPECT_GT(restored, 0u);
+}
+
 TEST_F(FleetTest, RestoreRejectsVotesOutsideGrid) {
   TenantSession session(shared_->detector, {});
   TenantSnapshot snapshot;
@@ -311,7 +439,7 @@ TEST_F(FleetTest, HotReloadSwapsModelAndKeepsDebounceState) {
   engine.Flush();
   ASSERT_TRUE(engine.session(*tenant).alarm_active());
 
-  // Clone the model through the PWDET05 round trip and hot-swap it.
+  // Clone the model through the PWDET06 round trip and hot-swap it.
   std::stringstream buffer;
   ASSERT_TRUE(shared_->detector->Save(buffer).ok());
   auto clone = OutageDetector::Load(buffer, shared_->grid, shared_->network);

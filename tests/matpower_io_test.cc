@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/rng.h"
+#include "fuzz_mutations.h"
 #include "grid/ieee_cases.h"
 #include "powerflow/powerflow.h"
 
@@ -254,31 +254,8 @@ TEST(MatpowerFuzzReplayTest, SeededMutations) {
   constexpr uint64_t kSeed = 0x6d61747077ULL;
   constexpr uint64_t kMutations = 2000;
   for (uint64_t stream = 0; stream < kMutations; ++stream) {
-    Rng rng = Rng::Fork(kSeed, stream);
-    std::string text = corpus[rng.UniformInt(corpus.size())];
-    switch (stream % 3) {
-      case 0: {  // flip 1-8 random bits
-        const uint64_t flips = 1 + rng.UniformInt(8);
-        for (uint64_t f = 0; f < flips; ++f) {
-          text[rng.UniformInt(text.size())] ^=
-              static_cast<char>(1u << rng.UniformInt(8));
-        }
-        break;
-      }
-      case 1: {  // delete a run of 1-16 bytes
-        const size_t at = rng.UniformInt(text.size());
-        text.erase(at, 1 + rng.UniformInt(16));
-        break;
-      }
-      default: {  // splice: a prefix of one corpus, a suffix of another
-        const std::string& other = corpus[rng.UniformInt(corpus.size())];
-        text = text.substr(0, rng.UniformInt(text.size() + 1)) +
-               other.substr(rng.UniformInt(other.size() + 1));
-        break;
-      }
-    }
     SCOPED_TRACE("mutation stream " + std::to_string(stream));
-    ExpectStatusOrConnectedGrid(text);
+    ExpectStatusOrConnectedGrid(MutateCorpus(corpus, kSeed, stream));
   }
 }
 

@@ -135,7 +135,7 @@ TEST_F(ParallelDeterminismTest, TrainedModelBitIdenticalAcrossDegrees) {
   };
 
   // max_outage_lines = 2 adds the peel-threshold calibration, whose
-  // thresholds are part of the saved PWDET05 bytes.
+  // thresholds are part of the saved PWDET06 bytes.
   for (size_t lines : {1u, 2u}) {
     std::string serial_model = serialize(1, lines);
     ASSERT_FALSE(serial_model.empty());
