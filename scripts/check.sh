@@ -18,8 +18,9 @@ skip_lane() {
 
 # No generator is forced here: `build` may already exist from the plain
 # `cmake -B build -S .` configure (Unix Makefiles), and CMake refuses to
-# switch the generator of an existing build directory.
-cmake -B build -S .
+# switch the generator of an existing build directory. Warnings are
+# errors in this main build.
+cmake -B build -S . -DPHASORWATCH_WERROR=ON
 cmake --build build
 
 # Static-analysis gate (see docs/STATIC_ANALYSIS.md): the project

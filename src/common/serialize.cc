@@ -357,7 +357,13 @@ Result<std::string> JsonObjectField(std::string_view text,
   // Re-walk the (already validated) object byte-wise. Keys in our own
   // output never use escapes, so comparing the undecoded key body is
   // sufficient.
-  std::string quoted = "\"" + std::string(key) + "\"";
+  // Built by appending: GCC 12 at -O3 raises a false -Wrestrict on the
+  // inlined "\"" + std::string(key) + "\"" concatenation.
+  std::string quoted;
+  quoted.reserve(key.size() + 2);
+  quoted.push_back('"');
+  quoted.append(key);
+  quoted.push_back('"');
   // Scan top-level keys: track nesting depth so nested objects' keys
   // are skipped.
   int depth = 0;

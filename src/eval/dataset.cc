@@ -13,11 +13,10 @@ namespace phasorwatch::eval {
 namespace {
 
 // One condition's train+test blocks from independent scenario draws.
-// `ybus` optionally shares one sparse admittance across every load
-// state of the case (bit-identical to internal assembly).
+// `ybus` is the case topology's admittance, shared by every load state.
 Result<CaseData> SimulateCase(const grid::Grid& grid,
                               const DatasetOptions& options, Rng& rng,
-                              const grid::SparseAdmittance* ybus) {
+                              const grid::SparseAdmittance& ybus) {
   CaseData data;
   sim::SimulationOptions sim_opts = options.simulation;
 
@@ -25,13 +24,13 @@ Result<CaseData> SimulateCase(const grid::Grid& grid,
   sim_opts.samples_per_state = options.train_samples_per_state;
   Rng train_rng = rng.Fork();
   PW_ASSIGN_OR_RETURN(
-      data.train, sim::SimulateMeasurements(grid, sim_opts, train_rng, ybus));
+      data.train, sim::SimulateMeasurements(grid, sim_opts, train_rng, &ybus));
 
   sim_opts.load.num_states = options.test_states;
   sim_opts.samples_per_state = options.test_samples_per_state;
   Rng test_rng = rng.Fork();
   PW_ASSIGN_OR_RETURN(
-      data.test, sim::SimulateMeasurements(grid, sim_opts, test_rng, ybus));
+      data.test, sim::SimulateMeasurements(grid, sim_opts, test_rng, &ybus));
   return data;
 }
 
@@ -43,16 +42,11 @@ Result<Dataset> BuildDataset(const grid::Grid& grid,
   Dataset dataset;
   dataset.grid = &grid;
 
-  // When the grid is large enough for the sparse power-flow path,
-  // assemble the base admittance once and derive each outage case's
+  // Assemble the base admittance once and derive each outage case's
   // matrix with a 4-entry branch-local patch instead of a full rebuild
   // per load state. Patched matrices are bit-identical to rebuilds
   // (docs/SPARSE.md), so the corpus does not depend on this shortcut.
-  const pf::PowerFlowOptions& pf_opts = options.simulation.power_flow;
-  const bool sparse_active = pf_opts.sparse_bus_threshold > 0 &&
-                             grid.num_buses() >= pf_opts.sparse_bus_threshold;
-  std::optional<grid::SparseAdmittance> base_ybus;
-  if (sparse_active) base_ybus = grid.BuildSparseAdmittance();
+  const grid::SparseAdmittance base_ybus = grid.BuildSparseAdmittance();
 
   // Seed-stream layout: stream 0 is the normal condition, stream 1 + i
   // is line i of grid.lines(). Each case owns its stream, so the
@@ -61,8 +55,7 @@ Result<Dataset> BuildDataset(const grid::Grid& grid,
   Rng normal_rng = Rng::Fork(seed, 0);
   PW_ASSIGN_OR_RETURN(
       dataset.normal,
-      SimulateCase(grid, options, normal_rng,
-                   base_ybus.has_value() ? &*base_ybus : nullptr));
+      SimulateCase(grid, options, normal_rng, base_ybus));
 
   const std::vector<grid::LineId>& lines = grid.lines();
   // Per-line result slots, filled by the pool in whatever order cases
@@ -77,16 +70,12 @@ Result<Dataset> BuildDataset(const grid::Grid& grid,
         if (!outage_grid.ok()) return Status::OK();  // empty slot = skipped
         // Branch-local patch of a copy of the base matrix (the base is
         // shared read-only across pool workers).
-        std::optional<grid::SparseAdmittance> case_ybus;
-        if (base_ybus.has_value()) {
-          case_ybus = *base_ybus;
-          auto patch = grid.ApplyLineOutagePatch(&*case_ybus, lines[i]);
-          if (!patch.ok()) case_ybus.reset();  // fall back to assembly
-        }
+        grid::SparseAdmittance case_ybus = base_ybus;
+        PW_RETURN_IF_ERROR(
+            grid.ApplyLineOutagePatch(&case_ybus, lines[i]).status());
         Rng case_rng = Rng::Fork(seed, 1 + i);
         auto case_data =
-            SimulateCase(*outage_grid, options, case_rng,
-                         case_ybus.has_value() ? &*case_ybus : nullptr);
+            SimulateCase(*outage_grid, options, case_rng, case_ybus);
         if (!case_data.ok()) {
           // Post-outage power flow failed to converge often enough.
           return Status::OK();

@@ -145,7 +145,9 @@ class Grid {
                                         bool allow_islanding = false) const;
 
   /// Bus admittance matrix Ybus (per-unit) over in-service branches,
-  /// including line charging, taps, phase shifts, and bus shunts.
+  /// including line charging, taps, phase shifts, and bus shunts. The
+  /// solvers use BuildSparseAdmittance(); this dense build is the
+  /// reference the bit-exact Ybus tests compare it against.
   linalg::ComplexMatrix BuildAdmittanceMatrix() const;
 
   /// Sparse Ybus over in-service branches. Values are bit-identical

@@ -203,15 +203,12 @@ Result<Grid> BuildSyntheticGrid(const SyntheticGridOptions& options) {
     b.vm_setpoint = rng.Uniform(1.0, 1.06);
   }
 
-  // 6. Electrical conditioning via the DC approximation.
-  //    a) Flow equalization: chords running parallel to stiff short
-  //       paths end up carrying no flow, which makes their outages
-  //       physically invisible (no phasor signature at all). Stiffen
-  //       low-flow lines — engineered grids size parallel corridors to
-  //       share load — so every line matters.
-  //    b) Feasibility rescaling: shrink all injections until the DC
-  //       angle spread is physical, guaranteeing the AC power flow
-  //       solves at nominal and moderately stressed loading.
+  // 6. Electrical conditioning via the DC approximation: shrink all
+  //    injections until the DC angle spread is physical, guaranteeing
+  //    the AC power flow solves at nominal and moderately stressed
+  //    loading. (Stiffening low-flow lines to make redundant chords
+  //    visible does not work: their angle drop is pinned by the
+  //    parallel paths — DESIGN.md §7.)
   const double base_mva = 100.0;
   auto solve_dc = [&](const std::vector<Branch>& brs)
       -> Result<linalg::Vector> {
@@ -243,35 +240,6 @@ Result<Grid> BuildSyntheticGrid(const SyntheticGridOptions& options) {
     return full;
   };
 
-  // a) Flow equalization (disabled: the angle drop across a minor
-  // line is pinned by its parallel paths, so re-sizing impedances
-  // cannot make a redundant chord visible — see DESIGN.md).
-  for (int pass = 0; pass < 0; ++pass) {
-    auto theta = solve_dc(branches);
-    if (!theta.ok()) break;
-    std::vector<double> flow(branches.size());
-    std::vector<double> sorted_flow;
-    for (size_t k = 0; k < branches.size(); ++k) {
-      const Branch& br = branches[k];
-      size_t f = static_cast<size_t>(br.from_bus) - 1;
-      size_t t = static_cast<size_t>(br.to_bus) - 1;
-      flow[k] = std::fabs((*theta)[f] - (*theta)[t]) / br.x;
-      sorted_flow.push_back(flow[k]);
-    }
-    std::nth_element(sorted_flow.begin(),
-                     sorted_flow.begin() + sorted_flow.size() / 2,
-                     sorted_flow.end());
-    double median_flow = std::max(sorted_flow[sorted_flow.size() / 2], 1e-9);
-    for (size_t k = 0; k < branches.size(); ++k) {
-      double rel = flow[k] / median_flow;
-      if (rel >= 1.0) continue;  // only stiffen under-used lines
-      double factor = std::max(std::sqrt(rel + 0.04), 0.3);
-      branches[k].x = std::max(0.01, branches[k].x * factor);
-      branches[k].r = branches[k].x * options.r_over_x;
-    }
-  }
-
-  // b) Feasibility rescaling.
   {
     auto theta = solve_dc(branches);
     if (theta.ok()) {

@@ -1,12 +1,13 @@
 #include "powerflow/powerflow.h"
 
+#include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "common/check.h"
 #include "common/status.h"
-#include "linalg/complex_matrix.h"
 #include "linalg/lu.h"
 #include "linalg/sparse.h"
 #include "obs/metrics.h"
@@ -57,202 +58,35 @@ Result<ScheduledInjections> ResolveInjections(
   return out;
 }
 
-}  // namespace
-
-namespace {
+// Newton-Raphson iteration budget; heavily loaded post-outage states
+// that need more are invalid cases, not slow ones.
+constexpr int kMaxIterations = 30;
 
 // Core Newton-Raphson solve with caller-provided effective bus types
-// and scheduled reactive injections (per-unit). SolveAcPowerFlow wraps
-// it; the Q-limit loop re-enters it with PV buses demoted to PQ.
-Result<PowerFlowSolution> SolveAcCoreDense(const Grid& grid,
-                                           const PowerFlowOptions& options,
-                                           const std::vector<BusType>& types,
-                                           const Vector& p_sched_pu,
-                                           const Vector& q_sched_pu) {
-  const size_t n = grid.num_buses();
-  ScheduledInjections sched;
-  sched.p_pu = p_sched_pu;
-  sched.q_pu = q_sched_pu;
-
-  linalg::ComplexMatrix ybus = grid.BuildAdmittanceMatrix();
-  Matrix g = ybus.Real();
-  Matrix b = ybus.Imag();
-
-  // Index sets: PV+PQ buses contribute a P equation (angle unknown);
-  // PQ buses additionally contribute a Q equation (magnitude unknown).
-  std::vector<size_t> p_buses;   // non-slack
-  std::vector<size_t> q_buses;   // PQ only
-  for (size_t i = 0; i < n; ++i) {
-    if (types[i] != BusType::kSlack) p_buses.push_back(i);
-    if (types[i] == BusType::kPQ) q_buses.push_back(i);
-  }
-  const size_t np = p_buses.size();
-  const size_t nq = q_buses.size();
-
-  Vector vm(n), va(n);
-  for (size_t i = 0; i < n; ++i) {
-    vm[i] = types[i] != BusType::kPQ ? grid.bus(i).vm_setpoint : 1.0;
-    va[i] = 0.0;
-  }
-
-  // Computed injections at the current state.
-  Vector p_calc(n), q_calc(n);
-  auto compute_injections = [&]() {
-    for (size_t i = 0; i < n; ++i) {
-      double p = 0.0, q = 0.0;
-      for (size_t k = 0; k < n; ++k) {
-        double gik = g(i, k);
-        double bik = b(i, k);
-        if (gik == 0.0 && bik == 0.0) continue;
-        double theta = va[i] - va[k];
-        double c = std::cos(theta);
-        double s = std::sin(theta);
-        p += vm[k] * (gik * c + bik * s);
-        q += vm[k] * (gik * s - bik * c);
-      }
-      p_calc[i] = vm[i] * p;
-      q_calc[i] = vm[i] * q;
-    }
-  };
-
-  PowerFlowSolution sol;
-  double mismatch_norm = 0.0;
-  // Newton-Raphson scratch, hoisted out of the iteration loop: every
-  // entry of the mismatch vector and all four Jacobian blocks are
-  // overwritten each pass, and the LU refactors into the same packed
-  // storage, so iterations after the first touch the heap not at all.
-  Vector mismatch(np + nq);
-  Vector delta(np + nq);
-  Matrix jac(np + nq, np + nq);
-  linalg::LuDecomposition lu;
-  int iter = 0;
-  // PW_NO_ALLOC_BEGIN(newton-raphson iteration loop)
-  for (; iter < options.max_iterations; ++iter) {
-    compute_injections();
-
-    mismatch_norm = 0.0;
-    for (size_t a = 0; a < np; ++a) {
-      mismatch[a] = sched.p_pu[p_buses[a]] - p_calc[p_buses[a]];
-      mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[a]));
-    }
-    for (size_t a = 0; a < nq; ++a) {
-      mismatch[np + a] = sched.q_pu[q_buses[a]] - q_calc[q_buses[a]];
-      mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[np + a]));
-    }
-    if (mismatch_norm < options.tolerance) break;
-
-    // Assemble the polar-form Jacobian [[H, N], [J, L]].
-    for (size_t a = 0; a < np; ++a) {
-      size_t i = p_buses[a];
-      for (size_t c = 0; c < np; ++c) {
-        size_t j = p_buses[c];
-        if (i == j) {
-          jac(a, c) = -q_calc[i] - b(i, i) * vm[i] * vm[i];
-        } else {
-          double theta = va[i] - va[j];
-          jac(a, c) = vm[i] * vm[j] *
-                      (g(i, j) * std::sin(theta) - b(i, j) * std::cos(theta));
-        }
-      }
-      for (size_t c = 0; c < nq; ++c) {
-        size_t j = q_buses[c];
-        if (i == j) {
-          jac(a, np + c) = p_calc[i] / vm[i] + g(i, i) * vm[i];
-        } else {
-          double theta = va[i] - va[j];
-          jac(a, np + c) = vm[i] * (g(i, j) * std::cos(theta) +
-                                    b(i, j) * std::sin(theta));
-        }
-      }
-    }
-    for (size_t r = 0; r < nq; ++r) {
-      size_t i = q_buses[r];
-      for (size_t c = 0; c < np; ++c) {
-        size_t j = p_buses[c];
-        if (i == j) {
-          jac(np + r, c) = p_calc[i] - g(i, i) * vm[i] * vm[i];
-        } else {
-          double theta = va[i] - va[j];
-          jac(np + r, c) = -vm[i] * vm[j] *
-                           (g(i, j) * std::cos(theta) +
-                            b(i, j) * std::sin(theta));
-        }
-      }
-      for (size_t c = 0; c < nq; ++c) {
-        size_t j = q_buses[c];
-        if (i == j) {
-          jac(np + r, np + c) = q_calc[i] / vm[i] - b(i, i) * vm[i];
-        } else {
-          double theta = va[i] - va[j];
-          jac(np + r, np + c) = vm[i] * (g(i, j) * std::sin(theta) -
-                                         b(i, j) * std::cos(theta));
-        }
-      }
-    }
-
-    Status factored = lu.Refactor(jac);
-    if (!factored.ok()) {
-      return Status::Singular("power-flow Jacobian is singular: " +
-                              factored.message());
-    }
-    PW_RETURN_IF_ERROR(lu.SolveInto(mismatch, delta));
-
-    for (size_t a = 0; a < np; ++a) va[p_buses[a]] += delta[a];
-    for (size_t a = 0; a < nq; ++a) {
-      vm[q_buses[a]] += delta[np + a];
-      // A magnitude collapsing toward zero signals voltage instability;
-      // clamp so the iteration either recovers or fails to converge
-      // rather than producing NaNs.
-      vm[q_buses[a]] = std::max(vm[q_buses[a]], 0.05);
-    }
-  }
-  // PW_NO_ALLOC_END
-
-  compute_injections();
-  if (mismatch_norm >= options.tolerance) {
-    PW_OBS_COUNTER_INC("powerflow.ac.nonconverged");
-    return Status::NotConverged(
-        "power flow did not converge after " +
-        std::to_string(options.max_iterations) +
-        " iterations (mismatch=" + std::to_string(mismatch_norm) + ")");
-  }
-  PW_OBS_COUNTER_INC("powerflow.ac.solves");
-  PW_OBS_COUNTER_ADD("powerflow.ac.iterations_total", iter);
-  PW_OBS_QUANTILE_RECORD("powerflow.ac.iterations", iter);
-
-  sol.vm = vm;
-  sol.va_rad = va;
-  sol.iterations = iter;
-  sol.final_mismatch = mismatch_norm;
-  sol.p_mw = Vector(n);
-  sol.q_mvar = Vector(n);
-  for (size_t i = 0; i < n; ++i) {
-    sol.p_mw[i] = p_calc[i] * grid.base_mva();
-    sol.q_mvar[i] = q_calc[i] * grid.base_mva();
-  }
-  sol.slack_p_mw = 0.0;  // filled by the wrapper (needs the pd override)
-  return sol;
-}
-
-// Sparse Newton-Raphson core: the same polar mismatch equations as
-// SolveAcCoreDense, but the Jacobian is assembled directly into a CSR
-// pattern derived once from the Ybus adjacency (over the P/Q index
-// sets) and refactored with a fill-reducing sparse LU. Per-iteration
-// work is O(nnz) value refresh + O(factor nnz) elimination instead of
-// O(n^2) assembly + O(n^3) dense LU, which is what makes 300/1000-bus
-// outage sweeps feasible.
-Result<PowerFlowSolution> SolveAcCoreSparse(
-    const Grid& grid, const grid::SparseAdmittance& ybus,
-    const PowerFlowOptions& options, const std::vector<BusType>& types,
-    const Vector& p_sched_pu, const Vector& q_sched_pu) {
+// and scheduled injections (per-unit). The Q-limit loop re-enters it
+// with PV buses demoted to PQ.
+//
+// The Jacobian is assembled directly into a CSR pattern derived once
+// from the Ybus adjacency (over the P/Q index sets); every iteration
+// only refreshes its values, in O(nnz). The grid size picks only the
+// factorization: below options.sparse_bus_threshold the pattern is
+// scattered into a dense matrix for the partial-pivoting LU, at or
+// above it a fill-reducing sparse LU refactors the CSR matrix in
+// O(factor nnz), which is what makes 300/1000-bus outage sweeps
+// feasible.
+Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
+                                      const grid::SparseAdmittance& ybus,
+                                      const PowerFlowOptions& options,
+                                      const std::vector<BusType>& types,
+                                      const Vector& p_sched_pu,
+                                      const Vector& q_sched_pu) {
   const size_t n = grid.num_buses();
   PW_CHECK_EQ(ybus.g.rows(), n);
   PW_CHECK_EQ(ybus.g.NumNonZeros(), ybus.b.NumNonZeros());
-  ScheduledInjections sched;
-  sched.p_pu = p_sched_pu;
-  sched.q_pu = q_sched_pu;
 
-  // Index sets and their inverse maps.
+  // Index sets and their inverse maps: PV+PQ buses contribute a P
+  // equation (angle unknown); PQ buses additionally contribute a Q
+  // equation (magnitude unknown).
   std::vector<size_t> p_buses;  // non-slack
   std::vector<size_t> q_buses;  // PQ only
   constexpr size_t kAbsent = static_cast<size_t>(-1);
@@ -316,12 +150,23 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
     }
   }
 
-  auto analyzed = linalg::SparseLu::Analyze(jac);
-  if (!analyzed.ok()) {
-    return Status::Singular("power-flow Jacobian analysis failed: " +
-                            analyzed.status().message());
+  // The factorization. The dense matrix is zeroed once: entries off
+  // the pattern stay zero, pattern entries are overwritten every pass.
+  const bool sparse_lu = options.sparse_bus_threshold > 0 &&
+                         n >= options.sparse_bus_threshold;
+  std::optional<linalg::SparseLu> slu;
+  linalg::LuDecomposition dlu;
+  Matrix dense_jac;
+  if (sparse_lu) {
+    auto analyzed = linalg::SparseLu::Analyze(jac);
+    if (!analyzed.ok()) {
+      return Status::Singular("power-flow Jacobian analysis failed: " +
+                              analyzed.status().message());
+    }
+    slu = *std::move(analyzed);
+  } else {
+    dense_jac = Matrix(np + nq, np + nq);
   }
-  linalg::SparseLu lu = *std::move(analyzed);
 
   Vector vm(n), va(n);
   for (size_t i = 0; i < n; ++i) {
@@ -329,6 +174,7 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
     va[i] = 0.0;
   }
 
+  // Computed injections at the current state.
   Vector p_calc(n), q_calc(n);
   auto compute_injections = [&]() {
     for (size_t i = 0; i < n; ++i) {
@@ -349,29 +195,29 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
     }
   };
 
-  PowerFlowSolution sol;
   double mismatch_norm = 0.0;
-  // All sparse Newton scratch is hoisted: the value buffer, mismatch,
-  // update, and the LU's internal arrays are sized once; iterations
-  // refresh values in place and refactor into preallocated storage.
+  // Newton scratch, hoisted out of the iteration loop: the value
+  // buffer, mismatch and update are sized once, and both LUs refactor
+  // into storage they keep, so iterations after the first touch the
+  // heap not at all.
   Vector jac_vals(jnnz);
   Vector mismatch(np + nq);
   Vector delta(np + nq);
   int iter = 0;
-  // PW_NO_ALLOC_BEGIN(sparse newton-raphson iteration loop)
-  for (; iter < options.max_iterations; ++iter) {
+  // PW_NO_ALLOC_BEGIN(newton-raphson iteration loop)
+  for (; iter < kMaxIterations; ++iter) {
     compute_injections();
 
     mismatch_norm = 0.0;
     for (size_t a = 0; a < np; ++a) {
-      mismatch[a] = sched.p_pu[p_buses[a]] - p_calc[p_buses[a]];
+      mismatch[a] = p_sched_pu[p_buses[a]] - p_calc[p_buses[a]];
       mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[a]));
     }
     for (size_t a = 0; a < nq; ++a) {
-      mismatch[np + a] = sched.q_pu[q_buses[a]] - q_calc[q_buses[a]];
+      mismatch[np + a] = q_sched_pu[q_buses[a]] - q_calc[q_buses[a]];
       mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[np + a]));
     }
-    if (mismatch_norm < options.tolerance) break;
+    if (mismatch_norm < kMismatchTolerance) break;
 
     // Refresh the Jacobian values slot by slot; the pattern (and thus
     // the symbolic factorization) never changes.
@@ -411,36 +257,50 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
         jac_vals[s] = v;
       }
     }
-    jac.UpdateValues(jac_vals);
 
-    Status factored = lu.Refactor(jac);
+    Status factored;
+    if (sparse_lu) {
+      jac.UpdateValues(jac_vals);
+      factored = slu->Refactor(jac);
+    } else {
+      for (size_t row = 0; row < np + nq; ++row) {
+        for (size_t s = jrs[row]; s < jrs[row + 1]; ++s) {
+          dense_jac(row, jci[s]) = jac_vals[s];
+        }
+      }
+      factored = dlu.Refactor(dense_jac);
+    }
     if (!factored.ok()) {
       return Status::Singular("power-flow Jacobian is singular: " +
                               factored.message());
     }
-    PW_RETURN_IF_ERROR(lu.SolveInto(mismatch, delta));
+    PW_RETURN_IF_ERROR(sparse_lu ? slu->SolveInto(mismatch, delta)
+                                 : dlu.SolveInto(mismatch, delta));
 
     for (size_t a = 0; a < np; ++a) va[p_buses[a]] += delta[a];
     for (size_t a = 0; a < nq; ++a) {
       vm[q_buses[a]] += delta[np + a];
+      // A magnitude collapsing toward zero signals voltage instability;
+      // clamp so the iteration either recovers or fails to converge
+      // rather than producing NaNs.
       vm[q_buses[a]] = std::max(vm[q_buses[a]], 0.05);
     }
   }
   // PW_NO_ALLOC_END
 
   compute_injections();
-  if (mismatch_norm >= options.tolerance) {
+  if (mismatch_norm >= kMismatchTolerance) {
     PW_OBS_COUNTER_INC("powerflow.ac.nonconverged");
     return Status::NotConverged(
-        "power flow did not converge after " +
-        std::to_string(options.max_iterations) +
+        "power flow did not converge after " + std::to_string(kMaxIterations) +
         " iterations (mismatch=" + std::to_string(mismatch_norm) + ")");
   }
   PW_OBS_COUNTER_INC("powerflow.ac.solves");
-  PW_OBS_COUNTER_INC("powerflow.ac.sparse_solves");
+  if (sparse_lu) PW_OBS_COUNTER_INC("powerflow.ac.sparse_solves");
   PW_OBS_COUNTER_ADD("powerflow.ac.iterations_total", iter);
   PW_OBS_QUANTILE_RECORD("powerflow.ac.iterations", iter);
 
+  PowerFlowSolution sol;
   sol.vm = vm;
   sol.va_rad = va;
   sol.iterations = iter;
@@ -455,31 +315,19 @@ Result<PowerFlowSolution> SolveAcCoreSparse(
   return sol;
 }
 
-// Dispatch between the dense and sparse Newton cores by grid size.
-// `prebuilt` may carry a caller-supplied sparse admittance; it is only
-// consulted on the sparse path.
-Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
-                                      const grid::SparseAdmittance* prebuilt,
-                                      const PowerFlowOptions& options,
-                                      const std::vector<BusType>& types,
-                                      const Vector& p_sched_pu,
-                                      const Vector& q_sched_pu) {
-  const bool sparse = options.sparse_bus_threshold > 0 &&
-                      grid.num_buses() >= options.sparse_bus_threshold;
-  if (!sparse) {
-    return SolveAcCoreDense(grid, options, types, p_sched_pu, q_sched_pu);
-  }
-  if (prebuilt != nullptr) {
-    return SolveAcCoreSparse(grid, *prebuilt, options, types, p_sched_pu,
-                             q_sched_pu);
-  }
-  grid::SparseAdmittance ybus = grid.BuildSparseAdmittance();
-  return SolveAcCoreSparse(grid, ybus, options, types, p_sched_pu, q_sched_pu);
+}  // namespace
+
+Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
+                                           const PowerFlowOptions& options,
+                                           const InjectionOverrides& overrides) {
+  return SolveAcPowerFlow(grid, grid.BuildSparseAdmittance(), options,
+                          overrides);
 }
 
-Result<PowerFlowSolution> SolveAcPowerFlowImpl(
-    const Grid& grid, const grid::SparseAdmittance* prebuilt,
-    const PowerFlowOptions& options, const InjectionOverrides& overrides) {
+Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
+                                           const grid::SparseAdmittance& ybus,
+                                           const PowerFlowOptions& options,
+                                           const InjectionOverrides& overrides) {
   PW_TRACE_SCOPE("powerflow.ac.solve_us");
   const size_t n = grid.num_buses();
   PW_ASSIGN_OR_RETURN(ScheduledInjections sched,
@@ -494,7 +342,7 @@ Result<PowerFlowSolution> SolveAcPowerFlowImpl(
   const int kMaxRounds = options.enforce_q_limits ? 6 : 1;
   Result<PowerFlowSolution> sol = Status::Internal("unsolved");
   for (int round = 0; round < kMaxRounds; ++round) {
-    sol = SolveAcCore(grid, prebuilt, options, types, sched.p_pu, sched.q_pu);
+    sol = SolveAcCore(grid, ybus, options, types, sched.p_pu, sched.q_pu);
     if (!sol.ok() || !options.enforce_q_limits) break;
     bool switched = false;
     for (size_t i = 0; i < n; ++i) {
@@ -525,21 +373,6 @@ Result<PowerFlowSolution> SolveAcPowerFlowImpl(
                                             : overrides.pd_mw[slack];
   sol->slack_p_mw = sol->p_mw[slack] + pd_slack;
   return sol;
-}
-
-}  // namespace
-
-Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
-                                           const PowerFlowOptions& options,
-                                           const InjectionOverrides& overrides) {
-  return SolveAcPowerFlowImpl(grid, nullptr, options, overrides);
-}
-
-Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
-                                           const grid::SparseAdmittance& ybus,
-                                           const PowerFlowOptions& options,
-                                           const InjectionOverrides& overrides) {
-  return SolveAcPowerFlowImpl(grid, &ybus, options, overrides);
 }
 
 std::vector<double> BalanceGeneration(const Grid& grid,

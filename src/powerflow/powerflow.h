@@ -10,23 +10,26 @@
 
 namespace phasorwatch::pf {
 
+/// Convergence test of the Newton-Raphson solve: max |mismatch| in
+/// per-unit power.
+inline constexpr double kMismatchTolerance = 1e-8;
+
 /// Options for the Newton-Raphson AC power-flow solver. Every solve
 /// starts flat: Vm = 1 on PQ buses (setpoint on PV and slack), Va = 0.
 struct PowerFlowOptions {
-  double tolerance = 1e-8;  ///< max |mismatch| in per-unit power
-  int max_iterations = 30;
   /// Enforce generator reactive capability: PV buses whose solved Q
   /// violates [qmin, qmax] are demoted to PQ pinned at the limit and
   /// the case is re-solved (classic one-way PV->PQ switching). Only
   /// buses with declared limits (Bus::HasQLimits) participate.
   bool enforce_q_limits = false;
-  /// Grids with at least this many buses route the Newton solve through
-  /// sparse CSR Jacobian assembly and fill-reducing sparse LU instead
-  /// of the dense path; 0 disables the sparse path entirely. The
+  /// Picks the factorization of the Newton Jacobian, which is always
+  /// assembled on the sparse Ybus pattern: grids with at least this
+  /// many buses use the fill-reducing sparse LU, smaller ones the dense
+  /// partial-pivoting LU; 0 keeps every grid on the dense LU. The
   /// default keeps every IEEE evaluation system (14-118) on the dense
-  /// path, so small-grid results — including the golden figure tables —
+  /// LU, so small-grid results — including the golden figure tables —
   /// stay bit-identical, while 300/1000-bus synthetics switch over.
-  /// Sparse and dense solutions agree to the tolerances documented in
+  /// The two factorizations agree to the tolerances documented in
   /// docs/SPARSE.md (they differ only by elimination-order rounding).
   size_t sparse_bus_threshold = 200;
 };
@@ -59,7 +62,7 @@ struct PowerFlowSolution {
 /// Solves for voltage magnitudes at PQ buses and angles at all non-slack
 /// buses so that specified injections match computed injections through
 /// the admittance matrix. Fails with kNotConverged when the mismatch does
-/// not reach tolerance within the iteration budget (heavily loaded
+/// not reach kMismatchTolerance within 30 iterations (heavily loaded
 /// post-outage states legitimately diverge — the caller treats these as
 /// invalid outage cases, matching the paper's case filtering) and with
 /// kSingular when the Jacobian degenerates.
@@ -70,10 +73,8 @@ PW_NODISCARD Result<PowerFlowSolution> SolveAcPowerFlow(
 /// As SolveAcPowerFlow, but reuses a prebuilt sparse admittance matrix
 /// (from Grid::BuildSparseAdmittance, possibly patched branch-locally
 /// via Grid::ApplyLineOutagePatch) instead of assembling one per call.
-/// `ybus` must describe exactly `grid`'s in-service topology. Only
-/// consulted when the sparse path is active (num_buses >=
-/// options.sparse_bus_threshold); small grids fall back to the dense
-/// path and ignore it.
+/// `ybus` must describe exactly `grid`'s in-service topology; results
+/// are bit-identical to the overload above, which assembles it.
 PW_NODISCARD Result<PowerFlowSolution> SolveAcPowerFlow(
     const grid::Grid& grid, const grid::SparseAdmittance& ybus,
     const PowerFlowOptions& options = {},

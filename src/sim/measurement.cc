@@ -34,6 +34,14 @@ Result<PhasorDataSet> SimulateMeasurements(
 
   linalg::Matrix multipliers = GenerateLoadMultipliers(grid, options.load, rng);
 
+  // The topology is the same for every load state, so one admittance
+  // serves them all.
+  grid::SparseAdmittance own_ybus;
+  if (prebuilt_ybus == nullptr) {
+    own_ybus = grid.BuildSparseAdmittance();
+    prebuilt_ybus = &own_ybus;
+  }
+
   PhasorDataSet out;
   out.vm = linalg::Matrix(n, num_states * per_state);
   out.va = linalg::Matrix(n, num_states * per_state);
@@ -51,10 +59,8 @@ Result<PhasorDataSet> SimulateMeasurements(
     overrides.pg_mw = pf::BalanceGeneration(grid, overrides.pd_mw);
 
     auto solution =
-        prebuilt_ybus
-            ? pf::SolveAcPowerFlow(grid, *prebuilt_ybus, options.power_flow,
-                                   overrides)
-            : pf::SolveAcPowerFlow(grid, options.power_flow, overrides);
+        pf::SolveAcPowerFlow(grid, *prebuilt_ybus, options.power_flow,
+                             overrides);
     if (!solution.ok()) {
       // Skip states that do not converge; the case is invalidated below
       // only if most states fail.

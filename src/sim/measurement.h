@@ -1,7 +1,6 @@
 #ifndef PHASORWATCH_SIM_MEASUREMENT_H_
 #define PHASORWATCH_SIM_MEASUREMENT_H_
 
-#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -54,12 +53,11 @@ struct SimulationOptions {
 /// solved state. Fails with kNotConverged if too few states solve (an
 /// invalid outage case in the paper's sense).
 ///
-/// `prebuilt_ybus` optionally reuses a sparse admittance matrix across
-/// all load states (from Grid::BuildSparseAdmittance, possibly patched
-/// branch-locally via Grid::ApplyLineOutagePatch). It must describe
-/// exactly `grid`'s in-service topology and is only consulted when the
-/// sparse power-flow path is active; results are bit-identical to
-/// internal assembly (docs/SPARSE.md).
+/// Every load state shares one admittance matrix: `prebuilt_ybus`
+/// when given (from Grid::BuildSparseAdmittance, possibly patched
+/// branch-locally via Grid::ApplyLineOutagePatch), else one assembled
+/// here. It must describe exactly `grid`'s in-service topology; results
+/// are bit-identical to internal assembly (docs/SPARSE.md).
 PW_NODISCARD Result<PhasorDataSet> SimulateMeasurements(
     const grid::Grid& grid, const SimulationOptions& options, Rng& rng,
     const grid::SparseAdmittance* prebuilt_ybus = nullptr);

@@ -1,8 +1,9 @@
-// Sparse-vs-dense equivalence lane for the power-flow solvers
-// (docs/SPARSE.md). The sparse Newton-Raphson path solves the same
-// mismatch equations as the dense one; they differ
-// only in elimination order, so states must agree to the documented
-// tolerances on every IEEE system across seeded load draws. The
+// Sparse-vs-dense equivalence lane for the power-flow solver
+// (docs/SPARSE.md). The Newton-Raphson core factors its Jacobian with
+// the sparse LU at or above sparse_bus_threshold and the dense LU
+// below; the two differ only in elimination order, so states must
+// agree to the documented tolerances on every IEEE system across
+// seeded load draws. The
 // incremental-Ybus patches carry a stronger contract: bit-exact
 // against a full rebuild, both after apply and after revert.
 
@@ -71,8 +72,8 @@ TEST_P(SparseNewtonEquivalenceTest, MatchesDenseAcrossLoadDraws) {
         << "draw " << draw;
     EXPECT_LT((dense->va_rad - sparse->va_rad).InfNorm(), kStateTol)
         << "draw " << draw;
-    EXPECT_LT(dense->final_mismatch, dense_opts.tolerance);
-    EXPECT_LT(sparse->final_mismatch, sparse_opts.tolerance);
+    EXPECT_LT(dense->final_mismatch, kMismatchTolerance);
+    EXPECT_LT(sparse->final_mismatch, kMismatchTolerance);
     EXPECT_NEAR(dense->iterations, sparse->iterations, 1) << "draw " << draw;
     EXPECT_NEAR(dense->slack_p_mw, sparse->slack_p_mw,
                 1e-4 * (1.0 + std::fabs(dense->slack_p_mw)));
@@ -109,14 +110,18 @@ TEST_P(SparseNewtonEquivalenceTest, PrebuiltYbusMatchesInternalAssembly) {
       SeededLoadDraw(*grid, 5 + static_cast<uint64_t>(GetParam()), 0);
 
   SparseAdmittance ybus = grid->BuildSparseAdmittance();
-  auto internal = SolveAcPowerFlow(*grid, sparse_opts, ov);
-  auto prebuilt = SolveAcPowerFlow(*grid, ybus, sparse_opts, ov);
-  ASSERT_TRUE(internal.ok());
-  ASSERT_TRUE(prebuilt.ok());
-  // Same Ybus values, same elimination order: identical trajectories.
-  EXPECT_EQ((internal->vm - prebuilt->vm).InfNorm(), 0.0);
-  EXPECT_EQ((internal->va_rad - prebuilt->va_rad).InfNorm(), 0.0);
-  EXPECT_EQ(internal->iterations, prebuilt->iterations);
+  // Default options factor with the dense LU on every IEEE system; the
+  // forced threshold takes the sparse LU. Both read the prebuilt Ybus.
+  for (const PowerFlowOptions& opts : {PowerFlowOptions{}, sparse_opts}) {
+    auto internal = SolveAcPowerFlow(*grid, opts, ov);
+    auto prebuilt = SolveAcPowerFlow(*grid, ybus, opts, ov);
+    ASSERT_TRUE(internal.ok());
+    ASSERT_TRUE(prebuilt.ok());
+    // Same Ybus values, same elimination order: identical trajectories.
+    EXPECT_EQ((internal->vm - prebuilt->vm).InfNorm(), 0.0);
+    EXPECT_EQ((internal->va_rad - prebuilt->va_rad).InfNorm(), 0.0);
+    EXPECT_EQ(internal->iterations, prebuilt->iterations);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Systems, SparseNewtonEquivalenceTest,
@@ -191,8 +196,8 @@ INSTANTIATE_TEST_SUITE_P(Systems, IncrementalYbusTest,
                          ::testing::Values(14, 30, 57, 118));
 
 // The 300-bus ring-of-meshes preset crosses the default threshold, so
-// a plain SolveAcPowerFlow call routes through the sparse path — and
-// must still agree with a forced-dense solve.
+// a plain SolveAcPowerFlow call factors with the sparse LU — and must
+// still agree with a forced dense-LU solve.
 TEST(ScaleGridTest, Synthetic300SolvesSparseByDefaultAndMatchesDense) {
   auto grid = grid::Synthetic300Bus();
   ASSERT_TRUE(grid.ok()) << grid.status().ToString();
