@@ -126,7 +126,7 @@ BENCHMARK(BM_DetectWithMissingData)->Arg(14)->Arg(30)
 // one missing-data sample per iteration, with the heap-allocation
 // interposer (bench/alloc_counter.cc) reporting allocs/op. This is the
 // tracked number behind the allocation-free hot-path work: after
-// warm-up (regressor cache, per-thread workspace, scratch buffers), the
+// warm-up (regressor cache, caller-owned scratch buffers), the
 // per-sample count must stay near the handful of allocations that
 // escape into the DetectionResult.
 void BM_DetectSteadyState(benchmark::State& state) {

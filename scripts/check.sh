@@ -112,9 +112,9 @@ cmake -B build-obs-off -G Ninja -DPW_OBS_DISABLED=ON
 cmake --build build-obs-off
 ctest --test-dir build-obs-off --output-on-failure
 
-# Address+UB sanitizer gate for the view/workspace layer: non-owning
-# views over workspace arenas are exactly the kind of code where a
-# lifetime bug becomes silent corruption, so the whole suite runs
+# Address+UB sanitizer gate for the view layer: non-owning views over
+# caller-owned buffers and stack blocks are exactly the kind of code
+# where a lifetime bug becomes silent corruption, so the whole suite runs
 # instrumented. Benchmarks are skipped (the allocation-counter
 # interposer and ASan both replace operator new/delete).
 echo "=== PW_ASAN build ==="

@@ -100,6 +100,7 @@ inline constexpr int kFleetControl = 10;   // FleetEngine Shard::control_mu
 inline constexpr int kFleetDone = 15;      // RunOnShard completion latch
 inline constexpr int kThreadPool = 20;     // ThreadPool::mu_
 inline constexpr int kParallelFor = 25;    // ParallelFor ForState::mu
+inline constexpr int kProximityBuild = 28; // ProximityEngine::build_mu_
 inline constexpr int kProximityCache = 30; // ProximityEngine::mu_
 inline constexpr int kTenantModel = 35;    // TenantSession model slot (leaf)
 inline constexpr int kMetricsRegistry = 40;// MetricsRegistry::mu_

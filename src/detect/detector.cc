@@ -633,6 +633,9 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   }
   const std::vector<SelectedGroup>& groups = scratch.groups;
 
+  // The two gate scores; the decision score is their maximum.
+  double cluster_score = 0.0;
+  double ratio_score = 0.0;
   {
     PW_TRACE_SCOPE("detect.stage.gate_us");
     // Gate 1: does any cluster's normal-subspace residual exceed its
@@ -641,14 +644,12 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     PW_RETURN_IF_ERROR(
         ClusterNormalResidualsInto(features, groups, &scratch.residuals));
     const Vector& residuals = scratch.residuals;
-    result.decision_score = 0.0;
     for (size_t c = 0; c < groups.size(); ++c) {
       double gate = groups[c].used_out_of_cluster
                         ? gates_[c].out_of_cluster
                         : gates_[c].in_cluster;
-      result.decision_score =
-          std::max(result.decision_score,
-                   residuals[c] / std::max(gate, kProxFloor));
+      cluster_score =
+          std::max(cluster_score, residuals[c] / std::max(gate, kProxFloor));
     }
 
     // Gate 2 (scale-free): is the sample better explained by some line's
@@ -678,8 +679,8 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     }
     double ratio =
         best_line_residual / std::max(scratch.family.normal, kProxFloor);
-    result.decision_score =
-        std::max(result.decision_score, ratio_gate_ / std::max(ratio, 1e-9));
+    ratio_score = ratio_gate_ / std::max(ratio, 1e-9);
+    result.decision_score = std::max(cluster_score, ratio_score);
   }
 
   {
@@ -693,6 +694,9 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   }
   result.outage_detected = true;
   PW_OBS_COUNTER_INC("detect.outages_flagged");
+  // Which gate declared: both may fire on one sample.
+  if (cluster_score > 1.0) PW_OBS_COUNTER_INC("detect.gate.cluster_fired");
+  if (ratio_score > 1.0) PW_OBS_COUNTER_INC("detect.gate.ratio_fired");
 
   PW_TRACE_SCOPE("detect.stage.localization_us");
 

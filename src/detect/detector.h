@@ -105,8 +105,12 @@ struct DetectionResult {
   std::vector<grid::LineId> lines;      ///< the candidate set F-hat
   std::vector<size_t> affected_nodes;   ///< prefix of the sorted node list
   linalg::Vector node_scores;           ///< scaled proximities (Eq. 11)
-  /// Max over clusters of (normal-subspace residual / calibrated gate);
-  /// > 1 means an outage was declared.
+  /// The larger of the two gate scores; > 1 means an outage was
+  /// declared. The cluster gate's score is the max over clusters of
+  /// (normal-subspace residual / calibrated gate); the ratio gate's is
+  /// (calibrated ratio gate / (best line-case residual / normal
+  /// residual)), both residuals over every available coordinate
+  /// (docs/MATH.md §5).
   double decision_score = 0.0;
   /// Available nodes demoted to "unavailable" by the bad-data screen
   /// (kScreenThreshold) before detection ran.

@@ -5,7 +5,6 @@
 #include "common/check.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/workspace.h"
 #include "linalg/svd.h"
 #include "linalg/views.h"
 #include "obs/metrics.h"
@@ -145,45 +144,58 @@ ProximityEngine::FindOrBuild(const SubspaceModel& model, uint64_t model_key,
            (family == nullptr || entry.num_energies == num_energies);
   };
   uint64_t key = GroupCacheKey(model_key, group);
-  std::shared_ptr<const CachedRegressor> cached;
-  {
+  auto lookup = [&]() -> std::shared_ptr<const CachedRegressor> {
     ReaderLock lock(mu_);
     auto it = cache_.find(key);
-    if (it != cache_.end() && usable(*it->second)) cached = it->second;
-  }
+    if (it == cache_.end() || !usable(*it->second)) return nullptr;
+    return it->second;
+  };
+  std::shared_ptr<const CachedRegressor> cached = lookup();
   if (cached != nullptr) {
     PW_OBS_COUNTER_INC("proximity.cache_hits");
     return cached;
   }
-  // Double-checked upgrade, audited: the shared lock above is fully
-  // released before the cold build (std::shared_mutex is not
-  // upgradable, and holding readers through a multi-millisecond SVD
-  // would stall every other evaluator). The build therefore races with
-  // identical builds on other threads by design; the re-check under the
-  // writer lock below resolves the race.
-  //
   // Cache miss: the cold build path runs once per (model, group) pair,
-  // outside the callers' no-alloc contract.
-  PW_ASSIGN_OR_RETURN(cached, BuildRegressor(model, group, family));
-  size_t cache_size;
+  // outside the callers' no-alloc contract. Builds are single-flight:
+  // a thread that misses a key another thread is building waits for
+  // that build instead of repeating it (the reader lock above is never
+  // held through a multi-millisecond SVD, and std::shared_mutex is not
+  // upgradable). A waiter that cannot use the finished entry — a
+  // genuine hash collision, a family caller finding an entry without
+  // energies, or a failed build — builds the key itself.
   {
-    WriterLock lock(mu_);
-    // Re-check: another thread may have built the same key between the
-    // reader unlock and here. Both regressors are bit-identical (same
-    // deterministic inputs), so either copy serves — keep the incumbent
-    // and let this thread's copy die. An incumbent this caller cannot
-    // use — a genuine hash collision, or a family entry still missing
-    // its energies — is replaced by the newcomer.
-    auto [it, inserted] = cache_.try_emplace(key, cached);
-    if (!inserted) {
-      if (usable(*it->second)) {
-        cached = it->second;
-      } else {
-        it->second = cached;
+    MutexLock lock(build_mu_);
+    for (;;) {
+      cached = lookup();
+      if (cached != nullptr) {
+        PW_OBS_COUNTER_INC("proximity.cache_hits");
+        return cached;
       }
+      if (std::find(building_.begin(), building_.end(), key) ==
+          building_.end()) {
+        break;
+      }
+      build_done_.Wait(build_mu_);
     }
+    building_.push_back(key);
+  }
+  Result<std::shared_ptr<const CachedRegressor>> built =
+      BuildRegressor(model, group, family);
+  size_t cache_size = 0;
+  if (built.ok()) {
+    cached = std::move(built).value();
+    WriterLock lock(mu_);
+    // An incumbent under this key is one this caller could not use, so
+    // the newcomer replaces it.
+    cache_[key] = cached;
     cache_size = cache_.size();
   }
+  {
+    MutexLock lock(build_mu_);
+    building_.erase(std::find(building_.begin(), building_.end(), key));
+  }
+  build_done_.NotifyAll();
+  if (!built.ok()) return built.status();
   PW_OBS_GAUGE_SET("proximity.cache_size", cache_size);
   return cached;
 }
@@ -209,8 +221,7 @@ PW_NO_ALLOC Result<double> ProximityEngine::Evaluate(
 
   // Residual: || R (x_D - mu_D) ||^2 — one Eq. 9 regressor application
   // (the missing-data path proper), walking the stored R^T by rows with
-  // the centering gathered through the group. Allocation-free once the
-  // per-thread arena is warm.
+  // the centering gathered through the group.
   PW_OBS_COUNTER_INC("proximity.regressor_applications");
   return linalg::TransposedTimesNormSq(cached->r_t(), sample, model.mean,
                                        cached->group);
@@ -247,25 +258,26 @@ PW_NO_ALLOC Status ProximityEngine::EvaluateFamily(
 
   const size_t k = a.cols();
   const size_t num_cases = family.num_cases();
-  Workspace& ws = Workspace::PerThread();
-  Workspace::Frame frame(ws);
-  linalg::VectorView y(ws.Alloc(k), k);
-  linalg::VectorView g(ws.Alloc(num_cases), num_cases);
-  // y = R z, then g = D^T (R^T y) in a second walk over the same rows
-  // of the stored R^T.
+  out->y.Assign(k);
+  out->cases.Assign(num_cases);
+  out->drops.Assign(num_cases);
+  // y = R z, then g = D^T (R^T y) into `drops` in a second walk over
+  // the same rows of the stored R^T; each g_c then becomes case c's
+  // residual and drop in place.
+  linalg::Vector& y = out->y;
   linalg::TransposedTimesCenteredInto(a, sample, base.mean, *gather, y);
-  linalg::GatherTransposedTimesMatVecInto(a, y, family.shifts(), *gather, g);
+  linalg::GatherTransposedTimesMatVecInto(a, y, family.shifts(), *gather,
+                                          out->drops);
   double r0 = 0.0;
   for (size_t j = 0; j < k; ++j) r0 += y[j] * y[j];
   out->normal = r0;
-  out->cases.Assign(num_cases);
-  out->drops.Assign(num_cases);
   for (size_t c = 0; c < num_cases; ++c) {
+    const double g = out->drops[c];
     const double e = energies[c];
     // ||y - R d_c||^2 expanded; the clamp absorbs the cancellation
     // rounding when the sample sits on case c's mean (docs/MATH.md §4).
-    out->cases[c] = std::max(0.0, r0 - 2.0 * g[c] + e);
-    out->drops[c] = (2.0 * g[c] - e) / std::max(e, kEnergyFloor);
+    out->cases[c] = std::max(0.0, r0 - 2.0 * g + e);
+    out->drops[c] = (2.0 * g - e) / std::max(e, kEnergyFloor);
   }
   return Status::OK();
 }

@@ -54,6 +54,9 @@ class ClassFamily {
 /// one coordinate set (ProximityEngine::EvaluateFamily). Caller-owned,
 /// so a reused instance keeps its capacity across samples.
 struct FamilyResiduals {
+  /// y = R z over the coordinate set (k doubles): the evaluation's own
+  /// scratch, kept here so a reused instance needs no allocation.
+  linalg::Vector y;
   /// r_0 = ||y||^2, the base (normal) member's residual.
   double normal = 0.0;
   /// r_c = max(0, r_0 - 2 g_c + e_c), case c's residual.
@@ -79,8 +82,9 @@ struct FamilyResiduals {
 ///
 /// Thread safety: Evaluate() and EvaluateFamily() may be called
 /// concurrently from any number of threads (the cache is guarded by a
-/// shared mutex; entries are immutable once built, and two threads
-/// racing to build the same key compute bit-identical regressors).
+/// shared mutex and entries are immutable once built). Builds are
+/// single-flight: threads that miss the same key together wait for one
+/// build, so each (model, group) pair is built once.
 /// ClearCache() must not run concurrently with either.
 class ProximityEngine {
  public:
@@ -169,11 +173,20 @@ class ProximityEngine {
                  const ClassFamily* family);
 
   /// The cached regressor of (model_key, group), built and inserted on
-  /// a miss. With `family` set, an entry must also carry the family's
-  /// shift energies; one without them is rebuilt and replaced.
+  /// a miss by one thread while concurrent missers of the key wait.
+  /// With `family` set, an entry must also carry the family's shift
+  /// energies; one without them is rebuilt and replaced.
   PW_NODISCARD Result<std::shared_ptr<const CachedRegressor>> FindOrBuild(
       const SubspaceModel& model, uint64_t model_key,
       const std::vector<size_t>& group, const ClassFamily* family);
+
+  /// Single-flight state of the cold path: the keys being built, and
+  /// the signal each finished build sends to threads waiting on a key.
+  /// Taken before `mu_`, never while holding it, and never held through
+  /// a build.
+  Mutex build_mu_{lock_rank::kProximityBuild};
+  CondVar build_done_;
+  std::vector<uint64_t> building_ PW_GUARDED_BY(build_mu_);
 
   mutable SharedMutex mu_{lock_rank::kProximityCache};
   /// Values are shared_ptr so an Evaluate() can keep applying a

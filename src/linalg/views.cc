@@ -1,7 +1,8 @@
 #include "linalg/views.h"
 
+#include <algorithm>
+
 #include "common/check.h"
-#include "common/workspace.h"
 
 namespace phasorwatch::linalg {
 
@@ -221,13 +222,21 @@ PW_NO_ALLOC void GatherTransposedTimesMatVecInto(
 PW_NO_ALLOC double TransposedTimesNormSq(ConstMatrixView a, ConstVectorView x,
                                          ConstVectorView mean,
                                          const std::vector<size_t>& gather) {
-  const size_t k = a.cols();
-  Workspace& ws = Workspace::PerThread();
-  Workspace::Frame frame(ws);
-  double* acc = ws.Alloc(k);
-  TransposedTimesCenteredInto(a, x, mean, gather, VectorView(acc, k));
+  // Column sums do not depend on each other, so a wide `a` is walked in
+  // blocks of kBlock columns: every column sum and the outer sum keep
+  // their order. The loop runs at least once, so an `a` without columns
+  // still gets the inner kernel's shape checks.
+  constexpr size_t kBlock = 64;
+  double acc[kBlock];
   double sum = 0.0;
-  for (size_t j = 0; j < k; ++j) sum += acc[j] * acc[j];
+  size_t j0 = 0;
+  do {
+    const size_t width = std::min(kBlock, a.cols() - j0);
+    TransposedTimesCenteredInto(a.Block(0, j0, a.rows(), width), x, mean,
+                                gather, VectorView(acc, width));
+    for (size_t j = 0; j < width; ++j) sum += acc[j] * acc[j];
+    j0 += width;
+  } while (j0 < a.cols());
   return sum;
 }
 

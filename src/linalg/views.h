@@ -16,11 +16,12 @@ namespace phasorwatch::linalg {
 /// results: every kernel here uses the exact loop order of its
 /// value-returning twin, so `MultiplyInto(a, b, out)` produces the
 /// bit-identical doubles of `a * b`. The views exist so hot paths
-/// (per-sample detection, Newton-Raphson iterations, estimator sweeps)
-/// can run against preallocated workspace instead of churning the heap.
+/// (per-sample detection, Newton-Raphson iterations) can run against
+/// caller-owned buffers or fixed stack blocks instead of churning the
+/// heap.
 ///
 /// Lifetime: a view never owns memory and must not outlive the Matrix,
-/// Vector, or Workspace allocation it was taken from. Kernels require
+/// Vector, or buffer it was taken from. Kernels require
 /// the destination to be disjoint from every input (checked with
 /// PW_CHECK — aliased destination-passing silently corrupts results).
 
@@ -243,12 +244,12 @@ PW_NO_ALLOC void GatherTransposedTimesMatVecInto(
 /// the identity). The sample-to-subspace proximity kernel: `a` is a
 /// constraint basis or a stored Eq. 9 regressor transpose.
 ///
-/// Walks `a` by rows, four per pass, into a.cols() column accumulators
-/// taken from the per-thread Workspace (inside a Frame), so a row-major
-/// `a` streams contiguously and the accumulator update vectorizes. Each
-/// inner sum still runs over i ascending and the outer sum over j
-/// ascending, so the result is bit-identical to taking the column dots
-/// one at a time.
+/// Walks `a` by rows, four per pass, into column accumulators held in a
+/// fixed stack block of 64 doubles (wider `a` is walked one block of
+/// columns at a time), so a row-major `a` streams contiguously and the
+/// accumulator update vectorizes. Each inner sum still runs over i
+/// ascending and the outer sum over j ascending, so the result is
+/// bit-identical to taking the column dots one at a time.
 PW_NO_ALLOC double TransposedTimesNormSq(ConstMatrixView a, ConstVectorView x,
                                          ConstVectorView mean,
                                          const std::vector<size_t>& gather);

@@ -2,13 +2,11 @@
 // family must abort with a diagnostic in every build mode, PW_DCHECK_*
 // must abort when enabled (this target compiles with
 // PW_DCHECK_ENABLED=1, so the debug contracts are live even in a
-// Release build), and the epoch/shape contracts built on them — stale
-// WorkspaceSpan access, mismatched view kernels — must fail fast rather
-// than corrupt results.
+// Release build), and the shape contracts built on them — mismatched
+// view kernels — must fail fast rather than corrupt results.
 #include <gtest/gtest.h>
 
 #include "common/check.h"
-#include "common/workspace.h"
 #include "linalg/matrix.h"
 #include "linalg/sparse.h"
 #include "linalg/views.h"
@@ -68,41 +66,6 @@ TEST(PwDcheckTest, PassingContractsAreSilent) {
   PW_DCHECK_BOUND(1, 2);
   PW_DCHECK_SIZE(v, 3);
   PW_DCHECK_SHAPE(m, 2, 3);
-}
-
-TEST(WorkspaceSpanDeathTest, StaleSpanAccessAborts) {
-  Workspace ws;
-  WorkspaceSpan span = AllocSpan(ws, 8);
-  span[0] = 1.0;  // live: fine
-  ws.Reset();     // epoch bump invalidates the span
-  EXPECT_DEATH(span[0] = 2.0, "PW_CHECK failed");
-}
-
-TEST(WorkspaceSpanDeathTest, StaleDataExtractionAborts) {
-  Workspace ws;
-  WorkspaceSpan span = AllocSpan(ws, 4);
-  ws.Reset();
-  EXPECT_DEATH(span.data(), "PW_CHECK failed");
-}
-
-TEST(WorkspaceSpanDeathTest, OutOfBoundsIndexAborts) {
-  Workspace ws;
-  WorkspaceSpan span = AllocSpan(ws, 4);
-  EXPECT_DEATH(span[4], "PW_CHECK failed");
-}
-
-TEST(WorkspaceSpanTest, FramesDoNotInvalidateSpans) {
-  // Frames rewind the cursor without bumping the epoch: rewound-but-
-  // same-epoch reuse is the arena's whole point, and the span contract
-  // must not fire on it.
-  Workspace ws;
-  WorkspaceSpan span = AllocSpan(ws, 4);
-  {
-    Workspace::Frame frame(ws);
-    ws.Alloc(16);
-  }
-  span[0] = 3.0;
-  EXPECT_EQ(span[0], 3.0);
 }
 
 TEST(ViewKernelDeathTest, MultiplyShapeMismatchAborts) {

@@ -10,6 +10,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "linalg/svd.h"
+#include "obs/metrics.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -372,6 +373,14 @@ TEST(ClassFamilyTest, RacingThreadsOnAColdKeyAgreeBitExact) {
   const std::vector<size_t> group = {0, 2, 3, 4, 5};
   ProximityEngine engine;
   constexpr int kThreads = 4;
+#ifndef PW_OBS_DISABLED
+  const obs::Counter* builds =
+      obs::MetricsRegistry::Global().GetCounter("proximity.regressor_builds");
+  const obs::Counter* hits =
+      obs::MetricsRegistry::Global().GetCounter("proximity.cache_hits");
+  const uint64_t builds_before = builds->value();
+  const uint64_t hits_before = hits->value();
+#endif
   std::vector<FamilyResiduals> results(kThreads);
   std::vector<Status> statuses(kThreads);
   std::atomic<int> ready{0};
@@ -387,6 +396,11 @@ TEST(ClassFamilyTest, RacingThreadsOnAColdKeyAgreeBitExact) {
   }
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(engine.cache_size(), 1u);
+#ifndef PW_OBS_DISABLED
+  // Single-flight: one thread builds, the others wait for its entry.
+  EXPECT_EQ(builds->value() - builds_before, 1u);
+  EXPECT_EQ(hits->value() - hits_before, uint64_t{kThreads - 1});
+#endif
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_TRUE(statuses[t].ok());
     EXPECT_EQ(results[t].normal, results[0].normal);

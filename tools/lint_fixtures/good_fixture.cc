@@ -4,7 +4,6 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/sync.h"
-#include "common/workspace.h"
 #include "linalg/views.h"
 
 namespace phasorwatch {
@@ -20,10 +19,10 @@ PW_NO_ALLOC Status WarmPath(std::vector<double>& scratch, size_t n) {
     // Error exits may build a message: the hot path is over anyway.
     return Status::InvalidArgument("empty input");
   }
-  // Workspace arena allocation is pointer-bump, not heap.
-  Workspace& ws = Workspace::PerThread();
-  linalg::VectorView z(ws.Alloc(n), n);
-  PW_DCHECK_SIZE(z, n);
+  // A fixed stack block seen through a view is scratch, not heap.
+  double block[8] = {};
+  linalg::VectorView z(block, 8);
+  PW_DCHECK_SIZE(z, 8);
   z[0] = 1.0;
   // References and views to Matrix/Vector are fine; only value
   // construction is banned.

@@ -35,7 +35,7 @@ Rules (see docs/STATIC_ANALYSIS.md for the full contract vocabulary):
   iwyu-project      Files using a project facility must include its
                     header directly (no transitive-include reliance) for
                     a curated symbol -> header map (check/status/
-                    workspace/rng/views/obs macros).
+                    rng/views/obs macros).
 
   sync-discipline   No raw standard-library synchronization primitives
                     (std::mutex, std::shared_mutex, std::lock_guard,
@@ -161,7 +161,6 @@ IWYU_MAP = [
         re.compile(r"\bStatus\b|\bResult<|\bPW_RETURN_IF_ERROR\b|\bPW_ASSIGN_OR_RETURN\b"),
         "common/status.h",
     ),
-    (re.compile(r"\bWorkspace\b|\bWorkspaceSpan\b|\bAllocSpan\b"), "common/workspace.h"),
     (re.compile(r"\bRng\b"), "common/rng.h"),
     (
         re.compile(
