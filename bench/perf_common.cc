@@ -46,6 +46,10 @@ bool InitPerfHarness(PerfRunConfig* config, int argc, char** argv) {
                                                  forwarded.data());
 }
 
+void RecordSizing(const PerfRunConfig& config, ReportResults* results) {
+  results->emplace_back(kSizingQuickKey, config.quick ? 1.0 : 0.0);
+}
+
 void JsonCaptureReporter::ReportRuns(const std::vector<Run>& reports) {
   benchmark::ConsoleReporter::ReportRuns(reports);
   for (const Run& run : reports) {

@@ -31,6 +31,14 @@ struct PerfRunConfig {
 /// with an error (unrecognized argument).
 bool InitPerfHarness(PerfRunConfig* config, int argc, char** argv);
 
+/// Result key recording the run's sizing: 1 for --quick, 0 otherwise.
+/// `scripts/bench_report.py diff` compares timing and quantile keys
+/// only between reports of one sizing.
+inline constexpr char kSizingQuickKey[] = "run.quick";
+
+/// Adds the kSizingQuickKey result for `config` to `results`.
+void RecordSizing(const PerfRunConfig& config, ReportResults* results);
+
 /// Console reporter that additionally captures every per-iteration run
 /// into a ReportResults list: "<name>.real_time_us", "<name>.cpu_time_us",
 /// and one entry per user counter ("<name>.allocs_per_op", ...), with

@@ -51,18 +51,6 @@ void BM_JacobiSvd(benchmark::State& state) {
 }
 BENCHMARK(BM_JacobiSvd)->Arg(14)->Arg(30)->Arg(57)->Arg(118);
 
-void BM_PseudoInverse(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  // Shape matching the proximity regressor build: k constraints over a
-  // hidden block of ~N-12 nodes.
-  Matrix c = RandomMatrix(k, 100, 3);
-  for (auto _ : state) {
-    auto pinv = pw::linalg::PseudoInverse(c);
-    benchmark::DoNotOptimize(pinv.value());
-  }
-}
-BENCHMARK(BM_PseudoInverse)->Arg(5)->Arg(15)->Arg(30);
-
 void BM_MatMul(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   Matrix a = RandomMatrix(n, n, 4);
@@ -113,5 +101,6 @@ int main(int argc, char** argv) {
   pw::bench::JsonCaptureReporter reporter(&results);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
+  pw::bench::RecordSizing(config, &results);
   return pw::bench::MaybeWriteJsonReport(config.json_path, "linalg", results);
 }

@@ -8,14 +8,18 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
 #include "bench/alloc_counter.h"
 #include "bench/perf_common.h"
 #include "common/logging.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "detect/detector.h"
 #include "eval/dataset.h"
@@ -265,6 +269,73 @@ void BM_DetectSteadyStateMulti(benchmark::State& state) {
 BENCHMARK(BM_DetectSteadyStateMulti)->Arg(30)
     ->Unit(benchmark::kMicrosecond);
 
+// Cold-build row: every iteration detects the fixture's outage sample
+// under a 2-node mask no earlier iteration used, on a detector loaded
+// from the fixture's saved model, so its cache starts empty and each
+// detect pays for the Eq. 9 factors its masked groups need. The masks
+// are the first iterations of a seeded shuffle of all node pairs and
+// the iteration count is fixed, so builds/detect depends only on the
+// code. Reports the time per detect, proximity.regressor_builds per
+// detect, and the heap allocations per detect, builds included (exact
+// for one --benchmark_filter, so check.sh's allocs/op gate covers the
+// cold path too).
+constexpr int kColdMasks = 200;
+
+void BM_DetectColdMask(benchmark::State& state) {
+  TrainedFixture* fixture = GetFixture(static_cast<int>(state.range(0)));
+  if (fixture == nullptr) {
+    state.SkipWithError("fixture construction failed");
+    return;
+  }
+  std::stringstream model;
+  if (!fixture->methods.detector().Save(model).ok()) {
+    state.SkipWithError("model save failed");
+    return;
+  }
+  auto loaded = pw::detect::OutageDetector::Load(model, fixture->grid,
+                                                 fixture->methods.network());
+  if (!loaded.ok()) {
+    state.SkipWithError("model load failed");
+    return;
+  }
+  pw::detect::OutageDetector detector = std::move(loaded).value();
+  const size_t n = fixture->grid.num_buses();
+  std::vector<std::pair<size_t, size_t>> pairs;
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) pairs.emplace_back(a, b);
+  }
+  if (pairs.size() < static_cast<size_t>(kColdMasks)) {
+    state.SkipWithError("too few node pairs for fresh masks");
+    return;
+  }
+  pw::Rng rng(0xC01DBA5Eull);
+  rng.Shuffle(pairs);
+  auto [vm, va] = fixture->dataset.outages[0].test.Sample(0);
+  const pw::obs::Counter* builds =
+      pw::obs::MetricsRegistry::Global().GetCounter(
+          "proximity.regressor_builds");
+  const uint64_t builds_before = builds->value();
+  const uint64_t allocs_before = pw::bench::AllocCount();
+  size_t next = 0;
+  for (auto _ : state) {
+    pw::sim::MissingMask mask = pw::sim::MissingMask::None(n);
+    mask.missing[pairs[next].first] = true;
+    mask.missing[pairs[next].second] = true;
+    ++next;
+    auto result = detector.Detect(vm, va, mask);
+    benchmark::DoNotOptimize(result.value().lines);
+  }
+  state.counters["builds_per_op"] =
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(builds->value() - builds_before) /
+                static_cast<double>(state.iterations());
+  state.counters["allocs_per_op"] =
+      pw::bench::AllocsPerOp(allocs_before, state.iterations());
+}
+BENCHMARK(BM_DetectColdMask)->Arg(30)->Iterations(kColdMasks)
+    ->Unit(benchmark::kMicrosecond);
+
 // Threads-vs-wall-time sweep for the dataset build, the pipeline's
 // dominant cost (one AC power flow per solved state per outage case).
 // Arg = parallelism degree; every degree produces a bit-identical
@@ -490,6 +561,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   RunDetectLatencyProbe(&results, config.quick);
+  pw::bench::RecordSizing(config, &results);
   std::printf("\n%s",
               pw::obs::MetricsRegistry::Global().TextSnapshot().c_str());
   return pw::bench::MaybeWriteJsonReport(

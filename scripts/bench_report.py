@@ -24,6 +24,14 @@ Keys that depend only on the code, not the machine (allocs/op), are
 gated exactly: `diff BASE NEW --only 'allocs_per_op$' --threshold 0`
 fails on any rise, including one from a zero baseline.
 
+The perf harnesses record their sizing in the `run.quick` result (1 for
+`--quick`, 0 for a full run). A diff between reports of different
+sizings compares neither timing keys (`*_us`, `*_ms`, `*_s`) nor
+registry quantiles, whose values follow the benchmark mix; every other
+key, allocs/op included, is still compared. A report without the key
+(older baselines, the figure harnesses) has an unknown sizing and is
+compared in full.
+
 Only pw-bench-report-v2 validates; v1 documents (with their bucketed
 `histograms` section) are rejected. A quantile entry with count > 0 must
 report its stats in order (min <= p50 <= p90 <= p99 <= p999 <= max,
@@ -58,6 +66,12 @@ TOP_LEVEL = {
 
 HIGHER_IS_BETTER_PARTS = ("IA", "accuracy", "frames_per_sec",
                           "set_precision", "set_recall")
+
+# Result key holding a perf report's sizing (bench/perf_common.h).
+SIZING_KEY = "run.quick"
+
+# Comparable keys whose values depend on the run's sizing.
+SIZED_KEY_RE = re.compile(r"^quantiles\.|_(us|ms|s)$")
 
 
 def load(path):
@@ -123,10 +137,20 @@ def higher_is_better(key):
     return any(part in HIGHER_IS_BETTER_PARTS for part in key.split("."))
 
 
+def sizing(doc):
+    """'quick', 'full', or None when the report does not record it."""
+    entry = doc["results"].get(SIZING_KEY)
+    if entry is None:
+        return None
+    return "quick" if entry["value"] else "full"
+
+
 def flatten(doc, results_only):
     """Comparable key -> value map for a report document."""
     flat = {}
     for key, entry in doc["results"].items():
+        if key == SIZING_KEY:
+            continue
         flat["results." + key] = float(entry["value"])
     if results_only:
         return flat
@@ -143,12 +167,22 @@ def diff_docs(base, new, threshold, results_only, only=None):
     `only`, a regex, keeps the keys it matches (re.search)."""
     base_flat = flatten(base, results_only)
     new_flat = flatten(new, results_only)
+    lines = []
+    regressions = []
+    base_sizing, new_sizing = sizing(base), sizing(new)
+    if base_sizing and new_sizing and base_sizing != new_sizing:
+        # Timings and quantiles of differently sized runs measure
+        # different benchmark mixes; only sizing-free keys compare.
+        lines.append("  sizing differs (%s -> %s): timing and quantile "
+                     "keys not compared" % (base_sizing, new_sizing))
+        base_flat = {k: v for k, v in base_flat.items()
+                     if not SIZED_KEY_RE.search(k)}
+        new_flat = {k: v for k, v in new_flat.items()
+                    if not SIZED_KEY_RE.search(k)}
     if only is not None:
         keep = re.compile(only)
         base_flat = {k: v for k, v in base_flat.items() if keep.search(k)}
         new_flat = {k: v for k, v in new_flat.items() if keep.search(k)}
-    lines = []
-    regressions = []
     for key in sorted(set(base_flat) | set(new_flat)):
         if key not in base_flat:
             lines.append("  + %-60s (new key)" % key)
@@ -230,10 +264,10 @@ def cmd_diff(base_path, new_path, threshold, results_only, only):
 
 
 def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
-             idle_allocs=0):
+             idle_allocs=0, quick=None):
     """Minimal valid document with latency, accuracy, throughput, and
-    allocation counts."""
-    return {
+    allocation counts; `quick` (0 or 1) records a sizing."""
+    doc = {
         "schema": SCHEMA,
         "name": "selftest",
         "created_unix": 1700000000,
@@ -261,6 +295,9 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
                 {"count": 100, "p50": 40.0, "p99": p99_14, "p999": p99_14},
         },
     }
+    if quick is not None:
+        doc["results"][SIZING_KEY] = {"unit": "", "value": quick}
+    return doc
 
 
 def self_test():
@@ -331,6 +368,24 @@ def self_test():
                             allocs)
     check("--only: keys outside the filter never gate",
           regs == [] and lines == [])
+
+    full, quick = _fixture(100.0, quick=0), _fixture(100.0, quick=1)
+    lines, regs = diff_docs(full, _fixture(1000.0, quick=1), 0.20, False)
+    check("sizing: timings across sizings are not compared",
+          regs == [] and not any("p99_us" in line or "frame_us" in line
+                                 for line in lines))
+    lines, regs = diff_docs(full, _fixture(100.0, allocs=5, quick=1), 0.0,
+                            False, allocs)
+    check("sizing: allocs/op across sizings still gates",
+          regs == ["results.BM_DetectSteadyState.14.allocs_per_op"])
+    _, regs = diff_docs(quick, _fixture(130.0, quick=1), 0.20, False)
+    check("sizing: one sizing compares timings",
+          "results.detect.ieee14.p99_us" in regs)
+    _, regs = diff_docs(full, _fixture(130.0), 0.20, False)
+    check("sizing: an unrecorded side compares timings",
+          "results.detect.ieee14.p99_us" in regs)
+    _, regs = diff_docs(full, quick, 0.0, False)
+    check("sizing: the sizing key itself never gates", regs == [])
 
     failed = [name for name, ok in checks if not ok]
     if failed:

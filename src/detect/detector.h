@@ -181,6 +181,7 @@ class OutageDetector {
   /// Mean calibrated gate level over clusters (diagnostic).
   double decision_threshold() const;
   size_t proximity_cache_size() const { return engine_.cache_size(); }
+  const ProximityEngine& proximity_engine() const { return engine_; }
 
   /// An untrained detector; populate via Train().
   OutageDetector() = default;

@@ -149,18 +149,4 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
   return out;
 }
 
-Result<Matrix> PseudoInverse(const Matrix& a, double rcond) {
-  PW_ASSIGN_OR_RETURN(SvdResult svd, ComputeSvd(a));
-  const size_t k = svd.singular_values.size();
-  double cutoff = rcond * (k > 0 ? svd.singular_values[0] : 0.0);
-  // pinv(A) = V diag(1/s) U^T over the significant spectrum.
-  Matrix vs = svd.v;  // n-by-k
-  for (size_t j = 0; j < k; ++j) {
-    double s = svd.singular_values[j];
-    double inv = s > cutoff ? 1.0 / s : 0.0;
-    for (size_t i = 0; i < vs.rows(); ++i) vs(i, j) *= inv;
-  }
-  return vs * svd.u.Transposed();
-}
-
 }  // namespace phasorwatch::linalg

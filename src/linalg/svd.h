@@ -32,11 +32,6 @@ struct SvdResult {
 PW_NODISCARD Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps = 60,
                                           double tol = 1e-12);
 
-/// Moore-Penrose pseudo-inverse via the SVD. Singular values below
-/// rcond * s_max are treated as zero.
-PW_NODISCARD Result<Matrix> PseudoInverse(const Matrix& a,
-                                          double rcond = 1e-10);
-
 }  // namespace phasorwatch::linalg
 
 #endif  // PHASORWATCH_LINALG_SVD_H_

@@ -68,6 +68,23 @@ PW_NO_ALLOC void MatVecInto(ConstMatrixView a, ConstVectorView x, VectorView out
   }
 }
 
+PW_NO_ALLOC void TransposedMatVecInto(ConstMatrixView a, ConstVectorView x,
+                                      VectorView out) {
+  PW_CHECK_EQ(a.rows(), x.size());
+  PW_CHECK_EQ(out.size(), a.cols());
+  PW_CHECK(!ViewOverlaps(a, out.data(), out.size()));
+  PW_CHECK(!RangesOverlap(x.data(), x.size(), out.data(), out.size()));
+  double* acc = out.data();
+  out.Fill(0.0);
+  // Row by row: each out[j] adds its terms in ascending row order, and
+  // the update streams one contiguous row of `a`.
+  for (size_t i = 0; i < a.rows(); ++i) {
+    const double* row = a.row(i);
+    const double xi = x.data()[i];
+    for (size_t j = 0; j < a.cols(); ++j) acc[j] += row[j] * xi;
+  }
+}
+
 PW_NO_ALLOC void TransposedTimesInto(ConstMatrixView a, ConstMatrixView b,
                          MutableMatrixView out) {
   PW_CHECK_EQ(a.rows(), b.rows());
@@ -144,13 +161,19 @@ PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst) {
   }
 }
 
-PW_NO_ALLOC void TransposedTimesCenteredInto(ConstMatrixView a,
-                                             ConstVectorView x,
-                                             ConstVectorView mean,
-                                             const std::vector<size_t>& gather,
-                                             VectorView y) {
+namespace {
+
+// y = sum_i a.row(row_of(i)) * z_i with z_i = x[g(i)] - mean[g(i)],
+// g(i) = gather[i] (or i when `gather` is empty), over `count` rows.
+// Shared by the two centered kernels below; `row_of` picks whether the
+// rows of `a` are gathered too.
+template <typename RowOf>
+PW_NO_ALLOC void CenteredRowSumInto(ConstMatrixView a, RowOf row_of,
+                                    size_t count, ConstVectorView x,
+                                    ConstVectorView mean,
+                                    const std::vector<size_t>& gather,
+                                    VectorView y) {
   PW_CHECK_EQ(mean.size(), x.size());
-  PW_CHECK_EQ(a.rows(), gather.empty() ? x.size() : gather.size());
   PW_CHECK_EQ(y.size(), a.cols());
   PW_CHECK(!ViewOverlaps(a, y.data(), y.size()));
   PW_CHECK(!RangesOverlap(x.data(), x.size(), y.data(), y.size()));
@@ -166,56 +189,76 @@ PW_NO_ALLOC void TransposedTimesCenteredInto(ConstMatrixView a,
   // Four rows per pass keep each accumulator in a register across them;
   // the adds still land in ascending row order.
   size_t i = 0;
-  for (; i + 4 <= a.rows(); i += 4) {
+  for (; i + 4 <= count; i += 4) {
     const double z0 = centered(i), z1 = centered(i + 1);
     const double z2 = centered(i + 2), z3 = centered(i + 3);
-    const double* r0 = a.row(i);
-    const double* r1 = a.row(i + 1);
-    const double* r2 = a.row(i + 2);
-    const double* r3 = a.row(i + 3);
+    const double* r0 = row_of(i);
+    const double* r1 = row_of(i + 1);
+    const double* r2 = row_of(i + 2);
+    const double* r3 = row_of(i + 3);
     for (size_t j = 0; j < k; ++j) {
       acc[j] = (((acc[j] + r0[j] * z0) + r1[j] * z1) + r2[j] * z2) +
                r3[j] * z3;
     }
   }
-  for (; i < a.rows(); ++i) {
+  for (; i < count; ++i) {
     const double z = centered(i);
-    const double* row = a.row(i);
+    const double* row = row_of(i);
     for (size_t j = 0; j < k; ++j) acc[j] += row[j] * z;
   }
 }
 
-PW_NO_ALLOC void GatherTransposedTimesMatVecInto(
-    ConstMatrixView a, ConstVectorView y, ConstMatrixView s,
-    const std::vector<size_t>& gather, VectorView g) {
-  PW_CHECK_EQ(a.rows(), gather.empty() ? s.rows() : gather.size());
-  PW_CHECK_EQ(y.size(), a.cols());
-  PW_CHECK_EQ(g.size(), s.cols());
-  PW_CHECK(!ViewOverlaps(a, g.data(), g.size()));
-  PW_CHECK(!ViewOverlaps(s, g.data(), g.size()));
-  PW_CHECK(!RangesOverlap(y.data(), y.size(), g.data(), g.size()));
-  const size_t k = a.cols();
-  const size_t cases = s.cols();
-  double* out = g.data();
-  g.Fill(0.0);
-  for (size_t i = 0; i < a.rows(); ++i) {
-    const double* row = a.row(i);
-    // Four interleaved partial sums break the dependent add chain of a
-    // single dot product (fixed order, so the result is deterministic).
+}  // namespace
+
+PW_NO_ALLOC void TransposedTimesCenteredInto(ConstMatrixView a,
+                                             ConstVectorView x,
+                                             ConstVectorView mean,
+                                             const std::vector<size_t>& gather,
+                                             VectorView y) {
+  PW_CHECK_EQ(a.rows(), gather.empty() ? x.size() : gather.size());
+  CenteredRowSumInto(
+      a, [&](size_t i) { return a.row(i); }, a.rows(), x, mean, gather, y);
+}
+
+PW_NO_ALLOC void GatheredTransposedTimesCenteredInto(
+    ConstMatrixView a, ConstVectorView x, ConstVectorView mean,
+    const std::vector<size_t>& rows, VectorView y) {
+  PW_CHECK_EQ(a.rows(), x.size());
+  CenteredRowSumInto(
+      a, [&](size_t i) { return a.row(rows[i]); }, rows.size(), x, mean,
+      rows, y);
+}
+
+PW_NO_ALLOC void ProjectOffRowSpanInto(ConstMatrixView q, VectorView y,
+                                       VectorView h) {
+  PW_CHECK_EQ(y.size(), q.cols());
+  PW_CHECK_EQ(h.size(), q.rows());
+  PW_CHECK(!ViewOverlaps(q, y.data(), y.size()));
+  PW_CHECK(!ViewOverlaps(q, h.data(), h.size()));
+  PW_CHECK(!RangesOverlap(y.data(), y.size(), h.data(), h.size()));
+  const size_t k = q.cols();
+  double* v = y.data();
+  // h = Q y, one row dot each, then y -= Q^T h row by row, so each y_j
+  // subtracts its terms in ascending row order. Four interleaved
+  // partial sums break each dot's dependent add chain (fixed order, so
+  // the result is deterministic).
+  for (size_t i = 0; i < q.rows(); ++i) {
+    const double* row = q.row(i);
     double p0 = 0.0, p1 = 0.0, p2 = 0.0, p3 = 0.0;
     size_t j = 0;
     for (; j + 4 <= k; j += 4) {
-      p0 += row[j] * y.data()[j];
-      p1 += row[j + 1] * y.data()[j + 1];
-      p2 += row[j + 2] * y.data()[j + 2];
-      p3 += row[j + 3] * y.data()[j + 3];
+      p0 += row[j] * v[j];
+      p1 += row[j + 1] * v[j + 1];
+      p2 += row[j + 2] * v[j + 2];
+      p3 += row[j + 3] * v[j + 3];
     }
-    for (; j < k; ++j) p0 += row[j] * y.data()[j];
-    const double w = (p0 + p1) + (p2 + p3);
-    const size_t src = gather.empty() ? i : gather[i];
-    PW_CHECK_LT(src, s.rows());
-    const double* shift = s.row(src);
-    for (size_t c = 0; c < cases; ++c) out[c] += w * shift[c];
+    for (; j < k; ++j) p0 += row[j] * v[j];
+    h.data()[i] = (p0 + p1) + (p2 + p3);
+  }
+  for (size_t i = 0; i < q.rows(); ++i) {
+    const double* row = q.row(i);
+    const double hi = h.data()[i];
+    for (size_t j = 0; j < k; ++j) v[j] -= row[j] * hi;
   }
 }
 

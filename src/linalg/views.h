@@ -196,6 +196,11 @@ PW_NO_ALLOC void MultiplyInto(ConstMatrixView a, ConstMatrixView b, MutableMatri
 /// out = a * x (matrix-vector product). out.size() == a.rows().
 PW_NO_ALLOC void MatVecInto(ConstMatrixView a, ConstVectorView x, VectorView out);
 
+/// out = a^T * x (matrix-vector product with the transpose), walking
+/// the rows of `a`. out.size() == a.cols(), x.size() == a.rows().
+PW_NO_ALLOC void TransposedMatVecInto(ConstMatrixView a, ConstVectorView x,
+                                      VectorView out);
+
 /// out = a^T * b without materializing the transpose.
 /// out must be a.cols() x b.cols().
 PW_NO_ALLOC void TransposedTimesInto(ConstMatrixView a, ConstMatrixView b,
@@ -226,17 +231,24 @@ PW_NO_ALLOC void TransposedTimesCenteredInto(ConstMatrixView a,
                                              const std::vector<size_t>& gather,
                                              VectorView y);
 
-/// g = s_G^T (a y): one walk over the rows of `a`, where row i yields
-/// w_i = a.row(i) . y and adds w_i * s.row(G(i)) into g, with
-/// G(i) = gather[i] (or i when `gather` is empty). s_G stacks those
-/// rows of `s`. a.rows() must equal gather.size() (s.rows() for the
-/// identity), y.size() == a.cols() and g.size() == s.cols(); g must be
-/// disjoint from every input. The class-family kernel
-/// (ProximityEngine::EvaluateFamily): `a` is a regressor transpose, `y`
-/// the regressed sample and `s` the class mean shifts.
-PW_NO_ALLOC void GatherTransposedTimesMatVecInto(
-    ConstMatrixView a, ConstVectorView y, ConstMatrixView s,
-    const std::vector<size_t>& gather, VectorView g);
+/// y = a_G^T z_G: TransposedTimesCenteredInto with the rows of `a`
+/// gathered too, y = sum_i a.row(rows[i]) * (x[rows[i]] - mean[rows[i]])
+/// over i ascending (same four-row loop). a.rows() must equal x.size().
+/// The first step of a projector entry (ProximityEngine): C_D z_D from
+/// the shared constraint-basis rows of the coordinate set D.
+PW_NO_ALLOC void GatheredTransposedTimesCenteredInto(
+    ConstMatrixView a, ConstVectorView x, ConstVectorView mean,
+    const std::vector<size_t>& rows, VectorView y);
+
+/// y <- (I - q^T q) y in place, for q with orthonormal rows: h = q y
+/// (one row dot each), then y -= q^T h. What is left of y in the row
+/// span of q is rounding of the input's norm; a second call cuts it to
+/// rounding of the result's (classical Gram-Schmidt with one
+/// reorthogonalization). h.size() must equal q.rows() and
+/// y.size() == q.cols(); y, h and q must be pairwise disjoint. The
+/// projector off range(C_M) of ProximityEngine's projector entries.
+PW_NO_ALLOC void ProjectOffRowSpanInto(ConstMatrixView q, VectorView y,
+                                       VectorView h);
 
 /// ||a^T z||^2 = sum_j (sum_i a(i, j) * z_i)^2, with
 /// z_i = x[g(i)] - mean[g(i)] where g(i) = gather[i], or g(i) = i when

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "common/rng.h"
 #include "grid/ieee_cases.h"
 #include "sim/fault_injection.h"
+#include "proximity_oracle.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -668,8 +670,8 @@ class ClassFamilyParityTest : public DetectScratchTest {
   // Bound on the relative residual error against the oracle. The
   // family's r_0 - 2 g_c + e_c cancels terms up to ~4e3 times r_c on
   // these corpora, so its rounding error is far above one ulp: the
-  // worst measured here is 1.6e-12 (IEEE-14) and 6e-13 (IEEE-30). The
-  // bound leaves ~60x headroom and still catches any real formula
+  // worst measured here is 9.1e-13 (IEEE-14) and 1.2e-12 (IEEE-30). The
+  // bound leaves ~80x headroom and still catches any real formula
   // error.
   static constexpr double kResidualRelTol = 1e-10;
 
@@ -834,6 +836,95 @@ class ClassFamilyParityTest : public DetectScratchTest {
     RecordProperty("worst_cancellation_ratio", text);
   }
 };
+
+// Every entry a trained detector's engine caches, against the
+// pseudo-inverse oracle (tests/proximity_oracle.h). Each (model, group)
+// is rebuilt in a fresh engine, which builds the same entry, and read on
+// one test sample; family entries also at the base mean, where every
+// case residual is that case's shift energy. The model behind a key
+// follows detector.cc: 0 the normal model, 1 + 2i and 2 + 2i node i's
+// union and intersection models, 2^21 the class family.
+class TrainedEntryOracleTest : public DetectScratchTest {
+ protected:
+  static void CheckEntries(const Corpus& corpus, const OutageDetector& det,
+                           const std::string& label) {
+    constexpr uint64_t kClassFamilyKey = uint64_t{1} << 21;
+    const ClassFamily& family = det.class_family();
+    const Sample& s = corpus.samples.front();
+    const linalg::Vector x =
+        FeatureVector(s.vm, s.va, DetectorOptions().subspace.channel);
+    const std::vector<ProximityEngine::CachedKey> keys =
+        det.proximity_engine().CachedKeys();
+    ASSERT_GT(keys.size(), 0u);
+    ProximityEngine engine;
+    FamilyResiduals got;
+    double worst = 0.0;
+    size_t family_entries = 0;
+    // |got - want| within kRelTol of max(|want|, floor); returns the
+    // relative error.
+    auto near = [&](double got_value, double want, double floor,
+                    const char* what) {
+      const double scale = std::max(std::abs(want), floor);
+      const double rel = std::abs(got_value - want) / scale;
+      EXPECT_LE(rel, oracle::kRelTol) << what;
+      worst = std::max(worst, rel);
+    };
+    for (const ProximityEngine::CachedKey& key : keys) {
+      SCOPED_TRACE(testing::Message() << "model key " << key.model_key
+                                      << " |D|=" << key.group.size());
+      if (key.model_key == kClassFamilyKey) {
+        ASSERT_TRUE(key.family);
+        ++family_entries;
+        const oracle::FamilyResult want = oracle::Family(family, x, key.group);
+        ASSERT_TRUE(engine.EvaluateFamily(family, key.model_key, x, key.group,
+                                          &got)
+                        .ok());
+        near(got.normal, want.normal, 0.0, "normal");
+        for (size_t c = 0; c < family.num_cases(); ++c) {
+          const double cancel = want.normal + want.energies[c];
+          near(got.cases[c], want.cases[c], cancel, "case residual");
+          near(got.drops[c], want.drops[c],
+               cancel / std::max(want.energies[c], 1e-15), "drop");
+        }
+        ASSERT_TRUE(engine.EvaluateFamily(family, key.model_key,
+                                          family.base().mean, key.group, &got)
+                        .ok());
+        for (size_t c = 0; c < family.num_cases(); ++c) {
+          near(got.cases[c], want.energies[c], 0.0, "energy");
+        }
+        continue;
+      }
+      ASSERT_FALSE(key.family);
+      const SubspaceModel* model = &det.normal_model();
+      if (key.model_key != 0) {
+        const size_t node = (key.model_key - 1) / 2;
+        ASSERT_LT(node, det.grid().num_buses());
+        model = key.model_key % 2 == 1
+                    ? &det.node_subspaces(node).union_model
+                    : &det.node_subspaces(node).intersection_model;
+      }
+      auto prox = engine.Evaluate(*model, key.model_key, x, key.group);
+      ASSERT_TRUE(prox.ok());
+      near(*prox, oracle::Proximity(*model, x, key.group), 0.0, "proximity");
+    }
+    EXPECT_GT(family_entries, 0u);
+    EXPECT_EQ(engine.cache_size(), keys.size());
+    char text[32];
+    std::snprintf(text, sizeof(text), "%.3g", worst);
+    RecordProperty(label + "_worst_relative_error", text);
+    RecordProperty(label + "_entries", static_cast<int>(keys.size()));
+  }
+};
+
+TEST_F(TrainedEntryOracleTest, Ieee14EntriesMatchPseudoInverseOracle) {
+  CheckEntries(*ieee14_, *ieee14_->legacy, "legacy");
+  CheckEntries(*ieee14_, *ieee14_->multi, "multi");
+}
+
+TEST_F(TrainedEntryOracleTest, Ieee30EntriesMatchPseudoInverseOracle) {
+  CheckEntries(*ieee30_, *ieee30_->legacy, "legacy");
+  CheckEntries(*ieee30_, *ieee30_->multi, "multi");
+}
 
 TEST_F(ClassFamilyParityTest, Ieee14LegacyMatchesDirectOracle) {
   CheckCorpus(*ieee14_, *ieee14_->legacy, false);

@@ -1,7 +1,9 @@
 #include "detect/proximity.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +13,7 @@
 #include "common/rng.h"
 #include "linalg/svd.h"
 #include "obs/metrics.h"
+#include "proximity_oracle.h"
 
 namespace phasorwatch::detect {
 namespace {
@@ -141,89 +144,224 @@ TEST(ProximityEngineTest, DistinctModelsDoNotCollide) {
   EXPECT_NEAR(*pb, 1.0, 1e-10);
 }
 
-// Reference for ProximityEngine::Evaluate built the way the Eq. 9
-// regressor is defined: R = C_D - C_M (C_M^+ C_D) as a k x |D| matrix,
-// applied as one dot per row of R (the column-walk over R^T), squared
-// and summed. The engine stores R^T and walks it by rows; the two must
-// agree to the last bit.
-double ColumnWalkProximity(const SubspaceModel& model, const Vector& x,
-                           const std::vector<size_t>& group) {
-  const Matrix& b = model.constraints.basis();
-  const size_t n = b.rows();
-  const size_t k = b.cols();
-  std::vector<bool> in_group(n, false);
-  for (size_t idx : group) in_group[idx] = true;
-  std::vector<size_t> hidden;
+// A random n x k coefficient matrix: general entries, or orthonormal
+// columns (the left singular vectors of a general one, k <= n).
+Matrix RandomBasis(size_t n, size_t k, bool orthonormal, Rng& rng) {
+  Matrix basis(n, k);
   for (size_t i = 0; i < n; ++i) {
-    if (!in_group[i]) hidden.push_back(i);
+    for (size_t j = 0; j < k; ++j) basis(i, j) = rng.Uniform(-1.0, 1.0);
   }
-  Matrix c_d(k, group.size());
-  for (size_t c = 0; c < group.size(); ++c) {
-    for (size_t r = 0; r < k; ++r) c_d(r, c) = b(group[c], r);
+  if (!orthonormal) return basis;
+  auto svd = linalg::ComputeSvd(basis);
+  PW_CHECK(svd.ok());
+  return svd->u;
+}
+
+// A class family over `basis` with a random base mean and `cases` random
+// case means.
+ClassFamily RandomFamily(Matrix basis, size_t cases, Rng& rng) {
+  const size_t n = basis.rows();
+  SubspaceModel base;
+  base.mean = Vector(n);
+  for (size_t i = 0; i < n; ++i) base.mean[i] = rng.Uniform(-1.0, 1.0);
+  base.constraints = Subspace::FromOrthonormal(std::move(basis));
+  std::vector<Vector> case_means;
+  for (size_t c = 0; c < cases; ++c) {
+    Vector mean(n);
+    for (size_t i = 0; i < n; ++i) mean[i] = rng.Uniform(-1.0, 1.0);
+    case_means.push_back(mean);
   }
-  Matrix regressor = c_d;
-  if (!hidden.empty()) {
-    Matrix c_m(k, hidden.size());
-    for (size_t c = 0; c < hidden.size(); ++c) {
-      for (size_t r = 0; r < k; ++r) c_m(r, c) = b(hidden[c], r);
-    }
-    auto c_m_pinv = linalg::PseudoInverse(c_m);
-    PW_CHECK(c_m_pinv.ok());
-    regressor = c_d - (c_m * (*c_m_pinv * c_d));
-  }
+  return ClassFamily(std::move(base), std::move(case_means));
+}
+
+// ||C_D z_D||^2 with z = x - mean: the size of the walk before the
+// projection. The oracle comparisons below floor their relative bound
+// at 1e-8 of it, where R is too close to zero for a relative error of
+// the residual itself to mean anything.
+double GroupWalkSq(const SubspaceModel& model, const Vector& x,
+                   const Vector& mean, const std::vector<size_t>& group) {
+  const Matrix& b = model.constraints.basis();
   double sum = 0.0;
-  for (size_t r = 0; r < k; ++r) {
+  for (size_t j = 0; j < b.cols(); ++j) {
     double dot = 0.0;
-    for (size_t c = 0; c < group.size(); ++c) {
-      dot += regressor(r, c) * (x[group[c]] - model.mean[group[c]]);
-    }
+    for (size_t idx : group) dot += b(idx, j) * (x[idx] - mean[idx]);
     sum += dot * dot;
   }
   return sum;
 }
 
-TEST(ProximityEngineTest, RowWalkMatchesColumnWalkBitExact) {
+// |got - want| within oracle::kRelTol of max(|want|, floor).
+void ExpectNearOracle(double got, double want, double floor,
+                      const std::string& what) {
+  const double scale = std::max(std::abs(want), floor);
+  EXPECT_LE(std::abs(got - want), oracle::kRelTol * scale)
+      << what << ": got " << got << " want " << want;
+}
+
+// Evaluate and EvaluateFamily over `group` against the pseudo-inverse
+// oracle: the base residual, every case residual (as a model of its
+// own and from the family), every shift energy and every drop.
+void ExpectMatchesOracle(ProximityEngine& engine, const ClassFamily& family,
+                         const Vector& x, const std::vector<size_t>& group) {
+  const SubspaceModel& base = family.base();
+  const oracle::FamilyResult want = oracle::Family(family, x, group);
+  const std::string tag = "|D|=" + std::to_string(group.size()) +
+                          " k=" + std::to_string(base.constraints.dim());
+  const double walk = 1e-8 * GroupWalkSq(base, x, base.mean, group);
+  auto r0 = engine.Evaluate(base, 1, x, group);
+  ASSERT_TRUE(r0.ok());
+  ExpectNearOracle(*r0, want.normal, walk, tag + " normal");
+  FamilyResiduals got;
+  ASSERT_TRUE(engine.EvaluateFamily(family, 2, x, group, &got).ok());
+  EXPECT_EQ(got.normal, *r0) << tag;  // one entry kind, one walk
+  for (size_t c = 0; c < family.num_cases(); ++c) {
+    const std::string what = tag + " case " + std::to_string(c);
+    const Vector& mu_c = family.case_mean(c);
+    SubspaceModel model = base;
+    model.mean = mu_c;
+    auto r = engine.Evaluate(model, 1, x, group);
+    ASSERT_TRUE(r.ok());
+    ExpectNearOracle(*r, want.cases[c],
+                     1e-8 * GroupWalkSq(base, x, mu_c, group),
+                     what + " residual");
+    auto e = engine.Evaluate(base, 1, mu_c, group);
+    ASSERT_TRUE(e.ok());
+    const double shift_walk = 1e-8 * GroupWalkSq(base, mu_c, base.mean, group);
+    ExpectNearOracle(*e, want.energies[c], shift_walk, what + " energy");
+    // The family form r_0 - 2 g_c + e_c cancels against r_0 + e_c, so
+    // its residual and drop are bounded relative to that sum.
+    const double cancel =
+        std::max(want.normal + want.energies[c], walk + shift_walk);
+    ExpectNearOracle(got.cases[c], want.cases[c], cancel,
+                     what + " family residual");
+    EXPECT_LE(std::abs(got.drops[c] - want.drops[c]),
+              oracle::kRelTol * cancel / std::max(want.energies[c], 1e-15))
+        << what << " drop";
+  }
+}
+
+TEST(ProximityEngineTest, MatchesPseudoInverseOracle) {
   Rng rng(3);
-  const size_t n = 60;
-  for (size_t k : {1u, 3u, 28u, 60u, 61u}) {
-    // A general (non-orthonormal) coefficient matrix, as the whitened
-    // class models carry.
-    SubspaceModel model;
-    model.mean = Vector(n);
-    Matrix basis(n, k);
-    for (size_t i = 0; i < n; ++i) {
-      model.mean[i] = rng.Uniform(-1.0, 1.0);
-      for (size_t j = 0; j < k; ++j) basis(i, j) = rng.Uniform(-1.0, 1.0);
-    }
-    model.constraints = Subspace::FromOrthonormal(basis);
-    ProximityEngine engine;
-    for (int trial = 0; trial < 4; ++trial) {
-      Vector x(n);
-      for (size_t i = 0; i < n; ++i) x[i] = rng.Uniform(-2.0, 2.0);
-      // Empty hidden set: the complete-data path.
-      std::vector<size_t> all(n);
-      for (size_t i = 0; i < n; ++i) all[i] = i;
-      auto complete = engine.Evaluate(model, 7, x, all);
-      ASSERT_TRUE(complete.ok());
-      EXPECT_EQ(*complete, ColumnWalkProximity(model, x, all)) << "k=" << k;
-      EXPECT_EQ(model.Proximity(x), *complete) << "k=" << k;
-      // Masked groups: drop a random 1..12 coordinates.
-      std::vector<size_t> group;
-      const size_t drop = 1 + static_cast<size_t>(rng.UniformInt(12));
-      std::vector<bool> hidden(n, false);
-      for (size_t d = 0; d < drop; ++d) {
-        hidden[static_cast<size_t>(rng.UniformInt(n))] = true;
+  for (bool orthonormal : {false, true}) {
+    // Orthonormal columns need k <= n.
+    const size_t n = orthonormal ? 64 : 60;
+    for (size_t k : {1u, 3u, 28u, 60u, 61u}) {
+      const ClassFamily family =
+          RandomFamily(RandomBasis(n, k, orthonormal, rng), 3, rng);
+      ProximityEngine engine;
+      // Hidden sets of 1 to n - 1 coordinates: both entry kinds, and
+      // |D| < |M| on both kinds of basis.
+      for (size_t num_hidden :
+           {size_t{1}, size_t{2}, n / 4, n / 2 - 1, n / 2, n / 2 + 1,
+            3 * n / 4, n - 2, n - 1}) {
+        std::vector<size_t> order(n);
+        for (size_t i = 0; i < n; ++i) order[i] = i;
+        rng.Shuffle(order);
+        std::vector<size_t> group(order.begin() + num_hidden, order.end());
+        std::sort(group.begin(), group.end());
+        Vector x(n);
+        for (size_t i = 0; i < n; ++i) x[i] = rng.Uniform(-2.0, 2.0);
+        SCOPED_TRACE(testing::Message()
+                     << (orthonormal ? "orthonormal" : "general") << " k=" << k
+                     << " hidden=" << num_hidden);
+        ExpectMatchesOracle(engine, family, x, group);
       }
-      hidden[0] = true;  // at least one coordinate is always hidden
-      for (size_t i = 0; i < n; ++i) {
-        if (!hidden[i]) group.push_back(i);
-      }
-      auto masked = engine.Evaluate(model, 7, x, group);
-      ASSERT_TRUE(masked.ok());
-      EXPECT_EQ(*masked, ColumnWalkProximity(model, x, group))
-          << "k=" << k << " |D|=" << group.size();
     }
   }
+}
+
+TEST(ProximityEngineTest, CacheBytesSumEntryStorage) {
+  SubspaceModel model = MakeModel();  // R^4, k = 2, B = [e2 e3]
+  ProximityEngine engine;
+  EXPECT_EQ(engine.cache_bytes(), 0u);
+  const Vector x = {0.1, 0.2, 0.3, 0.4};
+  // {0, 1, 2} hides {3}: a projector entry, Q = one row of k, plus
+  // three group indices.
+  ASSERT_TRUE(engine.Evaluate(model, 1, x, {0, 1, 2}).ok());
+  size_t want = 1 * 2 * sizeof(double) + 3 * sizeof(size_t);
+  EXPECT_EQ(engine.cache_bytes(), want);
+  // {0, 1} hides {2, 3}: a tie, so a regressor entry of two rows.
+  ASSERT_TRUE(engine.Evaluate(model, 1, x, {0, 1}).ok());
+  want += 2 * 2 * sizeof(double) + 2 * sizeof(size_t);
+  EXPECT_EQ(engine.cache_bytes(), want);
+  // {2} hides three: a regressor entry, R^T = one row of k.
+  ASSERT_TRUE(engine.Evaluate(model, 1, x, {2}).ok());
+  want += 1 * 2 * sizeof(double) + 1 * sizeof(size_t);
+  EXPECT_EQ(engine.cache_bytes(), want);
+  // A hit adds nothing.
+  ASSERT_TRUE(engine.Evaluate(model, 1, x, {2}).ok());
+  EXPECT_EQ(engine.cache_bytes(), want);
+  // A family entry replacing {0, 1}'s adds one energy row of k.
+  Rng rng(5);
+  ClassFamily family = RandomFamily(model.constraints.basis(), 2, rng);
+  FamilyResiduals out;
+  ASSERT_TRUE(engine.EvaluateFamily(family, 1, x, {0, 1}, &out).ok());
+  want += 1 * 2 * sizeof(double);
+  EXPECT_EQ(engine.cache_size(), 3u);
+  EXPECT_EQ(engine.cache_bytes(), want);
+#ifndef PW_OBS_DISABLED
+  const obs::Gauge* gauge =
+      obs::MetricsRegistry::Global().GetGauge("proximity.cache_bytes");
+  ASSERT_NE(gauge, nullptr);
+  EXPECT_EQ(gauge->value(), static_cast<double>(want));
+#endif
+  engine.ClearCache();
+  EXPECT_EQ(engine.cache_bytes(), 0u);
+}
+
+// Moore-Penrose checks of the oracle's own pseudo-inverse.
+Matrix RandomMatrix(size_t rows, size_t cols, Rng& rng) {
+  Matrix m(rows, cols);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t j = 0; j < cols; ++j) m(i, j) = rng.Uniform(-1.0, 1.0);
+  }
+  return m;
+}
+
+TEST(PseudoInverseTest, InverseForSquareNonsingular) {
+  Matrix a = {{2.0, 0.0}, {0.0, 4.0}};
+  auto pinv = oracle::PseudoInverse(a);
+  ASSERT_TRUE(pinv.ok());
+  EXPECT_NEAR((*pinv)(0, 0), 0.5, 1e-10);
+  EXPECT_NEAR((*pinv)(1, 1), 0.25, 1e-10);
+}
+
+class PinvPropertyTest
+    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
+
+TEST_P(PinvPropertyTest, MoorePenroseConditions) {
+  auto [rows, cols] = GetParam();
+  Rng rng(rows * 17 + cols);
+  Matrix a = RandomMatrix(rows, cols, rng);
+  auto pinv_result = oracle::PseudoInverse(a);
+  ASSERT_TRUE(pinv_result.ok());
+  const Matrix& p = *pinv_result;
+  // 1. A P A = A
+  EXPECT_TRUE((a * p * a).AlmostEquals(a, 1e-8));
+  // 2. P A P = P
+  EXPECT_TRUE((p * a * p).AlmostEquals(p, 1e-8));
+  // 3. (A P)^T = A P
+  Matrix ap = a * p;
+  EXPECT_TRUE(ap.Transposed().AlmostEquals(ap, 1e-8));
+  // 4. (P A)^T = P A
+  Matrix pa = p * a;
+  EXPECT_TRUE(pa.Transposed().AlmostEquals(pa, 1e-8));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, PinvPropertyTest,
+    ::testing::Values(std::make_pair<size_t, size_t>(4, 4),
+                      std::make_pair<size_t, size_t>(8, 3),
+                      std::make_pair<size_t, size_t>(3, 8),
+                      std::make_pair<size_t, size_t>(20, 10)));
+
+TEST(PseudoInverseTest, RankDeficientTreatedStably) {
+  // Rank-1 matrix: pinv must not blow up on the zero singular values.
+  Matrix a = {{1.0, 2.0}, {2.0, 4.0}};
+  auto pinv = oracle::PseudoInverse(a);
+  ASSERT_TRUE(pinv.ok());
+  Matrix apa = a * *pinv * a;
+  EXPECT_TRUE(apa.AlmostEquals(a, 1e-8));
 }
 
 // A tiny class family in R^6: a general (non-orthonormal) 6 x 4
@@ -323,7 +461,7 @@ TEST(ClassFamilyTest, EnergiesAreShiftProjectionNorms) {
     EXPECT_EQ(out.normal, 0.0);
     for (size_t c = 0; c < family.num_cases(); ++c) {
       const double energy =
-          ColumnWalkProximity(family.base(), family.case_mean(c), group);
+          oracle::Proximity(family.base(), family.case_mean(c), group);
       if (group.size() == 6) {
         EXPECT_NEAR(family.complete_energies()[c], energy, 1e-12 * energy);
       }

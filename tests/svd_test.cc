@@ -115,51 +115,5 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair<size_t, size_t>(40, 15),
                       std::make_pair<size_t, size_t>(15, 40)));
 
-TEST(PseudoInverseTest, InverseForSquareNonsingular) {
-  Matrix a = {{2.0, 0.0}, {0.0, 4.0}};
-  auto pinv = PseudoInverse(a);
-  ASSERT_TRUE(pinv.ok());
-  EXPECT_NEAR((*pinv)(0, 0), 0.5, 1e-10);
-  EXPECT_NEAR((*pinv)(1, 1), 0.25, 1e-10);
-}
-
-class PinvPropertyTest
-    : public ::testing::TestWithParam<std::pair<size_t, size_t>> {};
-
-TEST_P(PinvPropertyTest, MoorePenroseConditions) {
-  auto [rows, cols] = GetParam();
-  Rng rng(rows * 17 + cols);
-  Matrix a = RandomMatrix(rows, cols, rng);
-  auto pinv_result = PseudoInverse(a);
-  ASSERT_TRUE(pinv_result.ok());
-  const Matrix& p = *pinv_result;
-  // 1. A P A = A
-  EXPECT_TRUE((a * p * a).AlmostEquals(a, 1e-8));
-  // 2. P A P = P
-  EXPECT_TRUE((p * a * p).AlmostEquals(p, 1e-8));
-  // 3. (A P)^T = A P
-  Matrix ap = a * p;
-  EXPECT_TRUE(ap.Transposed().AlmostEquals(ap, 1e-8));
-  // 4. (P A)^T = P A
-  Matrix pa = p * a;
-  EXPECT_TRUE(pa.Transposed().AlmostEquals(pa, 1e-8));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, PinvPropertyTest,
-    ::testing::Values(std::make_pair<size_t, size_t>(4, 4),
-                      std::make_pair<size_t, size_t>(8, 3),
-                      std::make_pair<size_t, size_t>(3, 8),
-                      std::make_pair<size_t, size_t>(20, 10)));
-
-TEST(PseudoInverseTest, RankDeficientTreatedStably) {
-  // Rank-1 matrix: pinv must not blow up on the zero singular values.
-  Matrix a = {{1.0, 2.0}, {2.0, 4.0}};
-  auto pinv = PseudoInverse(a);
-  ASSERT_TRUE(pinv.ok());
-  Matrix apa = a * *pinv * a;
-  EXPECT_TRUE(apa.AlmostEquals(a, 1e-8));
-}
-
 }  // namespace
 }  // namespace phasorwatch::linalg

@@ -11,8 +11,8 @@ Rules (see docs/STATIC_ANALYSIS.md for the full contract vocabulary):
                     std::string, maps/sets) or value-semantic
                     Matrix/Vector locals, and no calls to
                     value-returning Matrix ops (.Transpose(),
-                    .Inverse(), .SelectSubmatrix(), .Row(), .Col(),
-                    PseudoInverse). Exceptions: statements that are
+                    .Inverse(), .SelectSubmatrix(), .Row(), .Col()).
+                    Exceptions: statements that are
                     `return Status::...` error exits (building the error
                     message aborts the hot path anyway), and lines
                     covered by an explicit allow directive.
@@ -135,7 +135,6 @@ NO_ALLOC_BANNED = [
         re.compile(r"\.\s*(?:SelectSubmatrix|Row|Col)\s*\("),
         "value-returning Matrix op",
     ),
-    (re.compile(r"\bPseudoInverse\s*\("), "value-returning PseudoInverse"),
 ]
 
 BARE_STATUS_DECL_RE = re.compile(
