@@ -1,6 +1,8 @@
 #include "bench/perf_common.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 
@@ -22,7 +24,7 @@ std::string SanitizeBenchName(const std::string& name) {
 bool InitPerfHarness(PerfRunConfig* config, int argc, char** argv) {
   SetLogLevelFromEnv();
   std::vector<char*> forwarded;
-  forwarded.reserve(static_cast<size_t>(argc) + 1);
+  forwarded.reserve(static_cast<size_t>(argc) + 2);
   forwarded.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
@@ -33,12 +35,18 @@ bool InitPerfHarness(PerfRunConfig* config, int argc, char** argv) {
       forwarded.push_back(argv[i]);
     }
   }
-  // Quick mode shortens the measurement window; 0.05 s per benchmark is
-  // plenty for schema/smoke runs and keeps the CI lane under a minute.
-  // Injected after the user's args, so with --quick it wins over an
-  // explicit --benchmark_min_time (last flag takes effect).
+  // Quick mode shortens the measurement window to 0.05 s per benchmark
+  // and measures each row kQuickRepetitions times, which keeps the CI
+  // lane at a few minutes. Injected after the user's args, so with
+  // --quick they win over an explicit --benchmark_min_time or
+  // --benchmark_repetitions (last flag takes effect).
   static char kQuickMinTime[] = "--benchmark_min_time=0.05";
-  if (config->quick) forwarded.push_back(kQuickMinTime);
+  static std::string quick_repetitions =
+      "--benchmark_repetitions=" + std::to_string(kQuickRepetitions);
+  if (config->quick) {
+    forwarded.push_back(kQuickMinTime);
+    forwarded.push_back(quick_repetitions.data());
+  }
 
   int forwarded_argc = static_cast<int>(forwarded.size());
   benchmark::Initialize(&forwarded_argc, forwarded.data());
@@ -46,8 +54,12 @@ bool InitPerfHarness(PerfRunConfig* config, int argc, char** argv) {
                                                  forwarded.data());
 }
 
-void RecordSizing(const PerfRunConfig& config, ReportResults* results) {
+void RecordSizing(const PerfRunConfig& config,
+                  const JsonCaptureReporter& reporter,
+                  ReportResults* results) {
   results->emplace_back(kSizingQuickKey, config.quick ? 1.0 : 0.0);
+  results->emplace_back(kSizingRepetitionsKey,
+                        static_cast<double>(reporter.repetitions()));
 }
 
 void JsonCaptureReporter::ReportRuns(const std::vector<Run>& reports) {
@@ -57,15 +69,36 @@ void JsonCaptureReporter::ReportRuns(const std::vector<Run>& reports) {
     if (run.iterations == 0) continue;
     const std::string key = SanitizeBenchName(run.benchmark_name());
     const double iters = static_cast<double>(run.iterations);
-    results_->emplace_back(key + ".real_time_us",
-                           run.real_accumulated_time / iters * 1e6);
-    results_->emplace_back(key + ".cpu_time_us",
-                           run.cpu_accumulated_time / iters * 1e6);
+    auto capture = [&](const std::string& name, double value) {
+      auto it = std::find_if(samples_.begin(), samples_.end(),
+                             [&](const auto& s) { return s.first == name; });
+      if (it == samples_.end()) {
+        samples_.push_back({name, {}});
+        it = samples_.end() - 1;
+      }
+      it->second.push_back(value);
+    };
+    capture(key + ".real_time_us", run.real_accumulated_time / iters * 1e6);
+    capture(key + ".cpu_time_us", run.cpu_accumulated_time / iters * 1e6);
     for (const auto& [counter_name, counter] : run.counters) {
-      results_->emplace_back(key + "." + SanitizeBenchName(counter_name),
-                             static_cast<double>(counter));
+      capture(key + "." + SanitizeBenchName(counter_name),
+              static_cast<double>(counter));
     }
   }
+}
+
+void JsonCaptureReporter::Finalize() {
+  benchmark::ConsoleReporter::Finalize();
+  for (auto& [key, values] : samples_) {
+    repetitions_ = std::max(repetitions_, values.size());
+    std::sort(values.begin(), values.end());
+    const size_t mid = values.size() / 2;
+    const double median = values.size() % 2 == 1
+                              ? values[mid]
+                              : 0.5 * (values[mid - 1] + values[mid]);
+    results_->emplace_back(key, median);
+  }
+  samples_.clear();
 }
 
 }  // namespace phasorwatch::bench

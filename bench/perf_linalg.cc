@@ -101,6 +101,6 @@ int main(int argc, char** argv) {
   pw::bench::JsonCaptureReporter reporter(&results);
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
-  pw::bench::RecordSizing(config, &results);
+  pw::bench::RecordSizing(config, reporter, &results);
   return pw::bench::MaybeWriteJsonReport(config.json_path, "linalg", results);
 }

@@ -336,6 +336,50 @@ void BM_DetectColdMask(benchmark::State& state) {
 BENCHMARK(BM_DetectColdMask)->Arg(30)->Iterations(kColdMasks)
     ->Unit(benchmark::kMicrosecond);
 
+// Training row: Train on the perf fixture's data with max_outage_lines
+// = 2, so the peel-threshold calibration runs and every Train makes its
+// cold Eq. 9 builds on a fresh engine. Reports the wall time per Train
+// (process CPU time beside it, as Train fans out across its pool) and
+// proximity.regressor_builds per Train, which depends only on the code.
+// It reports no allocs/op: the pool's task queue grows with how the
+// workers interleave, so a fanned-out Train's allocation count is not
+// exact.
+void BM_TrainMulti(benchmark::State& state) {
+  TrainedFixture* fixture = GetFixture(static_cast<int>(state.range(0)));
+  if (fixture == nullptr) {
+    state.SkipWithError("fixture construction failed");
+    return;
+  }
+  pw::detect::TrainingData training;
+  training.normal = &fixture->dataset.normal.train;
+  for (const auto& c : fixture->dataset.outages) {
+    training.case_lines.push_back(c.line);
+    training.outage.push_back(&c.train);
+  }
+  pw::detect::DetectorOptions options;
+  options.max_outage_lines = 2;
+  const pw::obs::Counter* builds =
+      pw::obs::MetricsRegistry::Global().GetCounter(
+          "proximity.regressor_builds");
+  const uint64_t builds_before = builds->value();
+  for (auto _ : state) {
+    auto detector = pw::detect::OutageDetector::Train(
+        fixture->grid, fixture->methods.network(), training, options);
+    if (!detector.ok()) {
+      state.SkipWithError("training failed");
+      return;
+    }
+    benchmark::DoNotOptimize(detector->proximity_cache_size());
+  }
+  state.counters["builds_per_op"] =
+      state.iterations() == 0
+          ? 0.0
+          : static_cast<double>(builds->value() - builds_before) /
+                static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_TrainMulti)->Arg(30)->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()->UseRealTime();
+
 // Threads-vs-wall-time sweep for the dataset build, the pipeline's
 // dominant cost (one AC power flow per solved state per outage case).
 // Arg = parallelism degree; every degree produces a bit-identical
@@ -561,7 +605,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();
   RunDetectLatencyProbe(&results, config.quick);
-  pw::bench::RecordSizing(config, &results);
+  pw::bench::RecordSizing(config, reporter, &results);
   std::printf("\n%s",
               pw::obs::MetricsRegistry::Global().TextSnapshot().c_str());
   return pw::bench::MaybeWriteJsonReport(

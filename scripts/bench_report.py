@@ -20,15 +20,19 @@ lower-is-better. Keys
 present on only one side are reported but never gate — adding a
 benchmark must not fail the lane that adds it.
 
-Keys that depend only on the code, not the machine (allocs/op), are
-gated exactly: `diff BASE NEW --only 'allocs_per_op$' --threshold 0`
-fails on any rise, including one from a zero baseline.
+Keys that depend only on the code, not the machine (allocs/op and
+regressor builds per op), are gated exactly: `diff BASE NEW --only
+'(allocs|builds)_per_op$' --threshold 0` fails on any rise, including
+one from a zero baseline.
 
 The perf harnesses record their sizing in the `run.quick` result (1 for
-`--quick`, 0 for a full run). A diff between reports of different
-sizings compares neither timing keys (`*_us`, `*_ms`, `*_s`) nor
-registry quantiles, whose values follow the benchmark mix; every other
-key, allocs/op included, is still compared. A report without the key
+`--quick`, 0 for a full run) and the `run.repetitions` result (how many
+times each benchmark row was measured; a row's value is the median of
+its repetitions). A report with `run.quick` but no `run.repetitions`
+measured each row once. A diff between reports of different sizings
+compares neither timing keys (`*_us`, `*_ms`, `*_s`) nor registry
+quantiles, whose values follow the benchmark mix; every other key,
+allocs/op included, is still compared. A report without `run.quick`
 (older baselines, the figure harnesses) has an unknown sizing and is
 compared in full.
 
@@ -67,8 +71,9 @@ TOP_LEVEL = {
 HIGHER_IS_BETTER_PARTS = ("IA", "accuracy", "frames_per_sec",
                           "set_precision", "set_recall")
 
-# Result key holding a perf report's sizing (bench/perf_common.h).
+# Result keys holding a perf report's sizing (bench/perf_common.h).
 SIZING_KEY = "run.quick"
+REPETITIONS_KEY = "run.repetitions"
 
 # Comparable keys whose values depend on the run's sizing.
 SIZED_KEY_RE = re.compile(r"^quantiles\.|_(us|ms|s)$")
@@ -138,18 +143,20 @@ def higher_is_better(key):
 
 
 def sizing(doc):
-    """'quick', 'full', or None when the report does not record it."""
+    """'quick xN' or 'full xN' (N repetitions per row), or None when the
+    report does not record it."""
     entry = doc["results"].get(SIZING_KEY)
     if entry is None:
         return None
-    return "quick" if entry["value"] else "full"
+    reps = doc["results"].get(REPETITIONS_KEY, {"value": 1})["value"]
+    return "%s x%d" % ("quick" if entry["value"] else "full", reps)
 
 
 def flatten(doc, results_only):
     """Comparable key -> value map for a report document."""
     flat = {}
     for key, entry in doc["results"].items():
-        if key == SIZING_KEY:
+        if key in (SIZING_KEY, REPETITIONS_KEY):
             continue
         flat["results." + key] = float(entry["value"])
     if results_only:
@@ -264,9 +271,10 @@ def cmd_diff(base_path, new_path, threshold, results_only, only):
 
 
 def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
-             idle_allocs=0, quick=None):
-    """Minimal valid document with latency, accuracy, throughput, and
-    allocation counts; `quick` (0 or 1) records a sizing."""
+             idle_allocs=0, quick=None, repetitions=None, builds=3.5):
+    """Minimal valid document with latency, accuracy, throughput,
+    allocation and build counts; `quick` (0 or 1) records a sizing and
+    `repetitions` the measurements per row."""
     doc = {
         "schema": SCHEMA,
         "name": "selftest",
@@ -287,6 +295,7 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
             "BM_DetectSteadyState.14.alloc_bytes_per_op":
                 {"unit": "", "value": 38.0 * allocs},
             "BM_Idle.allocs_per_op": {"unit": "", "value": idle_allocs},
+            "BM_TrainMulti.30.builds_per_op": {"unit": "", "value": builds},
         },
         "counters": {"stream.samples": 100},
         "gauges": {"stream.alarm_active": 0.0},
@@ -297,6 +306,8 @@ def _fixture(p99_14, ia_14=0.9, fps=20000.0, set_recall=0.9, allocs=4,
     }
     if quick is not None:
         doc["results"][SIZING_KEY] = {"unit": "", "value": quick}
+    if repetitions is not None:
+        doc["results"][REPETITIONS_KEY] = {"unit": "", "value": repetitions}
     return doc
 
 
@@ -386,6 +397,36 @@ def self_test():
           "results.detect.ieee14.p99_us" in regs)
     _, regs = diff_docs(full, quick, 0.0, False)
     check("sizing: the sizing key itself never gates", regs == [])
+
+    quick3 = _fixture(100.0, quick=1, repetitions=3)
+    lines, regs = diff_docs(quick, _fixture(1000.0, quick=1, repetitions=3),
+                            0.20, False)
+    check("repetitions: timings across repetition counts not compared",
+          regs == [] and any("quick x1 -> quick x3" in line
+                             for line in lines))
+    _, regs = diff_docs(_fixture(100.0, quick=1, repetitions=1),
+                        _fixture(1000.0, quick=1), 0.20, False)
+    check("repetitions: an unrecorded count is one repetition",
+          "results.detect.ieee14.p99_us" in regs)
+    _, regs = diff_docs(quick3, _fixture(130.0, quick=1, repetitions=3),
+                        0.20, False)
+    check("repetitions: equal counts compare timings",
+          "results.detect.ieee14.p99_us" in regs)
+    _, regs = diff_docs(quick, quick3, 0.0, False)
+    check("repetitions: the repetitions key itself never gates",
+          regs == [])
+    gate = r"(allocs|builds)_per_op$"
+    _, regs = diff_docs(quick, _fixture(100.0, quick=1, repetitions=3,
+                                        allocs=5), 0.0, False, gate)
+    check("repetitions: allocs/op across counts still gates",
+          regs == ["results.BM_DetectSteadyState.14.allocs_per_op"])
+    _, regs = diff_docs(quick3, _fixture(100.0, quick=1, repetitions=3,
+                                         builds=3.6), 0.0, False, gate)
+    check("--only: a rise in builds/op gates at threshold 0",
+          regs == ["results.BM_TrainMulti.30.builds_per_op"])
+    _, regs = diff_docs(quick3, _fixture(100.0, quick=1, repetitions=3,
+                                         builds=3.4), 0.0, False, gate)
+    check("--only: fewer builds/op is an improvement", regs == [])
 
     failed = [name for name, ok in checks if not ok]
     if failed:

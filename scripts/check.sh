@@ -77,16 +77,16 @@ build/examples/grid_monitor --validate-events "$events_file"
 # numbers are machine-specific and are not gated here; the trajectory
 # diff (`bench_report.py diff`) is run against the committed baseline
 # by hand / per-PR, where a human can judge the hardware. Allocations
-# per op depend only on the code, so they are gated exactly: any rise
-# over the committed baseline fails the lane.
-echo "=== perf report (schema + self-test + allocs/op gate) ==="
+# and regressor builds per op depend only on the code, so they are gated
+# exactly: any rise over the committed baseline fails the lane.
+echo "=== perf report (schema + self-test + allocs/builds per op gate) ==="
 python3 scripts/bench_report.py --self-test
 build/bench/perf_pipeline --quick --json build/BENCH_pipeline.json \
-  --benchmark_filter='BM_Detect' > /dev/null
+  --benchmark_filter='BM_Detect|BM_TrainMulti' > /dev/null
 python3 scripts/bench_report.py validate build/BENCH_pipeline.json \
   BENCH_pipeline.json
 python3 scripts/bench_report.py diff BENCH_pipeline.json \
-  build/BENCH_pipeline.json --only 'allocs_per_op$' --threshold 0
+  build/BENCH_pipeline.json --only '(allocs|builds)_per_op$' --threshold 0
 
 # Sparse-path lane (docs/SPARSE.md): the 300-bus dataset build and
 # detector training through the CSR solvers, tracked in their own

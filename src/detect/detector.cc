@@ -90,100 +90,118 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   det.options_ = options;
   det.case_lines_ = data.case_lines;
 
+  // Every fan-out below writes only its own slots and keeps each
+  // double's operations in their serial order, so the trained model is
+  // bit-identical at any parallelism degree.
   ThreadPool pool(ResolveParallelism(options.parallelism));
 
   // 1. Subspace model per condition. The normal model keeps its full
   // basis until the whitened classification family is built from it.
   // Per-line models are independent SVD/eigensolve problems, so the
-  // loop fans out across the pool; results land in their own slots and
-  // are bit-identical at any parallelism degree. They only feed the
-  // case means and the node subspaces below, so they are not kept.
-  SubspaceModelOptions normal_opts = options.subspace;
-  normal_opts.keep_full_basis = true;
-  PW_ASSIGN_OR_RETURN(det.normal_model_,
-                      LearnSubspaceModel(*data.normal, normal_opts));
+  // loop fans out across the pool. They only feed the case means and
+  // the node subspaces below, so they are not kept.
   std::vector<SubspaceModel> line_models(data.outage.size());
-  PW_RETURN_IF_ERROR(pool.ParallelFor(
-      data.outage.size(), [&](size_t c) -> Status {
-        const sim::PhasorDataSet* block = data.outage[c];
-        if (block == nullptr || block->num_nodes() != n) {
-          return Status::InvalidArgument(
-              "outage training block missing/wrong size");
-        }
-        PW_ASSIGN_OR_RETURN(line_models[c],
-                            LearnSubspaceModel(*block, options.subspace));
-        return Status::OK();
-      }));
-  std::vector<Vector> case_means;
-  case_means.reserve(line_models.size());
-  for (const SubspaceModel& m : line_models) case_means.push_back(m.mean);
-  det.class_family_ = ClassFamily(
-      MakeWhitenedClassModel(det.normal_model_, det.normal_model_.mean,
-                             data.normal->num_samples()),
-      std::move(case_means));
-  // Detect reads a model's mean and constraint basis only; drop the
-  // spectrum and full basis so neither this model nor the node
-  // fallback copies below carry state the saved file does not.
-  det.normal_model_.singular_values = Vector();
-  det.normal_model_.full_basis = Matrix();
+  {
+    PW_TRACE_SCOPE("detect.train.class_models_us");
+    SubspaceModelOptions normal_opts = options.subspace;
+    normal_opts.keep_full_basis = true;
+    PW_ASSIGN_OR_RETURN(det.normal_model_,
+                        LearnSubspaceModel(*data.normal, normal_opts));
+    PW_RETURN_IF_ERROR(pool.ParallelFor(
+        data.outage.size(), [&](size_t c) -> Status {
+          const sim::PhasorDataSet* block = data.outage[c];
+          if (block == nullptr || block->num_nodes() != n) {
+            return Status::InvalidArgument(
+                "outage training block missing/wrong size");
+          }
+          PW_ASSIGN_OR_RETURN(line_models[c],
+                              LearnSubspaceModel(*block, options.subspace));
+          return Status::OK();
+        }));
+    std::vector<Vector> case_means;
+    case_means.reserve(line_models.size());
+    for (const SubspaceModel& m : line_models) case_means.push_back(m.mean);
+    det.class_family_ = ClassFamily(
+        MakeWhitenedClassModel(det.normal_model_, det.normal_model_.mean,
+                               data.normal->num_samples()),
+        std::move(case_means));
+    // Detect reads a model's mean and constraint basis only; drop the
+    // spectrum and full basis so neither this model nor the node
+    // fallback copies below carry state the saved file does not.
+    det.normal_model_.singular_values = Vector();
+    det.normal_model_.full_basis = Matrix();
+  }
 
   // 2. Node-based union/intersection subspaces (Eq. 3). Nodes with no
   // valid outage case fall back to the normal model's constraints so
   // their scores stay defined (they simply never rank first). One
-  // independent eigensolve per node — the second training hotspot —
-  // fanned out across the pool.
-  det.node_models_.resize(n);
-  const bool lowrank_nodes = options.sparse_bus_threshold > 0 &&
-                             n >= options.sparse_bus_threshold;
-  PW_RETURN_IF_ERROR(pool.ParallelFor(n, [&](size_t i) -> Status {
-    std::vector<const SubspaceModel*> incident;
-    for (size_t c = 0; c < det.case_lines_.size(); ++c) {
-      if (det.case_lines_[c].i == i || det.case_lines_[c].j == i) {
-        incident.push_back(&line_models[c]);
+  // independent eigensolve per node, fanned out across the pool.
+  {
+    PW_TRACE_SCOPE("detect.train.node_subspaces_us");
+    det.node_models_.resize(n);
+    const bool lowrank_nodes = options.sparse_bus_threshold > 0 &&
+                               n >= options.sparse_bus_threshold;
+    PW_RETURN_IF_ERROR(pool.ParallelFor(n, [&](size_t i) -> Status {
+      std::vector<const SubspaceModel*> incident;
+      for (size_t c = 0; c < det.case_lines_.size(); ++c) {
+        if (det.case_lines_[c].i == i || det.case_lines_[c].j == i) {
+          incident.push_back(&line_models[c]);
+        }
       }
-    }
-    if (incident.empty()) {
-      det.node_models_[i].union_model = det.normal_model_;
-      det.node_models_[i].intersection_model = det.normal_model_;
-    } else {
-      det.node_models_[i] =
-          BuildNodeSubspaces(incident, kSoftIntersectionTol, lowrank_nodes);
-    }
-    return Status::OK();
-  }));
+      if (incident.empty()) {
+        det.node_models_[i].union_model = det.normal_model_;
+        det.node_models_[i].intersection_model = det.normal_model_;
+      } else {
+        det.node_models_[i] =
+            BuildNodeSubspaces(incident, kSoftIntersectionTol, lowrank_nodes);
+      }
+      return Status::OK();
+    }));
+  }
 
   // 3. Normal-operation ellipses (Eq. 4).
-  det.ellipses_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::vector<PhasorPoint> points;
-    points.reserve(data.normal->num_samples());
-    for (size_t t = 0; t < data.normal->num_samples(); ++t) {
-      points.push_back({data.normal->vm(i, t), data.normal->va(i, t)});
+  {
+    PW_TRACE_SCOPE("detect.train.ellipses_us");
+    det.ellipses_.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<PhasorPoint> points;
+      points.reserve(data.normal->num_samples());
+      for (size_t t = 0; t < data.normal->num_samples(); ++t) {
+        points.push_back({data.normal->vm(i, t), data.normal->va(i, t)});
+      }
+      PW_ASSIGN_OR_RETURN(EllipseModel ellipse,
+                          EllipseModel::Fit(points, kEllipseMargin));
+      det.ellipses_.push_back(ellipse);
     }
-    PW_ASSIGN_OR_RETURN(EllipseModel ellipse,
-                        EllipseModel::Fit(points, kEllipseMargin));
-    det.ellipses_.push_back(ellipse);
   }
 
   // 4. Detection capabilities (Eqs. 5-7).
-  PW_ASSIGN_OR_RETURN(
-      det.capabilities_,
-      CapabilityTable::Build(grid, det.ellipses_, *data.normal,
-                             det.case_lines_, data.outage));
+  {
+    PW_TRACE_SCOPE("detect.train.capabilities_us");
+    PW_ASSIGN_OR_RETURN(
+        det.capabilities_,
+        CapabilityTable::Build(grid, det.ellipses_, *data.normal,
+                               det.case_lines_, data.outage));
+  }
 
   // 5. Per-cluster detection groups (Eq. 8 + naive PCA seed).
-  DetectionGroupBuilder builder(network, det.capabilities_, options.groups);
-  det.groups_.reserve(network.num_clusters());
-  for (size_t c = 0; c < network.num_clusters(); ++c) {
-    // Loading matrix: stack the constraint bases of the cluster nodes'
-    // union subspaces; rows are node loadings for the naive pick.
-    Matrix loadings;
-    for (size_t node : network.Cluster(c)) {
-      loadings =
-          loadings.ConcatCols(det.node_models_[node].union_model
-                                  .constraints.basis());
+  {
+    PW_TRACE_SCOPE("detect.train.groups_us");
+    DetectionGroupBuilder builder(network, det.capabilities_,
+                                  options.groups);
+    det.groups_.reserve(network.num_clusters());
+    for (size_t c = 0; c < network.num_clusters(); ++c) {
+      // Loading matrix: stack the constraint bases of the cluster
+      // nodes' union subspaces; rows are node loadings for the naive
+      // pick.
+      Matrix loadings;
+      for (size_t node : network.Cluster(c)) {
+        loadings =
+            loadings.ConcatCols(det.node_models_[node].union_model
+                                    .constraints.basis());
+      }
+      det.groups_.push_back(builder.Build(c, loadings));
     }
-    det.groups_.push_back(builder.Build(c, loadings));
   }
 
   // 6. Calibrate the per-cluster outage gates: the largest
@@ -201,6 +219,21 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   det.node_baseline_out_ = Vector(n, 1.0);
   {
     PW_TRACE_SCOPE("detect.train.gate_calibration_us");
+    std::vector<Vector> features(normal_take);
+    for (size_t t = 0; t < normal_take; ++t) {
+      auto [vm, va] = data.normal->Sample(t);
+      features[t] = FeatureVector(vm, va, options.subspace.channel);
+    }
+    // residuals[t][c] and scores[t][i] of normal sample t. Every cache
+    // key the gate builds belongs to one cluster (its normal model
+    // through the cluster's group) or to one node (its union and
+    // intersection models), so the passes fan out over clusters, then
+    // over nodes, and each task makes its own cold builds. Over samples,
+    // every task would wait on the same single-flight builds. The maxima
+    // and the per-node score lists are then folded serially in sample
+    // order.
+    std::vector<Vector> residuals(normal_take, Vector(num_clusters));
+    std::vector<Vector> scores(normal_take, Vector(n));
     for (int variant = 0; variant < 2; ++variant) {
       // variant 0: in-cluster groups (complete data); variant 1:
       // out-of-cluster groups (cluster data missing).
@@ -217,21 +250,31 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
           det.SelectGroupInto(c, mask, &groups[c]);
         }
       }
+      PW_RETURN_IF_ERROR(
+          pool.ParallelFor(num_clusters, [&](size_t c) -> Status {
+            for (size_t t = 0; t < normal_take; ++t) {
+              PW_ASSIGN_OR_RETURN(
+                  residuals[t][c],
+                  det.ClusterNormalResidual(c, features[t], groups[c]));
+            }
+            return Status::OK();
+          }));
+      PW_RETURN_IF_ERROR(pool.ParallelFor(n, [&](size_t i) -> Status {
+        const size_t cluster = network.ClusterOf(i);
+        for (size_t t = 0; t < normal_take; ++t) {
+          PW_ASSIGN_OR_RETURN(scores[t][i],
+                              det.RawNodeScore(i, features[t], groups[cluster],
+                                               residuals[t][cluster]));
+        }
+        return Status::OK();
+      }));
       std::vector<double> worst(num_clusters, kProxFloor);
       std::vector<std::vector<double>> raw_scores(n);
-      Vector residuals;
-      Vector scores;
       for (size_t t = 0; t < normal_take; ++t) {
-        auto [vm, va] = data.normal->Sample(t);
-        Vector features = FeatureVector(vm, va, options.subspace.channel);
-        PW_RETURN_IF_ERROR(
-            det.ClusterNormalResidualsInto(features, groups, &residuals));
         for (size_t c = 0; c < num_clusters; ++c) {
-          worst[c] = std::max(worst[c], residuals[c]);
+          worst[c] = std::max(worst[c], residuals[t][c]);
         }
-        PW_RETURN_IF_ERROR(
-            det.RawNodeScoresInto(features, groups, residuals, &scores));
-        for (size_t i = 0; i < n; ++i) raw_scores[i].push_back(scores[i]);
+        for (size_t i = 0; i < n; ++i) raw_scores[i].push_back(scores[t][i]);
       }
       for (size_t c = 0; c < num_clusters; ++c) {
         double gate = worst[c] * kGateMargin;
@@ -325,48 +368,64 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     const size_t dim = shifts.rows();
     const size_t num_cases = data.outage.size();
 
+    // A masked variant per sample, mirroring the ratio-gate
+    // calibration: the bad-data screen and transport loss both shrink
+    // the coordinate set at detect time, and the whitened geometry over
+    // fewer coordinates spreads the spurious deltas beyond their
+    // complete-coordinate envelope. Every mask is drawn up front,
+    // serially in corpus order, so the draws do not depend on how the
+    // cases are scheduled below.
+    // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
+    Rng peel_mask_rng(0x9EE15EEDull);
+    std::vector<std::vector<sim::MissingMask>> masks(num_cases);
+    for (size_t t = 0; t < num_cases; ++t) {
+      masks[t].reserve(data.outage[t]->num_samples());
+      for (size_t s = 0; s < data.outage[t]->num_samples(); ++s) {
+        masks[t].push_back(sim::MissingRandom(
+            n, 1 + peel_mask_rng.UniformInt(4), {}, peel_mask_rng));
+      }
+    }
+
     // Running maximum per (c, t) cell; -inf marks a cell with no sample
     // (the diagonal, or a case with an empty training block).
     constexpr double kUnsampled = -std::numeric_limits<double>::infinity();
     det.peel_tau_.assign(num_cases * num_cases, kUnsampled);
-    std::vector<size_t> masked_coords;
-    FamilyResiduals family;
-    // pw-lint: allow(rng-discipline) fixed-seed self-check stream.
-    Rng peel_mask_rng(0x9EE15EEDull);
-    // Folds the spurious deltas of every non-true case on a peeled
-    // sample over one coordinate set into their cells. Each drop is
-    // normalized by the shift energy over that same set, as Detect's is
-    // over its pooled coordinates, so masked variants keep the
-    // statistic's scale.
-    auto record_nulls = [&](const Vector& peeled, size_t t,
-                            const std::vector<size_t>& coords) -> Status {
-      PW_RETURN_IF_ERROR(det.engine_.EvaluateFamily(
-          det.class_family_, kClassFamilyKey, peeled, coords, &family));
-      for (size_t c = 0; c < num_cases; ++c) {
-        if (c == t) continue;
-        double& cell = det.peel_tau_[c * num_cases + t];
-        cell = std::max(cell, family.drops[c]);
-      }
-      return Status::OK();
-    };
-    for (size_t t = 0; t < num_cases; ++t) {
+    // Case t folds its samples into column t of peel_tau_ (the (c, t)
+    // cells) and no other, so the cases fan out across the pool; each
+    // takes its own residuals and scratch. Calibration stays on the
+    // serving cache: the coordinate sets it builds are warm for Detect.
+    PW_RETURN_IF_ERROR(pool.ParallelFor(num_cases, [&](size_t t) -> Status {
+      FamilyResiduals family;
+      std::vector<size_t> available;
+      std::vector<size_t> masked_coords;
+      // Folds the spurious deltas of every non-true case on a peeled
+      // sample over one coordinate set into their cells. Each drop is
+      // normalized by the shift energy over that same set, as Detect's
+      // is over its pooled coordinates, so masked variants keep the
+      // statistic's scale.
+      auto record_nulls = [&](const Vector& peeled,
+                              const std::vector<size_t>& coords) -> Status {
+        PW_RETURN_IF_ERROR(det.engine_.EvaluateFamily(
+            det.class_family_, kClassFamilyKey, peeled, coords, &family));
+        for (size_t c = 0; c < num_cases; ++c) {
+          if (c == t) continue;
+          double& cell = det.peel_tau_[c * num_cases + t];
+          cell = std::max(cell, family.drops[c]);
+        }
+        return Status::OK();
+      };
       const sim::PhasorDataSet* block = data.outage[t];
       for (size_t s = 0; s < block->num_samples(); ++s) {
         auto [vm, va] = block->Sample(s);
         Vector peeled = FeatureVector(vm, va, options.subspace.channel);
         for (size_t i = 0; i < dim; ++i) peeled[i] -= shifts(i, t);
-        PW_RETURN_IF_ERROR(record_nulls(peeled, t, all_coords));
-        // A masked variant per sample, mirroring the ratio-gate
-        // calibration: the bad-data screen and transport loss both
-        // shrink the coordinate set at detect time, and the whitened
-        // geometry over fewer coordinates spreads the spurious deltas
-        // beyond their complete-coordinate envelope.
-        sim::MissingMask mask = sim::MissingRandom(
-            n, 1 + peel_mask_rng.UniformInt(4), {}, peel_mask_rng);
-        det.GroupCoordinatesInto(mask.AvailableIndices(), &masked_coords);
-        PW_RETURN_IF_ERROR(record_nulls(peeled, t, masked_coords));
+        PW_RETURN_IF_ERROR(record_nulls(peeled, all_coords));
+        masks[t][s].AvailableIndicesInto(&available);
+        det.GroupCoordinatesInto(available, &masked_coords);
+        PW_RETURN_IF_ERROR(record_nulls(peeled, masked_coords));
       }
-    }
+      return Status::OK();
+    }));
     for (double& tau : det.peel_tau_) {
       tau = tau == kUnsampled ? kPeelTauNever : tau + kPeelMargin;
     }
@@ -477,20 +536,46 @@ PW_NO_ALLOC void OutageDetector::SelectGroupsInto(
   }
 }
 
+PW_NO_ALLOC Result<double> OutageDetector::ClusterNormalResidual(
+    size_t cluster, const Vector& features, const SelectedGroup& group) {
+  if (group.members.empty()) {
+    return Status::DataMissing("no available nodes for cluster " +
+                               std::to_string(cluster));
+  }
+  return engine_.Evaluate(normal_model_, kNormalModelKey, features,
+                          group.coords);
+}
+
 PW_NO_ALLOC Status OutageDetector::ClusterNormalResidualsInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
     Vector* residuals) {
   residuals->Assign(groups.size());
   for (size_t c = 0; c < groups.size(); ++c) {
-    if (groups[c].members.empty()) {
-      return Status::DataMissing("no available nodes for cluster " +
-                                 std::to_string(c));
-    }
     PW_ASSIGN_OR_RETURN((*residuals)[c],
-                        engine_.Evaluate(normal_model_, kNormalModelKey,
-                                         features, groups[c].coords));
+                        ClusterNormalResidual(c, features, groups[c]));
   }
   return Status::OK();
+}
+
+PW_NO_ALLOC Result<double> OutageDetector::RawNodeScore(
+    size_t node, const Vector& features, const SelectedGroup& group,
+    double cluster_residual) {
+  if (group.members.empty()) {
+    return Status::DataMissing("no available nodes for node " +
+                               std::to_string(node));
+  }
+  PW_ASSIGN_OR_RETURN(
+      double prox_union,
+      engine_.Evaluate(node_models_[node].union_model, UnionKey(node),
+                       features, group.coords));
+  if (!options_.use_scaling) return prox_union;
+  PW_ASSIGN_OR_RETURN(
+      double prox_intersection,
+      engine_.Evaluate(node_models_[node].intersection_model,
+                       IntersectionKey(node), features, group.coords));
+  // Eq. 11: scale the union proximity by intersection/normal.
+  return prox_union * prox_intersection /
+         std::max(cluster_residual, kProxFloor);
 }
 
 PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
@@ -500,26 +585,9 @@ PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
   scores->Assign(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t cluster = network_->ClusterOf(i);
-    const SelectedGroup& group = groups[cluster];
-    if (group.members.empty()) {
-      return Status::DataMissing("no available nodes for node " +
-                                 std::to_string(i));
-    }
-    PW_ASSIGN_OR_RETURN(
-        double prox_union,
-        engine_.Evaluate(node_models_[i].union_model, UnionKey(i), features,
-                         group.coords));
-    if (!options_.use_scaling) {
-      (*scores)[i] = prox_union;
-      continue;
-    }
-    PW_ASSIGN_OR_RETURN(
-        double prox_intersection,
-        engine_.Evaluate(node_models_[i].intersection_model,
-                         IntersectionKey(i), features, group.coords));
-    // Eq. 11: scale the union proximity by intersection/normal.
-    (*scores)[i] = prox_union * prox_intersection /
-                   std::max(cluster_residuals[cluster], kProxFloor);
+    PW_ASSIGN_OR_RETURN((*scores)[i],
+                        RawNodeScore(i, features, groups[cluster],
+                                     cluster_residuals[cluster]));
   }
   return Status::OK();
 }

@@ -235,6 +235,12 @@ class OutageDetector {
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
       const linalg::Vector& cluster_residuals, linalg::Vector* scores);
 
+  /// RawNodeScoresInto's score of one node, through its cluster's group
+  /// and normal residual.
+  PW_NO_ALLOC PW_NODISCARD Result<double> RawNodeScore(
+      size_t node, const linalg::Vector& features, const SelectedGroup& group,
+      double cluster_residual);
+
   /// Raw scores divided by the per-node normal-data baselines (making
   /// scores comparable across clusters of different group sizes).
   PW_NO_ALLOC PW_NODISCARD Status NodeScoresInto(
@@ -246,6 +252,11 @@ class OutageDetector {
   PW_NO_ALLOC PW_NODISCARD Status ClusterNormalResidualsInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
       linalg::Vector* residuals);
+
+  /// ClusterNormalResidualsInto's residual of one cluster.
+  PW_NO_ALLOC PW_NODISCARD Result<double> ClusterNormalResidual(
+      size_t cluster, const linalg::Vector& features,
+      const SelectedGroup& group);
 
   /// Eq. 4 bad-data screen: available nodes carrying non-finite values
   /// or points beyond kScreenThreshold times their normal-operation

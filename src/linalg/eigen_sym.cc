@@ -26,7 +26,9 @@ Result<SymmetricEigenResult> ComputeSymmetricEigen(const Matrix& a,
   }
 
   Matrix d = a;
-  Matrix v = Matrix::Identity(n);
+  // V is kept transposed: row p of `vt` is eigenvector column p, so the
+  // rotation updates two contiguous rows of it, as it does of D.
+  Matrix vt = Matrix::Identity(n);
   bool converged = false;
   for (int sweep = 0; sweep < max_sweeps && !converged; ++sweep) {
     double off = 0.0;
@@ -38,15 +40,20 @@ Result<SymmetricEigenResult> ComputeSymmetricEigen(const Matrix& a,
       break;
     }
     for (size_t p = 0; p + 1 < n; ++p) {
+      double* dp = d.data() + p * n;
+      double* vp = vt.data() + p * n;
       for (size_t q = p + 1; q < n; ++q) {
-        double apq = d(p, q);
+        double* dq = d.data() + q * n;
+        double* vq = vt.data() + q * n;
+        double apq = dp[q];
         if (std::fabs(apq) <= 1e-300) continue;
-        double theta = (d(q, q) - d(p, p)) / (2.0 * apq);
+        double theta = (dq[q] - dp[p]) / (2.0 * apq);
         double t = (theta >= 0 ? 1.0 : -1.0) /
                    (std::fabs(theta) + std::sqrt(1.0 + theta * theta));
         double c = 1.0 / std::sqrt(1.0 + t * t);
         double s = c * t;
-        // Apply the rotation J(p, q, theta) on both sides of D.
+        // Apply the rotation J(p, q, theta) on both sides of D: columns
+        // p and q first, then rows p and q.
         for (size_t k = 0; k < n; ++k) {
           double dkp = d(k, p);
           double dkq = d(k, q);
@@ -54,16 +61,16 @@ Result<SymmetricEigenResult> ComputeSymmetricEigen(const Matrix& a,
           d(k, q) = s * dkp + c * dkq;
         }
         for (size_t k = 0; k < n; ++k) {
-          double dpk = d(p, k);
-          double dqk = d(q, k);
-          d(p, k) = c * dpk - s * dqk;
-          d(q, k) = s * dpk + c * dqk;
+          const double x = dp[k];
+          const double y = dq[k];
+          dp[k] = c * x - s * y;
+          dq[k] = s * x + c * y;
         }
         for (size_t k = 0; k < n; ++k) {
-          double vkp = v(k, p);
-          double vkq = v(k, q);
-          v(k, p) = c * vkp - s * vkq;
-          v(k, q) = s * vkp + c * vkq;
+          const double x = vp[k];
+          const double y = vq[k];
+          vp[k] = c * x - s * y;
+          vq[k] = s * x + c * y;
         }
       }
     }
@@ -90,7 +97,8 @@ Result<SymmetricEigenResult> ComputeSymmetricEigen(const Matrix& a,
   out.eigenvectors = Matrix(n, n);
   for (size_t idx = 0; idx < n; ++idx) {
     out.eigenvalues[idx] = d(order[idx], order[idx]);
-    out.eigenvectors.SetCol(idx, v.Col(order[idx]));
+    const double* v = vt.data() + order[idx] * n;
+    for (size_t k = 0; k < n; ++k) out.eigenvectors(k, idx) = v[k];
   }
   return out;
 }

@@ -26,17 +26,7 @@ Vector& Vector::operator*=(double scalar) {
   return *this;
 }
 
-double Vector::Norm() const {
-  // Scaled accumulation avoids overflow for large entries.
-  double max_abs = InfNorm();
-  if (max_abs == 0.0) return 0.0;
-  double sum = 0.0;
-  for (double x : data_) {
-    double scaled = x / max_abs;
-    sum += scaled * scaled;
-  }
-  return max_abs * std::sqrt(sum);
-}
+double Vector::Norm() const { return linalg::Norm(*this); }
 
 double Vector::InfNorm() const {
   double m = 0.0;

@@ -6,28 +6,34 @@
 #include <vector>
 
 #include "common/status.h"
+#include "linalg/views.h"
 
 namespace phasorwatch::linalg {
 namespace {
 
-// One-sided Jacobi on a tall (m >= n) matrix. Orthogonalizes pairs of
-// columns of `a` in place while accumulating the rotations into `v`.
-// Returns true on convergence within `max_sweeps`.
-bool JacobiSweeps(Matrix& a, Matrix& v, int max_sweeps, double tol) {
-  const size_t m = a.rows();
-  const size_t n = a.cols();
+// One-sided Jacobi on a tall matrix held by columns: row j of `at` is
+// column j of the m x n (m >= n) working matrix, and row j of `vt` is
+// column j of V. Orthogonalizes pairs of those columns in place while
+// accumulating the rotations into `vt`, so every Gram dot and every
+// rotation walks two contiguous rows. Returns true on convergence
+// within `max_sweeps`.
+bool JacobiSweeps(Matrix& at, Matrix& vt, int max_sweeps, double tol) {
+  const size_t n = at.rows();
+  const size_t m = at.cols();
   for (int sweep = 0; sweep < max_sweeps; ++sweep) {
     bool rotated = false;
     for (size_t p = 0; p + 1 < n; ++p) {
+      double* ap = at.data() + p * m;
+      double* vp = vt.data() + p * n;
       for (size_t q = p + 1; q < n; ++q) {
+        double* aq = at.data() + q * m;
+        double* vq = vt.data() + q * n;
         // Gram entries for the (p, q) column pair.
         double app = 0.0, aqq = 0.0, apq = 0.0;
         for (size_t i = 0; i < m; ++i) {
-          double ap = a(i, p);
-          double aq = a(i, q);
-          app += ap * ap;
-          aqq += aq * aq;
-          apq += ap * aq;
+          app += ap[i] * ap[i];
+          aqq += aq[i] * aq[i];
+          apq += ap[i] * aq[i];
         }
         if (std::fabs(apq) <= tol * std::sqrt(app * aqq)) continue;
         rotated = true;
@@ -38,16 +44,16 @@ bool JacobiSweeps(Matrix& a, Matrix& v, int max_sweeps, double tol) {
         double c = 1.0 / std::sqrt(1.0 + t * t);
         double s = c * t;
         for (size_t i = 0; i < m; ++i) {
-          double ap = a(i, p);
-          double aq = a(i, q);
-          a(i, p) = c * ap - s * aq;
-          a(i, q) = s * ap + c * aq;
+          const double x = ap[i];
+          const double y = aq[i];
+          ap[i] = c * x - s * y;
+          aq[i] = s * x + c * y;
         }
         for (size_t i = 0; i < n; ++i) {
-          double vp = v(i, p);
-          double vq = v(i, q);
-          v(i, p) = c * vp - s * vq;
-          v(i, q) = s * vp + c * vq;
+          const double x = vp[i];
+          const double y = vq[i];
+          vp[i] = c * x - s * y;
+          vq[i] = s * x + c * y;
         }
       }
     }
@@ -81,20 +87,23 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
     return Status::InvalidArgument("SVD of an empty matrix");
   }
   // One-sided Jacobi wants a tall matrix; transpose and swap factors
-  // when the input is wide.
+  // when the input is wide. The tall matrix is kept by columns, so a
+  // wide input already is its own working copy.
   const bool transposed = a.rows() < a.cols();
-  Matrix work = transposed ? a.Transposed() : a;
-  const size_t m = work.rows();
-  const size_t n = work.cols();
+  Matrix work = transposed ? a : a.Transposed();
+  const size_t n = work.rows();
+  const size_t m = work.cols();
 
-  Matrix v = Matrix::Identity(n);
-  if (!JacobiSweeps(work, v, max_sweeps, tol)) {
+  Matrix vt = Matrix::Identity(n);
+  if (!JacobiSweeps(work, vt, max_sweeps, tol)) {
     return Status::NotConverged("Jacobi SVD did not converge");
   }
 
   // Column norms are the singular values; sort descending.
   std::vector<double> sigma(n);
-  for (size_t j = 0; j < n; ++j) sigma[j] = work.Col(j).Norm();
+  for (size_t j = 0; j < n; ++j) {
+    sigma[j] = Norm(ConstVectorView(work.data() + j * m, m));
+  }
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(),
@@ -110,11 +119,12 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
   for (size_t idx = 0; idx < n; ++idx) {
     size_t j = order[idx];
     out.singular_values[idx] = sigma[j];
-    out.v.SetCol(idx, v.Col(j));
+    const double* vj = vt.data() + j * n;
+    for (size_t i = 0; i < n; ++i) out.v(i, idx) = vj[i];
     if (sigma[j] > 0.0) {
-      Vector col = work.Col(j);
-      col *= 1.0 / sigma[j];
-      out.u.SetCol(idx, col);
+      const double* col = work.data() + j * m;
+      const double inv = 1.0 / sigma[j];
+      for (size_t i = 0; i < m; ++i) out.u(i, idx) = col[i] * inv;
       positive = idx + 1;
     }
   }
@@ -122,25 +132,25 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
     // Complete U's trailing columns: find unit vectors orthogonal to the
     // existing columns via Gram-Schmidt over the standard basis.
     size_t next_axis = 0;
+    Vector cand(m);
     for (size_t idx = positive; idx < n && next_axis < m; ++idx) {
-      Vector cand;
       double norm = 0.0;
       while (next_axis < m) {
-        cand = Vector(m);
+        cand.Assign(m);
         cand[next_axis++] = 1.0;
         for (int pass = 0; pass < 2; ++pass) {
           for (size_t k = 0; k < idx; ++k) {
-            Vector uk = out.u.Col(k);
-            double dot = cand.Dot(uk);
-            for (size_t i = 0; i < m; ++i) cand[i] -= dot * uk[i];
+            double dot = 0.0;
+            for (size_t i = 0; i < m; ++i) dot += cand[i] * out.u(i, k);
+            for (size_t i = 0; i < m; ++i) cand[i] -= dot * out.u(i, k);
           }
         }
         norm = cand.Norm();
         if (norm > 1e-8) break;
       }
       if (norm > 1e-8) {
-        cand *= 1.0 / norm;
-        out.u.SetCol(idx, cand);
+        const double inv = 1.0 / norm;
+        for (size_t i = 0; i < m; ++i) out.u(i, idx) = cand[i] * inv;
       }
     }
   }

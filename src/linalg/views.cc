@@ -1,6 +1,7 @@
 #include "linalg/views.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/check.h"
 
@@ -159,6 +160,21 @@ PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst) {
     double* d = dst.row(i);
     for (size_t j = 0; j < src.cols(); ++j) d[j] = s[j];
   }
+}
+
+PW_NO_ALLOC double Norm(ConstVectorView x) {
+  const double* data = x.data();
+  double max_abs = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    max_abs = std::max(max_abs, std::fabs(data[i]));
+  }
+  if (max_abs == 0.0) return 0.0;
+  double sum = 0.0;
+  for (size_t i = 0; i < x.size(); ++i) {
+    double scaled = data[i] / max_abs;
+    sum += scaled * scaled;
+  }
+  return max_abs * std::sqrt(sum);
 }
 
 namespace {

@@ -221,6 +221,10 @@ PW_NO_ALLOC void SubtractInto(ConstMatrixView a, ConstMatrixView b, MutableMatri
 /// Copies src into dst (shapes must match; dst disjoint from src).
 PW_NO_ALLOC void CopyInto(ConstMatrixView src, MutableMatrixView dst);
 
+/// Euclidean norm of x by scaled accumulation, which cannot overflow
+/// for large entries: the kernel behind Vector::Norm.
+PW_NO_ALLOC double Norm(ConstVectorView x);
+
 /// y = a^T z, with z gathered and centered as in TransposedTimesNormSq
 /// below (same loop order, so summing y_j^2 over j ascending gives that
 /// kernel's double bit for bit). y.size() must equal a.cols() and y

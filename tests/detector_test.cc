@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -14,6 +15,8 @@
 
 #include "common/rng.h"
 #include "grid/ieee_cases.h"
+#include "obs/metrics.h"
+#include "obs/quantile.h"
 #include "sim/fault_injection.h"
 #include "proximity_oracle.h"
 
@@ -103,6 +106,49 @@ TEST_F(DetectorTest, TrainingFailsOnMalformedInput) {
   TrainingData empty;
   auto det = OutageDetector::Train(shared_->grid, shared_->network, empty, {});
   EXPECT_FALSE(det.ok());
+}
+
+TEST_F(DetectorTest, TrainRecordsEachStageScopeOnce) {
+#ifdef PW_OBS_DISABLED
+  GTEST_SKIP() << "trace scopes compile out";
+#else
+  // The stages in Train's order; together they tile detect.train_us.
+  const char* const kStages[] = {
+      "detect.train.class_models_us",     "detect.train.node_subspaces_us",
+      "detect.train.ellipses_us",         "detect.train.capabilities_us",
+      "detect.train.groups_us",           "detect.train.gate_calibration_us",
+      "detect.train.ratio_calibration_us", "detect.train.peel_calibration_us"};
+  auto snapshot = [](const char* name) {
+    return obs::MetricsRegistry::Global()
+        .GetQuantile(name, obs::DefaultLatencyQuantileOptions())
+        ->TakeSnapshot();
+  };
+  const auto total_before = snapshot("detect.train_us");
+  std::vector<obs::QuantileHistogram::Snapshot> before;
+  for (const char* stage : kStages) before.push_back(snapshot(stage));
+
+  TrainingData data;
+  data.normal = &shared_->normal_train;
+  data.case_lines = shared_->lines;
+  for (const auto& block : shared_->outage_train) data.outage.push_back(&block);
+  DetectorOptions opts;
+  opts.max_outage_lines = 2;  // includes the peel calibration stage
+  ASSERT_TRUE(
+      OutageDetector::Train(shared_->grid, shared_->network, data, opts).ok());
+
+  const auto total_after = snapshot("detect.train_us");
+  ASSERT_EQ(total_after.count - total_before.count, 1u);
+  const double total_us = total_after.sum - total_before.sum;
+  double stages_us = 0.0;
+  for (size_t s = 0; s < std::size(kStages); ++s) {
+    const auto after = snapshot(kStages[s]);
+    EXPECT_EQ(after.count - before[s].count, 1u) << kStages[s];
+    stages_us += after.sum - before[s].sum;
+  }
+  // The stages run one after another inside the Train scope.
+  EXPECT_LE(stages_us, total_us);
+  EXPECT_GT(stages_us, 0.0);
+#endif
 }
 
 TEST_F(DetectorTest, NormalSamplesProduceNoAlarm) {

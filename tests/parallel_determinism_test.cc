@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,7 @@
 #include "eval/experiments.h"
 #include "grid/grid.h"
 #include "grid/ieee_cases.h"
+#include "obs/metrics.h"
 #include "sim/pmu_network.h"
 
 namespace phasorwatch::eval {
@@ -123,24 +126,70 @@ TEST_F(ParallelDeterminismTest, TrainedModelBitIdenticalAcrossDegrees) {
     training.outage.push_back(&c.train);
   }
 
-  auto serialize = [&](size_t parallelism, size_t max_outage_lines) {
+  // What one Train leaves behind: the saved model bytes and the serving
+  // cache its calibration passes warmed.
+  struct Trained {
+    std::string model;
+    std::vector<std::pair<uint64_t, std::vector<size_t>>> cached_keys;
+    size_t cache_bytes = 0;
+    uint64_t regressor_builds = 0;
+  };
+  auto train = [&](size_t parallelism, size_t max_outage_lines) {
     detect::DetectorOptions opts;
     opts.parallelism = parallelism;
     opts.max_outage_lines = max_outage_lines;
+#ifndef PW_OBS_DISABLED
+    const obs::Counter* builds = obs::MetricsRegistry::Global().GetCounter(
+        "proximity.regressor_builds");
+    const uint64_t builds_before = builds->value();
+#endif
     auto det = detect::OutageDetector::Train(*grid, *network, training, opts);
     PW_CHECK(det.ok());
-    std::ostringstream out;
-    PW_CHECK(det->Save(out).ok());
-    return out.str();
+    Trained out;
+#ifndef PW_OBS_DISABLED
+    out.regressor_builds = builds->value() - builds_before;
+#endif
+    std::ostringstream bytes;
+    PW_CHECK(det->Save(bytes).ok());
+    out.model = bytes.str();
+    const detect::ProximityEngine& engine = det->proximity_engine();
+    for (const auto& key : engine.CachedKeys()) {
+      // The family flag rides in the key's low bit so a plain and a
+      // family entry of one group stay distinct.
+      out.cached_keys.push_back({2 * key.model_key + key.family, key.group});
+    }
+    std::sort(out.cached_keys.begin(), out.cached_keys.end());
+    out.cache_bytes = engine.cache_bytes();
+    return out;
   };
 
   // max_outage_lines = 2 adds the peel-threshold calibration, whose
-  // thresholds are part of the saved PWDET06 bytes.
+  // thresholds are part of the saved PWDET06 bytes and whose coordinate
+  // sets are most of the serving cache Train hands over. Its cases run
+  // concurrently at degree > 1, so the cache must come out with the
+  // same keys, bytes and build count as the serial pass.
+  size_t single_line_keys = 0;
   for (size_t lines : {1u, 2u}) {
-    std::string serial_model = serialize(1, lines);
-    ASSERT_FALSE(serial_model.empty());
-    EXPECT_EQ(serialize(2, lines), serial_model) << "lines=" << lines;
-    EXPECT_EQ(serialize(8, lines), serial_model) << "lines=" << lines;
+    const Trained serial = train(1, lines);
+    ASSERT_FALSE(serial.model.empty());
+    if (lines == 1) {
+      single_line_keys = serial.cached_keys.size();
+    } else {
+      // The peel calibration warms the serving cache itself.
+      EXPECT_GT(serial.cached_keys.size(), single_line_keys);
+    }
+    ASSERT_FALSE(serial.cached_keys.empty());
+    for (size_t degree : {2u, 8u}) {
+      const Trained parallel = train(degree, lines);
+      EXPECT_EQ(parallel.model, serial.model)
+          << "lines=" << lines << " degree=" << degree;
+      EXPECT_EQ(parallel.cached_keys, serial.cached_keys)
+          << "lines=" << lines << " degree=" << degree;
+      EXPECT_EQ(parallel.cache_bytes, serial.cache_bytes)
+          << "lines=" << lines << " degree=" << degree;
+      EXPECT_EQ(parallel.regressor_builds, serial.regressor_builds)
+          << "lines=" << lines << " degree=" << degree;
+    }
   }
 }
 
