@@ -139,8 +139,6 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
   {
     PW_TRACE_SCOPE("detect.train.node_subspaces_us");
     det.node_models_.resize(n);
-    const bool lowrank_nodes = options.sparse_bus_threshold > 0 &&
-                               n >= options.sparse_bus_threshold;
     PW_RETURN_IF_ERROR(pool.ParallelFor(n, [&](size_t i) -> Status {
       std::vector<const SubspaceModel*> incident;
       for (size_t c = 0; c < det.case_lines_.size(); ++c) {
@@ -152,8 +150,8 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
         det.node_models_[i].union_model = det.normal_model_;
         det.node_models_[i].intersection_model = det.normal_model_;
       } else {
-        det.node_models_[i] =
-            BuildNodeSubspaces(incident, kSoftIntersectionTol, lowrank_nodes);
+        PW_ASSIGN_OR_RETURN(det.node_models_[i],
+                            BuildNodeSubspaces(incident, kSoftIntersectionTol));
       }
       return Status::OK();
     }));
@@ -194,13 +192,12 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
       // Loading matrix: stack the constraint bases of the cluster
       // nodes' union subspaces; rows are node loadings for the naive
       // pick.
-      Matrix loadings;
+      std::vector<const linalg::Subspace*> bases;
       for (size_t node : network.Cluster(c)) {
-        loadings =
-            loadings.ConcatCols(det.node_models_[node].union_model
-                                    .constraints.basis());
+        bases.push_back(&det.node_models_[node].union_model.constraints);
       }
-      det.groups_.push_back(builder.Build(c, loadings));
+      det.groups_.push_back(
+          builder.Build(c, linalg::Subspace::StackBases(bases)));
     }
   }
 

@@ -61,14 +61,6 @@ struct DetectorOptions {
   SubspaceModelOptions subspace;
   DetectionGroupOptions groups;
   LocalizationMode localization = LocalizationMode::kClassModel;
-  /// Grids at or above this many buses compose the node union
-  /// subspaces through the low-rank Gram path instead of the dense
-  /// ambient-dimension eigensolve (0 disables). Same policy knob as
-  /// the solver options' sparse_bus_threshold (docs/SPARSE.md): the
-  /// paper-scale IEEE systems stay on the dense path bit-for-bit,
-  /// while 300+-bus training drops from O(nodes * n^3) to
-  /// O(nodes * n * r^2) with r the summed incident-model ranks.
-  size_t sparse_bus_threshold = 200;
   /// Apply the proximity scaling of Eq. 11 (ablation switch).
   bool use_scaling = true;
   /// Line disambiguation: candidate lines whose per-line outage-model

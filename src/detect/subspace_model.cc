@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/status.h"
-#include "linalg/eigen_sym.h"
 #include "linalg/svd.h"
 #include "linalg/views.h"
 
@@ -17,117 +16,58 @@ using linalg::Subspace;
 using linalg::Vector;
 
 // Soft intersection of subspaces: eigenvectors of the averaged projector
-// (1/m) sum_k B_k B_k^T with eigenvalue >= min_eigenvalue. An eigenvalue
-// of 1 means the direction lies in every member subspace; a slightly
-// smaller threshold tolerates the noise in data-learned bases.
-Subspace SoftIntersection(const std::vector<const Subspace*>& parts,
-                          double min_eigenvalue) {
-  PW_CHECK(!parts.empty());
-  if (parts.size() == 1) return *parts[0];
-  const size_t n = parts[0]->ambient_dim();
-  Matrix avg(n, n);
-  size_t nonempty = 0;
-  for (const Subspace* s : parts) {
-    if (s->trivial()) continue;
-    PW_CHECK_EQ(s->ambient_dim(), n);
-    ++nonempty;
-    const Matrix& b = s->basis();
-    // avg += B B^T
-    for (size_t k = 0; k < b.cols(); ++k) {
-      for (size_t i = 0; i < n; ++i) {
-        double bi = b(i, k);
-        if (bi == 0.0) continue;
-        for (size_t j = 0; j < n; ++j) avg(i, j) += bi * b(j, k);
-      }
-    }
-  }
-  if (nonempty == 0) return Subspace();
-  avg *= 1.0 / static_cast<double>(nonempty);
-
-  auto eig = linalg::ComputeSymmetricEigen(avg);
-  if (!eig.ok()) return Subspace();
-  std::vector<Vector> kept;
-  for (size_t k = 0; k < eig->eigenvalues.size(); ++k) {
-    if (eig->eigenvalues[k] >= min_eigenvalue) {
-      kept.push_back(eig->eigenvectors.Col(k));
-    }
-  }
-  if (kept.empty()) {
-    // Degenerate case: no direction is shared strongly enough. Fall back
-    // to the single most-shared direction so downstream proximities stay
-    // informative instead of collapsing to zero.
-    kept.push_back(eig->eigenvectors.Col(0));
-  }
-  return Subspace::FromOrthonormal(Matrix::FromColumns(kept));
-}
-
-// The same averaged-projector spectrum through its Gram matrix, for
-// large ambient dimensions (docs/SPARSE.md): avg = W W^T with
-// W = [B_1 ... B_m] / sqrt(m), so every eigenvalue >= min_eigenvalue
-// (> 0) lives in span(W) and comes from the r-by-r Gram matrix
-// G = W^T W, where r = sum of member ranks << n. An eigenpair
-// G v = lambda v lifts to the unit eigenvector u = W v / sqrt(lambda)
-// of avg, turning the O(n^3) Jacobi sweep into O(n r^2). The kept
-// subspace equals the dense path's up to roundoff — not bit-identical,
-// which is why small grids stay on the dense path.
-Subspace SoftIntersectionLowRank(const std::vector<const Subspace*>& parts,
-                                 double min_eigenvalue) {
+// P = (1/m) sum_k B_k B_k^T with eigenvalue >= min_eigenvalue. An
+// eigenvalue of 1 means the direction lies in every member subspace; a
+// slightly smaller threshold tolerates the noise in data-learned bases.
+//
+// P = W W^T with W = [B_1 ... B_m] / sqrt(m), n by r with r the summed
+// member ranks, and the spectrum comes from whichever Gram matrix is
+// smaller. When r < n (large grids, docs/SPARSE.md), an eigenpair
+// W^T W v = lambda v with lambda >= min_eigenvalue > 0 lifts to the
+// unit eigenvector u = W v / sqrt(lambda) of P, so the solve is r by r
+// instead of n by n. Both Gram matrices are symmetric PSD, so the SVD
+// returns their eigenvectors in u and eigenvalues in singular_values.
+Result<Subspace> SoftIntersection(const std::vector<const Subspace*>& parts,
+                                  double min_eigenvalue) {
   PW_CHECK(!parts.empty());
   PW_CHECK_GT(min_eigenvalue, 0.0);
   if (parts.size() == 1) return *parts[0];
-  const size_t n = parts[0]->ambient_dim();
   size_t nonempty = 0;
-  size_t r = 0;
-  for (const Subspace* s : parts) {
-    if (s->trivial()) continue;
-    PW_CHECK_EQ(s->ambient_dim(), n);
-    ++nonempty;
-    r += s->dim();
-  }
+  for (const Subspace* s : parts) nonempty += s->trivial() ? 0 : 1;
   if (nonempty == 0) return Subspace();
 
-  Matrix w(n, r);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(nonempty));
-  size_t col = 0;
-  for (const Subspace* s : parts) {
-    if (s->trivial()) continue;
-    const Matrix& b = s->basis();
-    for (size_t k = 0; k < b.cols(); ++k, ++col) {
-      for (size_t i = 0; i < n; ++i) w(i, col) = scale * b(i, k);
-    }
-  }
-
-  Matrix gram(r, r);
-  for (size_t a = 0; a < r; ++a) {
-    for (size_t c = a; c < r; ++c) {
-      double dot = 0.0;
-      for (size_t i = 0; i < n; ++i) dot += w(i, a) * w(i, c);
-      gram(a, c) = dot;
-      gram(c, a) = dot;
-    }
-  }
-
-  auto eig = linalg::ComputeSymmetricEigen(gram);
-  if (!eig.ok()) return Subspace();
-  auto lift = [&](size_t k) {
+  Matrix w = Subspace::StackBases(parts);
+  w *= 1.0 / std::sqrt(static_cast<double>(nonempty));
+  const size_t n = w.rows();
+  const size_t r = w.cols();
+  const bool gram_side = r < n;
+  PW_ASSIGN_OR_RETURN(
+      linalg::SvdResult eig,
+      linalg::ComputeSvd(gram_side ? w.TransposedTimes(w)
+                                   : w * w.Transposed()));
+  auto kept_vector = [&](size_t k) {
+    if (!gram_side) return eig.u.Col(k);
     Vector u(n);
-    const double inv = 1.0 / std::sqrt(eig->eigenvalues[k]);
+    const double inv = 1.0 / std::sqrt(eig.singular_values[k]);
     for (size_t a = 0; a < r; ++a) {
-      double va = eig->eigenvectors(a, k);
+      const double va = eig.u(a, k);
       if (va == 0.0) continue;
       for (size_t i = 0; i < n; ++i) u[i] += inv * va * w(i, a);
     }
     return u;
   };
   std::vector<Vector> kept;
-  for (size_t k = 0; k < eig->eigenvalues.size(); ++k) {
-    if (eig->eigenvalues[k] >= min_eigenvalue) kept.push_back(lift(k));
+  for (size_t k = 0; k < eig.singular_values.size(); ++k) {
+    if (eig.singular_values[k] >= min_eigenvalue) {
+      kept.push_back(kept_vector(k));
+    }
   }
   if (kept.empty()) {
-    // Same degenerate fallback as the dense path: the single
-    // most-shared direction. Orthonormal member bases give
-    // trace(G) = r / m, so the top eigenvalue is strictly positive.
-    kept.push_back(lift(0));
+    // Degenerate case: no direction is shared strongly enough. Fall back
+    // to the single most-shared direction so downstream proximities stay
+    // informative instead of collapsing to zero. Orthonormal member
+    // bases give trace(P) = r / m, so the top eigenvalue is positive.
+    kept.push_back(kept_vector(0));
   }
   return Subspace::FromOrthonormal(Matrix::FromColumns(kept));
 }
@@ -213,9 +153,10 @@ Result<SubspaceModel> LearnSubspaceModel(const sim::PhasorDataSet& data,
   }
 
   // Left singular vectors and values of the centered data. For wide
-  // data (T > N) go through the N-by-N scatter matrix and a symmetric
-  // eigensolve — O(N^2 T + N^3) instead of Jacobi-SVD's O(N^2 T) per
-  // sweep — which keeps training cheap at paper-scale sample counts.
+  // data (T > N) go through the N-by-N scatter matrix X X^T, whose SVD
+  // holds its eigenvectors in u and the squared singular values of X —
+  // O(N^2 T + N^3) instead of Jacobi-SVD's O(N^2 T) per sweep — which
+  // keeps training cheap at paper-scale sample counts.
   Matrix u;
   Vector s;
   if (t > n) {
@@ -230,13 +171,10 @@ Result<SubspaceModel> LearnSubspaceModel(const sim::PhasorDataSet& data,
     for (size_t i = 0; i < n; ++i) {
       for (size_t j = 0; j < i; ++j) scatter(i, j) = scatter(j, i);
     }
-    PW_ASSIGN_OR_RETURN(linalg::SymmetricEigenResult eig,
-                        linalg::ComputeSymmetricEigen(scatter));
-    u = std::move(eig.eigenvectors);
-    s = Vector(n);
-    for (size_t j = 0; j < n; ++j) {
-      s[j] = std::sqrt(std::max(eig.eigenvalues[j], 0.0));
-    }
+    PW_ASSIGN_OR_RETURN(linalg::SvdResult eig, linalg::ComputeSvd(scatter));
+    u = std::move(eig.u);
+    s = std::move(eig.singular_values);
+    for (size_t j = 0; j < n; ++j) s[j] = std::sqrt(s[j]);
   } else {
     PW_ASSIGN_OR_RETURN(linalg::SvdResult svd, linalg::ComputeSvd(x));
     u = std::move(svd.u);
@@ -297,9 +235,8 @@ SubspaceModel MakeWhitenedClassModel(const SubspaceModel& reference,
   return model;
 }
 
-NodeSubspaces BuildNodeSubspaces(
-    const std::vector<const SubspaceModel*>& line_models, double cos_tol,
-    bool lowrank_composition) {
+Result<NodeSubspaces> BuildNodeSubspaces(
+    const std::vector<const SubspaceModel*>& line_models, double cos_tol) {
   PW_CHECK(!line_models.empty());
   const size_t n = line_models[0]->ambient_dim();
 
@@ -315,19 +252,14 @@ NodeSubspaces BuildNodeSubspaces(
   out.union_model.mean = mean;
   out.intersection_model.mean = mean;
 
-  // Paper's union of outage solution sets == shared constraints.
   std::vector<const Subspace*> bases;
   bases.reserve(line_models.size());
   for (const SubspaceModel* m : line_models) bases.push_back(&m->constraints);
-  out.union_model.constraints = lowrank_composition
-                                    ? SoftIntersectionLowRank(bases, cos_tol)
-                                    : SoftIntersection(bases, cos_tol);
-
+  // Paper's union of outage solution sets == shared constraints.
+  PW_ASSIGN_OR_RETURN(out.union_model.constraints,
+                      SoftIntersection(bases, cos_tol));
   // Paper's intersection of solution sets == all constraints combined.
-  std::vector<Subspace> all;
-  all.reserve(line_models.size());
-  for (const SubspaceModel* m : line_models) all.push_back(m->constraints);
-  out.intersection_model.constraints = Subspace::UnionAll(all);
+  out.intersection_model.constraints = Subspace::UnionAll(bases);
   return out;
 }
 

@@ -110,14 +110,13 @@ struct NodeSubspaces {
 
 /// Composes the per-line models incident to one node. `cos_tol` controls
 /// the numerical soft-intersection of constraint bases (directions whose
-/// average-projector eigenvalue exceeds it are treated as shared).
-/// `lowrank_composition` computes that spectrum through the summed-rank
-/// Gram matrix instead of the dense ambient-dimension eigensolve — the
-/// same subspace up to roundoff (not bit-identical), and the path
-/// large-grid training takes (docs/SPARSE.md).
-NodeSubspaces BuildNodeSubspaces(const std::vector<const SubspaceModel*>& line_models,
-                                 double cos_tol = 0.6,
-                                 bool lowrank_composition = false);
+/// average-projector eigenvalue reaches it are treated as shared). The
+/// spectrum comes from the smaller of the summed-rank and the
+/// ambient-dimension Gram matrices (docs/SPARSE.md). Fails when the
+/// eigensolve does.
+PW_NODISCARD Result<NodeSubspaces> BuildNodeSubspaces(
+    const std::vector<const SubspaceModel*>& line_models,
+    double cos_tol = 0.6);
 
 }  // namespace phasorwatch::detect
 

@@ -1,5 +1,6 @@
 #include "linalg/subspace.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/check.h"
@@ -55,53 +56,33 @@ double Subspace::OrthonormalityError() const {
   return err;
 }
 
-Subspace Subspace::Union(const Subspace& a, const Subspace& b) {
-  if (a.trivial()) return b;
-  if (b.trivial()) return a;
-  PW_CHECK_EQ(a.ambient_dim(), b.ambient_dim());
-  return Subspace(a.basis_.ConcatCols(b.basis_));
+Matrix Subspace::StackBases(const std::vector<const Subspace*>& parts) {
+  size_t rows = 0;
+  size_t cols = 0;
+  for (const Subspace* s : parts) {
+    if (s->trivial()) continue;
+    PW_CHECK(cols == 0 || s->ambient_dim() == rows);
+    rows = s->ambient_dim();
+    cols += s->dim();
+  }
+  Matrix stacked(rows, cols);
+  size_t offset = 0;
+  for (const Subspace* s : parts) {
+    if (s->trivial()) continue;
+    const Matrix& b = s->basis();
+    for (size_t i = 0; i < rows; ++i) {
+      const double* src = b.data() + i * b.cols();
+      std::copy(src, src + b.cols(), stacked.data() + i * cols + offset);
+    }
+    offset += b.cols();
+  }
+  return stacked;
 }
 
-Subspace Subspace::UnionAll(const std::vector<Subspace>& parts) {
-  Matrix stacked;
-  for (const auto& s : parts) {
-    if (s.trivial()) continue;
-    stacked = stacked.ConcatCols(s.basis());
-  }
+Subspace Subspace::UnionAll(const std::vector<const Subspace*>& parts) {
+  Matrix stacked = StackBases(parts);
   if (stacked.empty()) return Subspace();
   return Subspace(stacked);
-}
-
-Subspace Subspace::Intersection(const Subspace& a, const Subspace& b,
-                                double cos_tol) {
-  if (a.trivial() || b.trivial()) return Subspace();
-  PW_CHECK_EQ(a.ambient_dim(), b.ambient_dim());
-  // Principal directions: SVD of A^T B. Singular values are the cosines
-  // of the principal angles; cosine ~ 1 means the direction lies in both
-  // subspaces. The corresponding direction in ambient space is A * u_i.
-  Matrix cross = a.basis_.TransposedTimes(b.basis_);
-  auto svd = ComputeSvd(cross);
-  if (!svd.ok()) return Subspace();
-  std::vector<Vector> kept;
-  for (size_t j = 0; j < svd->singular_values.size(); ++j) {
-    if (svd->singular_values[j] >= cos_tol) {
-      kept.push_back(a.basis_ * svd->u.Col(j));
-    }
-  }
-  if (kept.empty()) return Subspace();
-  // Re-orthonormalize to wash out rounding from the products.
-  return Subspace(Matrix::FromColumns(kept));
-}
-
-Subspace Subspace::IntersectAll(const std::vector<Subspace>& parts,
-                                double cos_tol) {
-  if (parts.empty()) return Subspace();
-  Subspace acc = parts[0];
-  for (size_t i = 1; i < parts.size(); ++i) {
-    if (acc.trivial()) return acc;
-    acc = Intersection(acc, parts[i], cos_tol);
-  }
-  return acc;
 }
 
 Result<Vector> Subspace::PrincipalAngleCosines(const Subspace& a,

@@ -36,19 +36,12 @@ class Subspace {
   /// max_ij |(B^T B - I)_ij| — a diagnostic for tests.
   double OrthonormalityError() const;
 
-  /// Smallest subspace containing both operands (sum of subspaces).
-  static Subspace Union(const Subspace& a, const Subspace& b);
-  /// Sum over a collection; the trivial subspace is the identity element.
-  static Subspace UnionAll(const std::vector<Subspace>& parts);
-
-  /// Intersection of the two subspaces. Directions are kept when their
-  /// principal angle cosine exceeds `cos_tol` (numerical intersection).
-  static Subspace Intersection(const Subspace& a, const Subspace& b,
-                               double cos_tol = 1.0 - 1e-8);
-  /// Intersection over a collection; folds pairwise.
-  /// An empty collection yields the trivial subspace.
-  static Subspace IntersectAll(const std::vector<Subspace>& parts,
-                               double cos_tol = 1.0 - 1e-8);
+  /// The bases of the non-trivial parts side by side (ambient_dim by
+  /// the summed dims), in order; empty when every part is trivial.
+  static Matrix StackBases(const std::vector<const Subspace*>& parts);
+  /// Smallest subspace containing every part (sum of subspaces); the
+  /// trivial subspace is the identity element.
+  static Subspace UnionAll(const std::vector<const Subspace*>& parts);
 
   /// Cosines of the principal angles between two subspaces, descending.
   PW_NODISCARD static Result<Vector> PrincipalAngleCosines(const Subspace& a,

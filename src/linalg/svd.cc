@@ -62,6 +62,50 @@ bool JacobiSweeps(Matrix& at, Matrix& vt, int max_sweeps, double tol) {
   return false;
 }
 
+// Called once the sweeps have run out. A rank-deficient input leaves
+// columns of the working matrix at roundoff level, and when such a
+// column lies in the span of the others (a symmetric PSD input with a
+// repeated row, say) each rotation against them only re-creates
+// roundoff, so the sweeps never settle. A column whose norm is below
+// `tol` times the largest carries no direction: if every pair that
+// still fails the orthogonality test involves one, those columns are
+// zeroed (singular value 0, U completed) and the sweeps count as
+// converged. Any other failing pair, or a non-finite column, is a
+// genuine failure. Inputs on which the sweeps converge never get here,
+// so their output bits do not depend on this step.
+bool DropNegligibleColumns(Matrix& at, double tol) {
+  const size_t n = at.rows();
+  const size_t m = at.cols();
+  // Plain sums, as in the sweeps: a NaN entry must reach the norm.
+  auto dot = [&](size_t p, size_t q) {
+    const double* ap = at.data() + p * m;
+    const double* aq = at.data() + q * m;
+    double sum = 0.0;
+    for (size_t i = 0; i < m; ++i) sum += ap[i] * aq[i];
+    return sum;
+  };
+  std::vector<double> norm(n);
+  double max_norm = 0.0;
+  for (size_t j = 0; j < n; ++j) {
+    norm[j] = std::sqrt(dot(j, j));
+    if (!std::isfinite(norm[j])) return false;
+    max_norm = std::max(max_norm, norm[j]);
+  }
+  const double floor = tol * max_norm;
+  for (size_t p = 0; p + 1 < n; ++p) {
+    if (norm[p] <= floor) continue;
+    for (size_t q = p + 1; q < n; ++q) {
+      if (norm[q] <= floor) continue;
+      if (std::fabs(dot(p, q)) > tol * norm[p] * norm[q]) return false;
+    }
+  }
+  for (size_t j = 0; j < n; ++j) {
+    if (norm[j] > floor) continue;
+    std::fill(at.data() + j * m, at.data() + (j + 1) * m, 0.0);
+  }
+  return true;
+}
+
 }  // namespace
 
 size_t SvdResult::Rank(double tol) const {
@@ -95,7 +139,8 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
   const size_t m = work.cols();
 
   Matrix vt = Matrix::Identity(n);
-  if (!JacobiSweeps(work, vt, max_sweeps, tol)) {
+  if (!JacobiSweeps(work, vt, max_sweeps, tol) &&
+      !DropNegligibleColumns(work, tol)) {
     return Status::NotConverged("Jacobi SVD did not converge");
   }
 

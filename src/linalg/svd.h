@@ -29,6 +29,11 @@ struct SvdResult {
 /// accuracy on small singular values — exactly the part of the spectrum
 /// the outage subspaces are built from. O(m n^2) per sweep; matrices in
 /// this library are at most a few hundred columns.
+///
+/// It is also the library's symmetric eigensolver: for a symmetric
+/// positive semidefinite input A, `u` holds orthonormal eigenvectors and
+/// `singular_values` the eigenvalues (descending), so A = U diag(s) U^T.
+/// Training uses it that way on scatter and Gram matrices.
 PW_NODISCARD Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps = 60,
                                           double tol = 1e-12);
 

@@ -164,17 +164,18 @@ TEST_F(DetectorTest, NormalSamplesProduceNoAlarm) {
 }
 
 TEST_F(DetectorTest, LowRankTrainingPathDetectsOutages) {
-  // Forcing sparse_bus_threshold to 1 routes node-subspace composition
-  // through the low-rank Gram path (the 300+-bus training path,
-  // docs/SPARSE.md) on the same IEEE-14 fixture data. The composed
-  // subspaces agree with the dense path only up to roundoff, so this
-  // asserts detection quality, not bit-equal scores.
+  // Capping each line model at 4 constraints keeps every node's summed
+  // rank r below the ambient dimension (r = 8-16 against n = 28 here;
+  // 54-108 uncapped), so the union subspaces take the r x r Gram side
+  // of the soft intersection (the 300+-bus training path,
+  // docs/SPARSE.md) on the same IEEE-14 fixture data. This asserts
+  // detection quality on that path.
   TrainingData data;
   data.normal = &shared_->normal_train;
   data.case_lines = shared_->lines;
   for (const auto& block : shared_->outage_train) data.outage.push_back(&block);
   DetectorOptions options;
-  options.sparse_bus_threshold = 1;
+  options.subspace.max_constraints = 4;
   auto detector =
       OutageDetector::Train(shared_->grid, shared_->network, data, options);
   ASSERT_TRUE(detector.ok()) << detector.status().ToString();

@@ -1,19 +1,28 @@
-// Pins the exact output bits of the two Jacobi solvers. Every trained
-// model and every cached Eq. 9 factor is built from them, so a change to
-// their loops that reorders any double's operations moves low bits of
-// every model; these digests catch that on small seeded inputs long
-// before a model byte comparison would. The digests were recorded from
-// the column-walking solvers the row-walking ones replaced.
+// Pins the exact output bits of the Jacobi solver and of one trained
+// model. Every trained model and every cached Eq. 9 factor is built from
+// ComputeSvd, so a change to its loops that reorders any double's
+// operations moves low bits of every model; these digests catch that on
+// small seeded inputs. The SVD digests were recorded from the
+// column-walking solver the row-walking one replaced; the scatter-matrix
+// digests pin the symmetric eigensolves training runs through it. The
+// trained-model digest was recorded when ComputeSvd took those
+// eigensolves over: a change to any training arithmetic must record a
+// new one.
 
 #include <cstdint>
 #include <cstring>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "linalg/eigen_sym.h"
+#include "detect/detector.h"
+#include "eval/dataset.h"
+#include "grid/ieee_cases.h"
 #include "linalg/matrix.h"
 #include "linalg/svd.h"
+#include "sim/pmu_network.h"
 
 namespace phasorwatch::linalg {
 namespace {
@@ -86,16 +95,6 @@ uint64_t SvdDigest(const Matrix& a) {
   return d.value();
 }
 
-uint64_t EigenDigest(const Matrix& a) {
-  auto eig = ComputeSymmetricEigen(a);
-  EXPECT_TRUE(eig.ok()) << eig.status().ToString();
-  if (!eig.ok()) return 0;
-  Digest d;
-  d.Add(eig->eigenvalues);
-  d.Add(eig->eigenvectors);
-  return d.value();
-}
-
 TEST(KernelBitsTest, SvdTallShapes) {
   EXPECT_EQ(SvdDigest(SeededMatrix(60, 2, 1)), 0x0C2EAAF9CD9D6495ull);
   EXPECT_EQ(SvdDigest(SeededMatrix(60, 8, 2)), 0x891982647DB6D7BAull);
@@ -121,18 +120,60 @@ TEST(KernelBitsTest, SvdOneByOne) {
   EXPECT_EQ(SvdDigest(Matrix{{-2.5}}), 0x91B900A05CBAAFC0ull);
 }
 
+// Scatter matrices X^T X are what training's eigensolves see.
 TEST(KernelBitsTest, EigenScatter) {
-  EXPECT_EQ(EigenDigest(Scatter(100, 60, 5)), 0x8AC44746923CF1DAull);
-  EXPECT_EQ(EigenDigest(Scatter(30, 8, 6)), 0xDF5216E487BB6436ull);
+  EXPECT_EQ(SvdDigest(Scatter(30, 8, 6)), 0x54021B7C916E4D32ull);
 }
 
+// The repeated column leaves a roundoff-level column the sweeps cannot
+// orthogonalize; ComputeSvd drops it once they run out, so this digest
+// also pins that step.
 TEST(KernelBitsTest, EigenRankDeficientScatter) {
   const Matrix m = RankDeficient();
-  EXPECT_EQ(EigenDigest(m.TransposedTimes(m)), 0x71068DBFD8ED0F81ull);
+  const Matrix scatter = m.TransposedTimes(m);
+  auto eig = ComputeSvd(scatter);
+  ASSERT_TRUE(eig.ok()) << eig.status().ToString();
+  EXPECT_EQ(eig->Rank(), 6u);
+  EXPECT_EQ(SvdDigest(scatter), 0xF6EEABD553580955ull);
 }
 
+// The smallest symmetric PSD input.
 TEST(KernelBitsTest, EigenOneByOne) {
-  EXPECT_EQ(EigenDigest(Matrix{{-2.5}}), 0xBFC7F597119CE37Dull);
+  EXPECT_EQ(SvdDigest(Matrix{{0.5}}), 0x400BCE12BD5C6849ull);
+}
+
+// The PWDET06 bytes of a small IEEE-14 model: the solver digests above
+// pin the kernel, this pins everything training composes from it.
+TEST(KernelBitsTest, TrainedModelBytes) {
+  auto grid = grid::IeeeCase14();
+  ASSERT_TRUE(grid.ok());
+  auto network = sim::PmuNetwork::Build(*grid, 3);
+  ASSERT_TRUE(network.ok());
+  eval::DatasetOptions dopts;
+  dopts.train_states = 10;
+  dopts.train_samples_per_state = 6;
+  dopts.test_states = 1;
+  dopts.test_samples_per_state = 1;
+  dopts.parallelism = 1;
+  auto dataset = eval::BuildDataset(*grid, dopts, 77);
+  ASSERT_TRUE(dataset.ok());
+  detect::TrainingData training;
+  training.normal = &dataset->normal.train;
+  for (const auto& c : dataset->outages) {
+    training.case_lines.push_back(c.line);
+    training.outage.push_back(&c.train);
+  }
+  detect::DetectorOptions opts;
+  opts.parallelism = 1;
+  auto det = detect::OutageDetector::Train(*grid, *network, training, opts);
+  ASSERT_TRUE(det.ok()) << det.status().ToString();
+  std::ostringstream out;
+  ASSERT_TRUE(det->Save(out).ok());
+  const std::string bytes = out.str();
+  Digest d;
+  d.Add(uint64_t{bytes.size()});
+  for (unsigned char c : bytes) d.Add(uint64_t{c});
+  EXPECT_EQ(d.value(), 0xB090F46A8551E0ECull);
 }
 
 }  // namespace

@@ -66,60 +66,43 @@ TEST(SubspaceTest, ProjectionIsIdempotent) {
 TEST(SubspaceUnionTest, UnionOfAxes) {
   Subspace x = SpanOf({Axis(3, 0)});
   Subspace y = SpanOf({Axis(3, 1)});
-  Subspace u = Subspace::Union(x, y);
+  Subspace u = Subspace::UnionAll({&x, &y});
   EXPECT_EQ(u.dim(), 2u);
   EXPECT_NEAR(u.Distance(Vector{1.0, 1.0, 0.0}), 0.0, 1e-10);
 }
 
 TEST(SubspaceUnionTest, UnionWithTrivial) {
   Subspace x = SpanOf({Axis(3, 0)});
-  Subspace u = Subspace::Union(x, Subspace());
+  Subspace trivial;
+  Subspace u = Subspace::UnionAll({&x, &trivial});
   EXPECT_EQ(u.dim(), 1u);
+  EXPECT_TRUE(Subspace::UnionAll({&trivial}).trivial());
 }
 
 TEST(SubspaceUnionTest, OverlappingUnionsDoNotDoubleCount) {
   Subspace a = SpanOf({Axis(4, 0), Axis(4, 1)});
   Subspace b = SpanOf({Axis(4, 1), Axis(4, 2)});
-  Subspace u = Subspace::Union(a, b);
+  Subspace u = Subspace::UnionAll({&a, &b});
   EXPECT_EQ(u.dim(), 3u);
 }
 
 TEST(SubspaceUnionTest, UnionAllOverCollection) {
-  std::vector<Subspace> parts = {SpanOf({Axis(5, 0)}), SpanOf({Axis(5, 2)}),
-                                 SpanOf({Axis(5, 4)})};
-  Subspace u = Subspace::UnionAll(parts);
+  Subspace a = SpanOf({Axis(5, 0)});
+  Subspace b = SpanOf({Axis(5, 2)});
+  Subspace c = SpanOf({Axis(5, 4)});
+  Subspace u = Subspace::UnionAll({&a, &b, &c});
   EXPECT_EQ(u.dim(), 3u);
 }
 
-TEST(SubspaceIntersectionTest, SharedAxis) {
-  Subspace a = SpanOf({Axis(3, 0), Axis(3, 1)});
-  Subspace b = SpanOf({Axis(3, 1), Axis(3, 2)});
-  Subspace i = Subspace::Intersection(a, b);
-  ASSERT_EQ(i.dim(), 1u);
-  // The intersection must be the y axis (up to sign).
-  EXPECT_NEAR(std::fabs(i.basis()(1, 0)), 1.0, 1e-8);
-}
-
-TEST(SubspaceIntersectionTest, DisjointPlanesGiveTrivial) {
-  Subspace a = SpanOf({Axis(4, 0)});
-  Subspace b = SpanOf({Axis(4, 1)});
-  Subspace i = Subspace::Intersection(a, b);
-  EXPECT_TRUE(i.trivial());
-}
-
-TEST(SubspaceIntersectionTest, IntersectionWithSelfIsSelf) {
-  Subspace a = SpanOf({Axis(4, 0), Axis(4, 3)});
-  Subspace i = Subspace::Intersection(a, a);
-  EXPECT_EQ(i.dim(), 2u);
-}
-
-TEST(SubspaceIntersectionTest, IntersectAllFolds) {
-  Subspace a = SpanOf({Axis(4, 0), Axis(4, 1), Axis(4, 2)});
-  Subspace b = SpanOf({Axis(4, 1), Axis(4, 2)});
-  Subspace c = SpanOf({Axis(4, 2), Axis(4, 3)});
-  Subspace i = Subspace::IntersectAll({a, b, c});
-  ASSERT_EQ(i.dim(), 1u);
-  EXPECT_NEAR(std::fabs(i.basis()(2, 0)), 1.0, 1e-8);
+TEST(SubspaceUnionTest, StackBasesKeepsOrderAndSkipsTrivial) {
+  Subspace a = SpanOf({Axis(3, 2)});
+  Subspace trivial;
+  Subspace b = SpanOf({Axis(3, 0), Axis(3, 1)});
+  Matrix stacked = Subspace::StackBases({&a, &trivial, &b});
+  ASSERT_EQ(stacked.rows(), 3u);
+  ASSERT_EQ(stacked.cols(), 3u);
+  EXPECT_TRUE(stacked.AlmostEquals(a.basis().ConcatCols(b.basis()), 0.0));
+  EXPECT_TRUE(Subspace::StackBases({&trivial}).empty());
 }
 
 TEST(PrincipalAnglesTest, IdenticalSubspacesHaveCosineOne) {
