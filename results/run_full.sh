@@ -1,14 +1,15 @@
 #!/bin/sh
 # Full-scale reproduction runs; results recorded in EXPERIMENTS.md.
 # full_report covers Figs. 5/7/8/9/10 on all four systems with shared
-# training; fig4 and the ablations retrain per variant, so they run on
-# the systems where that is affordable.
+# training. The figure and ablation harnesses retrain per variant, so
+# their committed records are the quick runs (IEEE 14 + 30), one
+# results/<harness>_quick.txt each.
 set -e
 cd "$(dirname "$0")/.."
 echo "=== full_report ==="
 ./build/tools/full_report > results/full_report.txt 2>results/full_report.log
-for b in fig4_detection_groups ablation_scaling ablation_baselines \
-         ablation_imputation; do
-  echo "=== $b (quick systems) ==="
-  ./build/bench/$b > results/${b}_quick.txt 2>/dev/null
+for b in build/bench/fig* build/bench/ablation_*; do
+  name=$(basename "$b")
+  echo "=== $name (quick systems) ==="
+  "$b" > "results/${name}_quick.txt" 2>/dev/null
 done

@@ -13,6 +13,11 @@ namespace {
 using linalg::Matrix;
 using linalg::Vector;
 
+// Mini-batch gradient descent settings. No caller varies these.
+constexpr double kLearningRate = 0.25;
+constexpr double kL2Lambda = 1e-4;
+constexpr size_t kBatchSize = 32;
+
 // Numerically stable softmax in place.
 void Softmax(Vector& logits) {
   double max_logit = logits[0];
@@ -103,8 +108,8 @@ Result<MlrClassifier> MlrClassifier::Train(
   for (size_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.Shuffle(order);
     loss = 0.0;
-    for (size_t start = 0; start < total; start += options.batch_size) {
-      size_t end = std::min(total, start + options.batch_size);
+    for (size_t start = 0; start < total; start += kBatchSize) {
+      size_t end = std::min(total, start + kBatchSize);
       Matrix grad(num_classes, num_features + 1);
       for (size_t bi = start; bi < end; ++bi) {
         size_t r = order[bi];
@@ -125,12 +130,12 @@ Result<MlrClassifier> MlrClassifier::Train(
           grad(c, num_features) += err;
         }
       }
-      double scale = options.learning_rate / static_cast<double>(end - start);
+      double scale = kLearningRate / static_cast<double>(end - start);
       for (size_t c = 0; c < num_classes; ++c) {
         for (size_t j = 0; j <= num_features; ++j) {
           clf.weights_(c, j) -=
               scale * (grad(c, j) +
-                       options.l2_lambda * clf.weights_(c, j) *
+                       kL2Lambda * clf.weights_(c, j) *
                            static_cast<double>(end - start));
         }
       }

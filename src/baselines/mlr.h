@@ -14,16 +14,11 @@
 namespace phasorwatch::baselines {
 
 /// Training configuration for the multinomial-logistic-regression
-/// comparator (the paper's MLR peers [4], [14]).
+/// comparator (the paper's MLR peers [4], [14]). The step size, L2
+/// decay and batch size are fixed in mlr.cc; only the number of passes
+/// over the training set is set by callers.
 struct MlrOptions {
-  double learning_rate = 0.25;
-  double l2_lambda = 1e-4;
   size_t epochs = 300;
-  size_t batch_size = 32;
-  /// Missing test entries are imputed with the training feature mean
-  /// (the peers were designed for complete data; this mirrors
-  /// "ignoring" missing entries after standardization).
-  bool impute_with_mean = true;
 };
 
 /// Softmax-regression classifier over outage classes: class 0 is normal

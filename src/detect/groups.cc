@@ -16,26 +16,32 @@ constexpr double kCapabilityThreshold = 0.90;
 // highest-scoring remaining nodes fill it up.
 constexpr size_t kMinGroupSize = 3;
 
-// Worst-case capability of node `k` over every affected node in the
-// cluster: min over i in C of p_{i,k}. This is the score Eq. 8's
-// intersection ranks by.
-double ClusterScore(const CapabilityTable& caps,
-                    const std::vector<size_t>& cluster, size_t k) {
-  double worst = 1.0;
-  bool any = false;
+// The cluster nodes that can be detected at all. Nodes without any
+// trainable incident line (e.g. a bus whose only line would island the
+// grid) have an all-zero capability row; they cannot be detected by
+// anyone and must not veto the cluster.
+std::vector<size_t> DetectableMembers(const CapabilityTable& caps,
+                                      const std::vector<size_t>& cluster) {
+  std::vector<size_t> detectable;
   for (size_t i : cluster) {
-    // Nodes without any trainable incident line (e.g. a bus whose only
-    // line would island the grid) have an all-zero capability row; they
-    // cannot be detected by anyone and must not veto the cluster.
     double best_for_i = 0.0;
     for (size_t node = 0; node < caps.NodeLevel().cols(); ++node) {
       best_for_i = std::max(best_for_i, caps.NodeLevel(i, node));
     }
-    if (best_for_i == 0.0) continue;
-    any = true;
-    worst = std::min(worst, caps.NodeLevel(i, k));
+    if (best_for_i != 0.0) detectable.push_back(i);
   }
-  return any ? worst : 0.0;
+  return detectable;
+}
+
+// Worst-case capability of node `k` over the detectable cluster nodes:
+// min over i in C of p_{i,k}. This is the score Eq. 8's intersection
+// ranks by.
+double ClusterScore(const CapabilityTable& caps,
+                    const std::vector<size_t>& detectable, size_t k) {
+  if (detectable.empty()) return 0.0;
+  double worst = 1.0;
+  for (size_t i : detectable) worst = std::min(worst, caps.NodeLevel(i, k));
+  return worst;
 }
 
 }  // namespace
@@ -111,6 +117,9 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
     if (network_.ClusterOf(i) != cluster) outside.push_back(i);
   }
 
+  const std::vector<size_t> detectable =
+      DetectableMembers(capabilities_, members);
+
   auto build_side = [&](const std::vector<size_t>& candidates) {
     // Naive seed: most-orthogonal loadings within the candidate set,
     // capped low — the whole point of Fig. 4 is that this set alone is
@@ -123,7 +132,7 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
     std::vector<std::pair<double, size_t>> scored;
     scored.reserve(candidates.size());
     for (size_t k : candidates) {
-      scored.push_back({ClusterScore(capabilities_, members, k), k});
+      scored.push_back({ClusterScore(capabilities_, detectable, k), k});
     }
     std::sort(scored.begin(), scored.end(),
               [](const auto& a, const auto& b) { return a.first > b.first; });

@@ -130,6 +130,13 @@ Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps, double tol) {
   if (a.empty()) {
     return Status::InvalidArgument("SVD of an empty matrix");
   }
+  // A non-finite entry makes the sweeps fail, but only once they run
+  // out, and a single column has no pair to rotate, so they never read
+  // it (Norm skips NaN). Reject it up front with the same code.
+  if (!std::all_of(a.data(), a.data() + a.rows() * a.cols(),
+                   [](double x) { return std::isfinite(x); })) {
+    return Status::NotConverged("Jacobi SVD of a non-finite matrix");
+  }
   // One-sided Jacobi wants a tall matrix; transpose and swap factors
   // when the input is wide. The tall matrix is kept by columns, so a
   // wide input already is its own working copy.

@@ -34,6 +34,9 @@ struct SvdResult {
 /// positive semidefinite input A, `u` holds orthonormal eigenvectors and
 /// `singular_values` the eigenvalues (descending), so A = U diag(s) U^T.
 /// Training uses it that way on scatter and Gram matrices.
+///
+/// Fails with NotConverged on an input holding a NaN or infinity, and
+/// when the sweeps do not settle within `max_sweeps`.
 PW_NODISCARD Result<SvdResult> ComputeSvd(const Matrix& a, int max_sweeps = 60,
                                           double tol = 1e-12);
 

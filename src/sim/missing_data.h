@@ -24,12 +24,6 @@ struct MissingMask {
   }
 
   size_t size() const { return missing.size(); }
-  bool any() const {
-    for (bool b : missing) {
-      if (b) return true;
-    }
-    return false;
-  }
   size_t count() const {
     size_t c = 0;
     for (bool b : missing) c += b ? 1 : 0;

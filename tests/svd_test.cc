@@ -1,6 +1,7 @@
 #include "linalg/svd.h"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -44,6 +45,20 @@ TEST(SvdTest, RejectsEmptyMatrix) {
   Matrix a;
   auto svd = ComputeSvd(a);
   EXPECT_FALSE(svd.ok());
+}
+
+// A single working column has no pair to rotate, so the sweeps alone
+// never see its entries: tall (3x1) and wide (1x3) inputs both take
+// that path.
+TEST(SvdTest, NonFiniteSingleColumnFails) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const Matrix& a : {Matrix{{nan}}, Matrix{{1.0}, {nan}, {2.0}},
+                          Matrix{{1.0, inf, 2.0}}}) {
+    auto svd = ComputeSvd(a);
+    ASSERT_FALSE(svd.ok()) << a.rows() << "x" << a.cols();
+    EXPECT_EQ(svd.status().code(), StatusCode::kNotConverged);
+  }
 }
 
 TEST(SvdTest, RankOfLowRankMatrix) {
