@@ -6,7 +6,8 @@
 // Observability flags:
 //   --metrics                print the metrics snapshot after the run
 //                            (in fleet mode: per-tenant rows first)
-//   --metrics-json           same, as one JSON object
+//   --metrics-json           same, as one JSON run report
+//                            (obs::RunReportBuilder)
 //   --events <path>          write alarm lifecycle events as JSONL
 //   --trace <path>           write the trace ring as a Chrome trace
 //                            (open in chrome://tracing or Perfetto)
@@ -38,6 +39,7 @@
 #include "grid/ieee_cases.h"
 #include "obs/event_log.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "obs/trace_export.h"
 #include "sim/missing_data.h"
 #include "sim/pmu_network.h"
@@ -329,7 +331,7 @@ int main(int argc, char** argv) {
   }
   if (print_metrics_json) {
     std::printf("%s\n",
-                pw::obs::MetricsRegistry::Global().JsonSnapshot().c_str());
+                pw::obs::RunReportBuilder("grid_monitor").Json().c_str());
   }
   if (trace_path != nullptr) {
     pw::Status status = pw::obs::WriteChromeTrace(trace_path);

@@ -105,8 +105,9 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     PW_TRACE_SCOPE("detect.train.class_models_us");
     SubspaceModelOptions normal_opts = options.subspace;
     normal_opts.keep_full_basis = true;
-    PW_ASSIGN_OR_RETURN(det.normal_model_,
-                        LearnSubspaceModel(*data.normal, normal_opts));
+    PW_ASSIGN_OR_RETURN(
+        det.normal_model_,
+        LearnSubspaceModel(FeatureMatrix(*data.normal), normal_opts));
     PW_RETURN_IF_ERROR(pool.ParallelFor(
         data.outage.size(), [&](size_t c) -> Status {
           const sim::PhasorDataSet* block = data.outage[c];
@@ -114,8 +115,9 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
             return Status::InvalidArgument(
                 "outage training block missing/wrong size");
           }
-          PW_ASSIGN_OR_RETURN(line_models[c],
-                              LearnSubspaceModel(*block, options.subspace));
+          PW_ASSIGN_OR_RETURN(
+              line_models[c],
+              LearnSubspaceModel(FeatureMatrix(*block), options.subspace));
           return Status::OK();
         }));
     std::vector<Vector> case_means;
@@ -219,7 +221,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::vector<Vector> features(normal_take);
     for (size_t t = 0; t < normal_take; ++t) {
       auto [vm, va] = data.normal->Sample(t);
-      features[t] = FeatureVector(vm, va, options.subspace.channel);
+      features[t] = FeatureVector(vm, va);
     }
     // residuals[t][c] and scores[t][i] of normal sample t. Every cache
     // key the gate builds belongs to one cluster (its normal model
@@ -321,7 +323,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
     std::iota(all_nodes.begin(), all_nodes.end(), size_t{0});
     for (size_t t = 0; t < normal_take; ++t) {
       auto [vm, va] = data.normal->Sample(t);
-      Vector features = FeatureVector(vm, va, options.subspace.channel);
+      Vector features = FeatureVector(vm, va);
       PW_ASSIGN_OR_RETURN(double complete_ratio,
                           ratio_for(features, all_nodes));
       lowest_normal_ratio = std::min(lowest_normal_ratio, complete_ratio);
@@ -414,7 +416,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
       const sim::PhasorDataSet* block = data.outage[t];
       for (size_t s = 0; s < block->num_samples(); ++s) {
         auto [vm, va] = block->Sample(s);
-        Vector peeled = FeatureVector(vm, va, options.subspace.channel);
+        Vector peeled = FeatureVector(vm, va);
         for (size_t i = 0; i < dim; ++i) peeled[i] -= shifts(i, t);
         PW_RETURN_IF_ERROR(record_nulls(peeled, all_coords));
         masks[t][s].AvailableIndicesInto(&available);
@@ -440,7 +442,7 @@ Result<OutageDetector> OutageDetector::Train(const grid::Grid& grid,
       size_t take = std::min(per_case, block->num_samples());
       for (size_t t = 0; t < take; ++t) {
         auto [vm, va] = block->Sample(t);
-        Vector features = FeatureVector(vm, va, options.subspace.channel);
+        Vector features = FeatureVector(vm, va);
         PW_RETURN_IF_ERROR(
             det.ClusterNormalResidualsInto(features, groups, &residuals));
         ++total;
@@ -504,7 +506,7 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(
     PW_OBS_COUNTER_INC("detect.groups.fallback_any_available");
     for (size_t i = 0;
          i < mask.size() &&
-         selected->members.size() < options_.groups.max_group_size;
+         selected->members.size() < kMaxGroupSize;
          ++i) {
       if (!mask.missing[i]) selected->members.push_back(i);
     }
@@ -515,10 +517,6 @@ PW_NO_ALLOC void OutageDetector::SelectGroupInto(
 PW_NO_ALLOC void OutageDetector::GroupCoordinatesInto(
     const std::vector<size_t>& nodes, std::vector<size_t>* coords) const {
   coords->clear();
-  if (options_.subspace.channel != PhasorChannel::kBoth) {
-    coords->insert(coords->end(), nodes.begin(), nodes.end());
-    return;
-  }
   const size_t n = grid_->num_buses();
   // Keep sorted order: magnitudes occupy [0, n), angles [n, 2n).
   for (size_t node : nodes) coords->push_back(node);
@@ -575,30 +573,20 @@ PW_NO_ALLOC Result<double> OutageDetector::RawNodeScore(
          std::max(cluster_residual, kProxFloor);
 }
 
-PW_NO_ALLOC Status OutageDetector::RawNodeScoresInto(
+PW_NO_ALLOC Status OutageDetector::NodeScoresInto(
     const Vector& features, const std::vector<SelectedGroup>& groups,
     const Vector& cluster_residuals, Vector* scores) {
   const size_t n = grid_->num_buses();
   scores->Assign(n);
   for (size_t i = 0; i < n; ++i) {
     const size_t cluster = network_->ClusterOf(i);
-    PW_ASSIGN_OR_RETURN((*scores)[i],
-                        RawNodeScore(i, features, groups[cluster],
-                                     cluster_residuals[cluster]));
-  }
-  return Status::OK();
-}
-
-PW_NO_ALLOC Status OutageDetector::NodeScoresInto(
-    const Vector& features, const std::vector<SelectedGroup>& groups,
-    const Vector& cluster_residuals, Vector* scores) {
-  PW_RETURN_IF_ERROR(
-      RawNodeScoresInto(features, groups, cluster_residuals, scores));
-  for (size_t i = 0; i < scores->size(); ++i) {
-    const SelectedGroup& group = groups[network_->ClusterOf(i)];
+    const SelectedGroup& group = groups[cluster];
+    PW_ASSIGN_OR_RETURN(
+        double raw,
+        RawNodeScore(i, features, group, cluster_residuals[cluster]));
     const Vector& baseline =
         group.used_out_of_cluster ? node_baseline_out_ : node_baseline_in_;
-    (*scores)[i] /= baseline[i];
+    (*scores)[i] = raw / baseline[i];
   }
   return Status::OK();
 }
@@ -674,7 +662,7 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
     return Status::InvalidArgument("sample size mismatch");
   }
 
-  FeatureVectorInto(vm, va, options_.subspace.channel, &scratch.features);
+  FeatureVectorInto(vm, va, &scratch.features);
   const Vector& features = scratch.features;
   DetectionResult result;
 
@@ -846,7 +834,7 @@ PW_NO_ALLOC Result<DetectionResult> OutageDetector::DetectImpl(
   if (!candidates.empty()) {
     double best = std::max(candidates.front().first, kProxFloor);
     for (const auto& [prox, c] : candidates) {
-      if (prox <= best * options_.line_window) {
+      if (prox <= best * kLineWindow) {
         result.lines.push_back(case_lines_[c]);
       }
     }

@@ -54,19 +54,21 @@ enum class LocalizationMode {
 /// puts some spikes lower.
 inline constexpr double kScreenThreshold = 1e3;
 
+/// Line disambiguation (single-line localization): candidate lines whose
+/// class-model residual is within this factor of the best line's are
+/// reported in F-hat.
+inline constexpr double kLineWindow = 1.5;
+
 /// End-to-end tuning for the subspace outage detector: only the values
-/// callers vary. The rest of the paper's fixed pipeline is constants in
-/// detector.cc and groups.cc.
+/// callers vary. The rest of the paper's fixed pipeline is constants
+/// here (kScreenThreshold, kLineWindow), in groups.h (kMaxGroupSize) and
+/// in detector.cc and groups.cc.
 struct DetectorOptions {
   SubspaceModelOptions subspace;
   DetectionGroupOptions groups;
   LocalizationMode localization = LocalizationMode::kClassModel;
   /// Apply the proximity scaling of Eq. 11 (ablation switch).
   bool use_scaling = true;
-  /// Line disambiguation: candidate lines whose per-line outage-model
-  /// residual is within this factor of the best line are reported in
-  /// F-hat (values > 1 allow multi-line outage sets).
-  double line_window = 1.5;
   /// Multi-line identification (docs/ROBUSTNESS.md): upper bound on the
   /// outage-set size recovered by greedy residual peeling. The default
   /// of 1 keeps the legacy single-line pipeline — training, detection,
@@ -218,23 +220,19 @@ class OutageDetector {
   PW_NO_ALLOC void SelectGroupsInto(const sim::MissingMask& mask,
                                     std::vector<SelectedGroup>* groups) const;
 
-  /// Scaled proximity scores for every node (Eqs. 9-11), given the
-  /// per-cluster groups, before baseline normalization.
-  /// `cluster_residuals` are ClusterNormalResidualsInto's values for the
-  /// same features and groups: they are the Eq. 11 normal proximities,
-  /// so no node re-evaluates its cluster's normal residual.
-  PW_NO_ALLOC PW_NODISCARD Status RawNodeScoresInto(
-      const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
-      const linalg::Vector& cluster_residuals, linalg::Vector* scores);
-
-  /// RawNodeScoresInto's score of one node, through its cluster's group
-  /// and normal residual.
+  /// Scaled proximity score of one node (Eqs. 9-11) through its
+  /// cluster's group, before baseline normalization. `cluster_residual`
+  /// is ClusterNormalResidual's value for the same features and group:
+  /// it is the Eq. 11 normal proximity, so no node re-evaluates its
+  /// cluster's normal residual.
   PW_NO_ALLOC PW_NODISCARD Result<double> RawNodeScore(
       size_t node, const linalg::Vector& features, const SelectedGroup& group,
       double cluster_residual);
 
-  /// Raw scores divided by the per-node normal-data baselines (making
-  /// scores comparable across clusters of different group sizes).
+  /// Every node's RawNodeScore divided by its normal-data baseline
+  /// (making scores comparable across clusters of different group
+  /// sizes). `cluster_residuals` are ClusterNormalResidualsInto's values
+  /// for the same features and groups.
   PW_NO_ALLOC PW_NODISCARD Status NodeScoresInto(
       const linalg::Vector& features, const std::vector<SelectedGroup>& groups,
       const linalg::Vector& cluster_residuals, linalg::Vector* scores);
@@ -313,8 +311,8 @@ class OutageDetector {
   /// spurious-drop null cell plus a fixed margin, detector.cc).
   std::vector<double> peel_tau_;
 
-  /// Maps a node-index group to feature-coordinate indices (identity
-  /// for single-channel features, {i, N+i} pairs for kBoth).
+  /// Maps a node-index group to its feature coordinates: every node i
+  /// contributes its magnitude i and its angle N+i.
   PW_NO_ALLOC void GroupCoordinatesInto(const std::vector<size_t>& nodes,
                                         std::vector<size_t>* coords) const;
 

@@ -329,7 +329,7 @@ Status FleetEngine::ReloadModelFromFile(TenantId tenant,
         "tenant \"" + config.name +
         "\" has no grid/network configured for file reload");
   }
-  // The PWDET06 load (and its fingerprint check against the tenant's
+  // The PWDET07 load (and its fingerprint check against the tenant's
   // configuration) runs here, on the caller's thread — the shard never
   // touches the filesystem.
   PW_ASSIGN_OR_RETURN(OutageDetector loaded, OutageDetector::LoadFromFile(

@@ -42,7 +42,7 @@ struct TenantConfig {
   std::shared_ptr<OutageDetector> detector;
   StreamOptions stream;
   /// Deployment configuration for file-based hot reload
-  /// (ReloadModelFromFile verifies the PWDET06 fingerprint against
+  /// (ReloadModelFromFile verifies the PWDET07 fingerprint against
   /// these). Optional; reload-from-file fails without them. Not owned,
   /// must outlive the engine.
   const grid::Grid* grid = nullptr;
@@ -125,7 +125,7 @@ class FleetEngine {
   /// the new one.
   PW_NODISCARD Status ReloadModel(TenantId tenant,
                                   std::shared_ptr<OutageDetector> model);
-  /// Loads a PWDET06 file against the tenant's configured grid/network
+  /// Loads a PWDET07 file against the tenant's configured grid/network
   /// (fingerprint-checked) and hot-swaps it in. The slow load runs on
   /// the calling thread, off the shard's hot path.
   PW_NODISCARD Status ReloadModelFromFile(TenantId tenant,

@@ -15,6 +15,8 @@ constexpr double kCapabilityThreshold = 0.90;
 // Minimum members per group; when the Eq. 8 set is smaller the
 // highest-scoring remaining nodes fill it up.
 constexpr size_t kMinGroupSize = 3;
+// Cap on the naive (most-orthogonal) seed members of a group side.
+constexpr size_t kNaiveCap = 4;
 
 // The cluster nodes that can be detected at all. Nodes without any
 // trainable incident line (e.g. a bus whose only line would island the
@@ -124,9 +126,8 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
     // Naive seed: most-orthogonal loadings within the candidate set,
     // capped low — the whole point of Fig. 4 is that this set alone is
     // not enough.
-    size_t naive_cap = std::min<size_t>(4, options_.max_group_size);
     std::vector<size_t> naive = OrthogonalMembers(
-        cluster_constraint_basis, candidates, naive_cap);
+        cluster_constraint_basis, candidates, kNaiveCap);
 
     // Learned members (Eq. 8): capability over every cluster node.
     std::vector<std::pair<double, size_t>> scored;
@@ -140,7 +141,7 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
     std::vector<size_t> learned;
     for (const auto& [score, k] : scored) {
       if (score >= kCapabilityThreshold &&
-          learned.size() < options_.max_group_size) {
+          learned.size() < kMaxGroupSize) {
         learned.push_back(k);
       }
     }
@@ -173,8 +174,8 @@ ClusterDetectionGroup DetectionGroupBuilder::Build(
       PW_OBS_COUNTER_INC("groups.builder.last_resort_singletons");
       group.push_back(scored.front().second);
     }
-    if (group.size() > options_.max_group_size) {
-      group.resize(options_.max_group_size);
+    if (group.size() > kMaxGroupSize) {
+      group.resize(kMaxGroupSize);
     }
     std::sort(group.begin(), group.end());
     return group;

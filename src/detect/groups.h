@@ -10,12 +10,14 @@
 
 namespace phasorwatch::detect {
 
-/// Tuning knobs for detection-group formation (Sec. IV-B). Eq. 8's
+/// Cap on members per detection group (keeps proximity evaluation
+/// cheap); also caps the any-available fallback group of Detect.
+inline constexpr size_t kMaxGroupSize = 12;
+
+/// Tuning knob for detection-group formation (Sec. IV-B). Eq. 8's
 /// capability threshold and the minimum group size are fixed in
-/// groups.cc.
+/// groups.cc, the member cap is kMaxGroupSize.
 struct DetectionGroupOptions {
-  /// Cap on members per group (keeps proximity evaluation cheap).
-  size_t max_group_size = 12;
   /// Fraction of the learned (Eq. 8) members included, on top of the
   /// naive PCA-orthogonal members. 1.0 = the proposed robust group,
   /// 0.0 = naive group only. This is the x-axis of Fig. 4.

@@ -23,8 +23,12 @@ namespace {
 // the case means, and the per-line models are gone. PWDET06 drops the
 // detector settings no caller varies (the proximity-rule elbow and cap,
 // the screen switch and level, the peel quantile and margin): they are
-// constants of the code, not of the model.
-constexpr uint64_t kMagic = 0x5057444554303600ull;  // "PWDET06\0"
+// constants of the code, not of the model. PWDET07 drops the three
+// remaining settings no caller varies, the phasor channel, the line
+// window and the group cap (24 bytes after the fingerprint): the
+// features are always the stacked (vm; va) 2N vector, and the window
+// and cap are kLineWindow and kMaxGroupSize.
+constexpr uint64_t kMagic = 0x5057444554303700ull;  // "PWDET07\0"
 
 using linalg::Matrix;
 using linalg::Subspace;
@@ -75,8 +79,8 @@ void WriteModel(BinaryWriter& w, const SubspaceModel& model) {
   WriteMatrix(w, model.constraints.basis());
 }
 
-// `dim` is the feature dimension of the saved channel; a basis never
-// has more columns than its ambient dimension.
+// `dim` is the feature dimension 2N; a basis never has more columns
+// than its ambient dimension.
 Result<SubspaceModel> ReadModel(BinaryReader& r, size_t dim) {
   SubspaceModel model;
   PW_ASSIGN_OR_RETURN(model.mean, ReadVector(r, dim));
@@ -117,11 +121,8 @@ Status OutageDetector::Save(std::ostream& out) const {
   w.WriteU64(Fingerprint(*grid_, *network_));
 
   // Options that affect inference.
-  w.WriteU64(static_cast<uint64_t>(options_.subspace.channel));
   w.WriteU64(static_cast<uint64_t>(options_.localization));
   w.WriteBool(options_.use_scaling);
-  w.WriteDouble(options_.line_window);
-  w.WriteU64(options_.groups.max_group_size);
   w.WriteU64(options_.max_outage_lines);
 
   // Cases.
@@ -210,20 +211,12 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
   det.grid_ = &grid;
   det.network_ = &network;
 
-  PW_ASSIGN_OR_RETURN(uint64_t channel, r.ReadU64());
-  if (channel > static_cast<uint64_t>(PhasorChannel::kBoth)) {
-    return Status::InvalidArgument("corrupt channel value");
-  }
-  det.options_.subspace.channel = static_cast<PhasorChannel>(channel);
   PW_ASSIGN_OR_RETURN(uint64_t localization, r.ReadU64());
   if (localization > static_cast<uint64_t>(LocalizationMode::kProximityRule)) {
     return Status::InvalidArgument("corrupt localization value");
   }
   det.options_.localization = static_cast<LocalizationMode>(localization);
   PW_ASSIGN_OR_RETURN(det.options_.use_scaling, r.ReadBool());
-  PW_ASSIGN_OR_RETURN(det.options_.line_window, r.ReadDouble());
-  PW_ASSIGN_OR_RETURN(uint64_t max_group, r.ReadU64());
-  det.options_.groups.max_group_size = static_cast<size_t>(max_group);
   PW_ASSIGN_OR_RETURN(uint64_t max_outage_lines, r.ReadU64());
   if (max_outage_lines == 0 || max_outage_lines > grid.num_lines()) {
     return Status::InvalidArgument("corrupt max outage lines");
@@ -244,10 +237,9 @@ Result<OutageDetector> OutageDetector::Load(std::istream& in,
     det.case_lines_.push_back(grid::LineId(i, j));
   }
 
-  // Every model record lives in the feature space of the saved channel.
+  // Every model record lives in the 2N feature space.
   const size_t n = grid.num_buses();
-  const size_t dim =
-      det.options_.subspace.channel == PhasorChannel::kBoth ? 2 * n : n;
+  const size_t dim = 2 * n;
   PW_ASSIGN_OR_RETURN(det.normal_model_, ReadModel(r, dim));
   PW_ASSIGN_OR_RETURN(SubspaceModel class_base, ReadModel(r, dim));
   if (class_base.constraints.basis().cols() == 0) {

@@ -61,7 +61,6 @@ TenantSession::TenantSession(std::shared_ptr<OutageDetector> detector,
   }
   PW_CHECK_GT(options_.alarm_after, 0u);
   PW_CHECK_GT(options_.clear_after, 0u);
-  PW_CHECK_GT(options_.vote_window, 0u);
 }
 
 void TenantSession::ReloadModel(std::shared_ptr<OutageDetector> model) {
@@ -166,7 +165,7 @@ StreamEvent TenantSession::Debounce(const OutageDetector& detector,
       }
     }
     recent_confidences_.push_back(std::move(confidences));
-    while (recent_votes_.size() > options_.vote_window) {
+    while (recent_votes_.size() > kVoteWindow) {
       recent_votes_.pop_front();
       recent_confidences_.pop_front();
     }

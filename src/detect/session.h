@@ -17,6 +17,10 @@
 
 namespace phasorwatch::detect {
 
+/// Sliding window of recent positive detections used for the majority
+/// vote over candidate lines.
+inline constexpr size_t kVoteWindow = 8;
+
 /// Debouncing policy for a tenant session. A PMU feed drops frames,
 /// garbles payloads, and repeats stale data, so samples the detector
 /// rejects as malformed or data-starved, and dropped or stale frames,
@@ -30,9 +34,6 @@ struct StreamOptions {
   size_t alarm_after = 2;
   /// Consecutive normal samples before an active alarm clears.
   size_t clear_after = 3;
-  /// Sliding window of recent positive detections used for the majority
-  /// vote over candidate lines.
-  size_t vote_window = 8;
 };
 
 /// One processed sample's outcome.
@@ -78,7 +79,7 @@ struct TenantCounters {
 /// debounce counters, the vote window, the frame watermark, and the
 /// per-tenant tallies — everything needed to resume a tenant's stream
 /// on another engine (failover) minus the model itself, which ships
-/// separately as a PWDET06 file. A session restored from a snapshot
+/// separately as a PWDET07 file. A session restored from a snapshot
 /// and fed the same subsequent frames produces bit-identical events to
 /// the session the snapshot was taken from.
 struct TenantSnapshot {
@@ -172,7 +173,7 @@ class TenantSession {
   void Reset();
 
   /// Swaps in a freshly trained/loaded model for the same grid and PMU
-  /// network (e.g. from a PWDET06 file). Safe from any thread, while
+  /// network (e.g. from a PWDET07 file). Safe from any thread, while
   /// the producer runs: the swap happens under the session's model
   /// lock, samples already in flight finish on the model they copied,
   /// and the first sample after the swap runs on the new model. Debounce

@@ -82,58 +82,35 @@ double SubspaceModel::Proximity(const linalg::Vector& x) const {
   return linalg::TransposedTimesNormSq(constraints.basis(), x, mean, {});
 }
 
-Matrix FeatureMatrix(const sim::PhasorDataSet& data, PhasorChannel channel) {
-  switch (channel) {
-    case PhasorChannel::kMagnitude:
-      return data.vm;
-    case PhasorChannel::kAngle:
-      return data.va;
-    case PhasorChannel::kBoth: {
-      const size_t n = data.num_nodes();
-      const size_t t = data.num_samples();
-      Matrix stacked(2 * n, t);
-      for (size_t i = 0; i < n; ++i) {
-        for (size_t s = 0; s < t; ++s) {
-          stacked(i, s) = data.vm(i, s);
-          stacked(n + i, s) = data.va(i, s);
-        }
-      }
-      return stacked;
+Matrix FeatureMatrix(const sim::PhasorDataSet& data) {
+  const size_t n = data.num_nodes();
+  const size_t t = data.num_samples();
+  Matrix stacked(2 * n, t);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t s = 0; s < t; ++s) {
+      stacked(i, s) = data.vm(i, s);
+      stacked(n + i, s) = data.va(i, s);
     }
   }
-  return data.va;
+  return stacked;
 }
 
-Vector FeatureVector(const Vector& vm, const Vector& va,
-                     PhasorChannel channel) {
+Vector FeatureVector(const Vector& vm, const Vector& va) {
   Vector out;
-  FeatureVectorInto(vm, va, channel, &out);
+  FeatureVectorInto(vm, va, &out);
   return out;
 }
 
 PW_NO_ALLOC void FeatureVectorInto(const Vector& vm, const Vector& va,
-                                   PhasorChannel channel, Vector* out) {
-  switch (channel) {
-    case PhasorChannel::kMagnitude:
-      *out = vm;
-      return;
-    case PhasorChannel::kAngle:
-      *out = va;
-      return;
-    case PhasorChannel::kBoth: {
-      out->Assign(vm.size() + va.size());
-      Vector& stacked = *out;
-      for (size_t i = 0; i < vm.size(); ++i) stacked[i] = vm[i];
-      for (size_t i = 0; i < va.size(); ++i) stacked[vm.size() + i] = va[i];
-      return;
-    }
-  }
-  *out = va;
+                                   Vector* out) {
+  out->Assign(vm.size() + va.size());
+  Vector& stacked = *out;
+  for (size_t i = 0; i < vm.size(); ++i) stacked[i] = vm[i];
+  for (size_t i = 0; i < va.size(); ++i) stacked[vm.size() + i] = va[i];
 }
 
-Result<SubspaceModel> LearnSubspaceModel(const sim::PhasorDataSet& data,
+Result<SubspaceModel> LearnSubspaceModel(Matrix x,
                                          const SubspaceModelOptions& options) {
-  Matrix x = FeatureMatrix(data, options.channel);
   if (x.cols() < 2) {
     return Status::InvalidArgument(
         "subspace learning needs at least 2 samples");

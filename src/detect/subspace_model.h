@@ -11,15 +11,8 @@
 
 namespace phasorwatch::detect {
 
-/// Which phasor channel feeds the subspace features. The paper's X is
-/// "either voltage magnitude or phase measurements"; kBoth stacks the
-/// two channels into a 2N feature vector, which sharpens weak-line
-/// signatures (reactive effects show in magnitudes).
-enum class PhasorChannel { kMagnitude, kAngle, kBoth };
-
 /// Options for learning an operating-condition subspace model.
 struct SubspaceModelOptions {
-  PhasorChannel channel = PhasorChannel::kBoth;
   /// Left singular vectors with singular value <= rel_tol * s_max are
   /// kept as constraint directions (the paper's "vectors of U
   /// corresponding to the lowest singular values").
@@ -78,23 +71,27 @@ SubspaceModel MakeWhitenedClassModel(const SubspaceModel& reference,
                                      linalg::Vector mean,
                                      size_t num_samples);
 
-/// Extracts the configured channel's feature matrix (num_nodes x T).
-linalg::Matrix FeatureMatrix(const sim::PhasorDataSet& data,
-                             PhasorChannel channel);
+/// The paper's X is "either voltage magnitude or phase measurements";
+/// the detector stacks both into one 2N feature vector, magnitudes in
+/// [0, N) and angles in [N, 2N), which sharpens weak-line signatures
+/// (reactive effects show in magnitudes). The feature matrix of a data
+/// set (2N x T).
+linalg::Matrix FeatureMatrix(const sim::PhasorDataSet& data);
 
-/// Extracts the configured channel's feature vector for one sample.
-linalg::Vector FeatureVector(const linalg::Vector& vm, const linalg::Vector& va,
-                             PhasorChannel channel);
+/// The stacked (vm; va) feature vector of one sample.
+linalg::Vector FeatureVector(const linalg::Vector& vm,
+                             const linalg::Vector& va);
 
 /// FeatureVector into a reused buffer (Assign keeps capacity, so a
 /// warmed per-sample loop extracts features without allocating).
 PW_NO_ALLOC void FeatureVectorInto(const linalg::Vector& vm,
                                    const linalg::Vector& va,
-                       PhasorChannel channel, linalg::Vector* out);
+                                   linalg::Vector* out);
 
-/// Learns a subspace model from measurements of one condition.
+/// Learns a subspace model of one condition from its feature matrix
+/// (features x samples; FeatureMatrix for the detector).
 PW_NODISCARD Result<SubspaceModel> LearnSubspaceModel(
-    const sim::PhasorDataSet& data, const SubspaceModelOptions& options);
+    linalg::Matrix x, const SubspaceModelOptions& options);
 
 /// Per-node composite subspaces of Eq. (3), built from the models of
 /// every line-outage case incident to the node.

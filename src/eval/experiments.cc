@@ -29,17 +29,17 @@ std::vector<size_t> TestColumns(const sim::PhasorDataSet& data, size_t count,
 
 // Builds the mask for a given scenario and sample.
 sim::MissingMask MakeMask(MissingScenario scenario, size_t num_nodes,
-                          const LineId& line, size_t random_count, Rng& rng) {
+                          const LineId& line, Rng& rng) {
   switch (scenario) {
     case MissingScenario::kNone:
       return sim::MissingMask::None(num_nodes);
     case MissingScenario::kOutageEndpoints:
       return sim::MissingAtOutage(num_nodes, line);
     case MissingScenario::kRandomOnNormal:
-      return sim::MissingRandom(num_nodes, random_count, {}, rng);
+      return sim::MissingRandom(num_nodes, kRandomMissingCount, {}, rng);
     case MissingScenario::kRandomOffOutage:
-      return sim::MissingRandom(num_nodes, random_count, {line.i, line.j},
-                                rng);
+      return sim::MissingRandom(num_nodes, kRandomMissingCount,
+                                {line.i, line.j}, rng);
   }
   return sim::MissingMask::None(num_nodes);
 }
@@ -51,11 +51,10 @@ Result<TrainedMethods> TrainedMethods::Train(const Dataset& dataset,
   TrainedMethods out;
   const grid::Grid& grid = *dataset.grid;
 
-  size_t clusters = options.num_clusters != 0
-                        ? options.num_clusters
-                        : sim::PmuNetwork::DefaultClusterCount(grid.num_buses());
-  PW_ASSIGN_OR_RETURN(sim::PmuNetwork network,
-                      sim::PmuNetwork::Build(grid, clusters));
+  PW_ASSIGN_OR_RETURN(
+      sim::PmuNetwork network,
+      sim::PmuNetwork::Build(
+          grid, sim::PmuNetwork::DefaultClusterCount(grid.num_buses())));
   out.network_ = std::make_unique<sim::PmuNetwork>(std::move(network));
 
   detect::TrainingData training;
@@ -129,8 +128,7 @@ Result<ScenarioResult> RunScenario(const Dataset& dataset,
       Rng rng = Rng::Fork(scenario_seed, s);
       size_t col = static_cast<size_t>(
           rng.UniformInt(dataset.normal.test.num_samples()));
-      sim::MissingMask mask = MakeMask(scenario, n, LineId(0, 0),
-                                       options.random_missing_count, rng);
+      sim::MissingMask mask = MakeMask(scenario, n, LineId(0, 0), rng);
       return evaluate_sample(partials[s], dataset.normal.test, col, {}, mask);
     }));
   } else {
@@ -144,8 +142,7 @@ Result<ScenarioResult> RunScenario(const Dataset& dataset,
           std::vector<size_t> cols =
               TestColumns(c.test, options.test_samples_per_case, rng);
           for (size_t col : cols) {
-            sim::MissingMask mask = MakeMask(scenario, n, c.line,
-                                             options.random_missing_count, rng);
+            sim::MissingMask mask = MakeMask(scenario, n, c.line, rng);
             PW_RETURN_IF_ERROR(
                 evaluate_sample(partials[c_idx], c.test, col, {c.line}, mask));
           }
@@ -322,8 +319,7 @@ Result<std::vector<ChaosResult>> RunChaosScenario(
           std::vector<sim::MissingMask> masks;
           masks.reserve(cols.size());
           for (size_t s = 0; s < cols.size(); ++s) {
-            masks.push_back(MakeMask(regime.missing, n, c.line,
-                                     options.random_missing_count, rng));
+            masks.push_back(MakeMask(regime.missing, n, c.line, rng));
           }
           // Each case owns a deterministic schedule and injection
           // stream: 2*c_idx seeds the drawn schedule, 2*c_idx+1 the

@@ -24,13 +24,14 @@ enum class MissingScenario {
   kRandomOffOutage,    ///< random drops away from the outage (Fig. 9)
 };
 
+/// Nodes dropped per sample in the random missing-data scenarios.
+inline constexpr size_t kRandomMissingCount = 3;
+
 /// Shared experiment configuration.
 struct ExperimentOptions {
   detect::DetectorOptions detector;
   baselines::MlrOptions mlr;
-  size_t num_clusters = 0;       ///< 0 = PmuNetwork::DefaultClusterCount
   size_t test_samples_per_case = 100;
-  size_t random_missing_count = 3;  ///< drops per sample in random scenarios
   uint64_t seed = 42;
   /// Worker threads for the evaluation fan-outs (per-case scenario
   /// loops, reliability levels) and, via TrainedMethods::Train, the

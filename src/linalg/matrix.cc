@@ -61,12 +61,6 @@ Vector Vector::Gather(const std::vector<size_t>& indices) const {
   return out;
 }
 
-Matrix Vector::AsColumn() const {
-  Matrix out(size(), 1);
-  for (size_t i = 0; i < size(); ++i) out(i, 0) = data_[i];
-  return out;
-}
-
 std::string Vector::ToString(int precision) const {
   std::ostringstream os;
   os << std::fixed << std::setprecision(precision) << "[";

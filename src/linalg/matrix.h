@@ -68,9 +68,6 @@ class Vector {
   /// Entries at the given indices, in order.
   Vector Gather(const std::vector<size_t>& indices) const;
 
-  /// Interprets the vector as an n-by-1 column matrix.
-  Matrix AsColumn() const;
-
   std::string ToString(int precision = 4) const;
 
  private:

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "common/serialize.h"
 #include "common/sync.h"
 
 namespace phasorwatch::obs {
@@ -117,62 +116,6 @@ std::string MetricsRegistry::TextSnapshot() const {
     out << "\n";
   }
   return out.str();
-}
-
-std::string MetricsRegistry::JsonSnapshot() const {
-  MutexLock lock(mu_);
-  std::string out = "{\"counters\":{";
-  auto append_key = [&out](const std::string& name) {
-    out += "\"";
-    AppendJsonEscaped(&out, name);
-    out += "\":";
-  };
-  bool first = true;
-  for (const auto& [name, counter] : counters_) {
-    if (!first) out += ",";
-    first = false;
-    append_key(name);
-    out += std::to_string(counter->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, gauge] : gauges_) {
-    if (!first) out += ",";
-    first = false;
-    append_key(name);
-    out += FormatJsonDouble(gauge->value());
-  }
-  out += "},\"quantiles\":{";
-  first = true;
-  for (const auto& [name, quantile] : quantiles_) {
-    QuantileHistogram::Snapshot snap = quantile->TakeSnapshot();
-    if (!first) out += ",";
-    first = false;
-    append_key(name);
-    out += "{\"count\":";
-    out += std::to_string(snap.count);
-    out += ",\"sum\":";
-    out += FormatJsonDouble(snap.sum);
-    out += ",\"min\":";
-    out += FormatJsonDouble(snap.min);
-    out += ",\"max\":";
-    out += FormatJsonDouble(snap.max);
-    out += ",\"mean\":";
-    out += FormatJsonDouble(snap.mean());
-    out += ",\"p50\":";
-    out += FormatJsonDouble(snap.p50());
-    out += ",\"p90\":";
-    out += FormatJsonDouble(snap.p90());
-    out += ",\"p99\":";
-    out += FormatJsonDouble(snap.p99());
-    out += ",\"p999\":";
-    out += FormatJsonDouble(snap.p999());
-    out += ",\"overflow\":";
-    out += std::to_string(snap.count == 0 ? 0 : snap.counts.back());
-    out += "}";
-  }
-  out += "}}";
-  return out;
 }
 
 void MetricsRegistry::ResetAll() {

@@ -31,17 +31,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double value) { value_.store(value, std::memory_order_relaxed); }
-  void Add(double delta) {
-    // compare_exchange_weak reloads `current` on failure, so the new
-    // value is recomputed from the freshly observed one each retry; the
-    // failure ordering is spelled out (it may not be stronger than the
-    // success ordering, and defaulting it hid that constraint).
-    double current = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(current, current + delta,
-                                         std::memory_order_relaxed,
-                                         std::memory_order_relaxed)) {
-    }
-  }
   /// Raises the gauge to `value` if it is above the current reading
   /// (lossless under concurrency). High-water instruments: peak frame
   /// latency, deepest queue, largest arena.
@@ -90,10 +79,8 @@ class MetricsRegistry {
       const;
 
   /// Human-readable snapshot: one line per instrument, sorted by name.
+  /// The machine-readable form is obs::RunReportBuilder::Json().
   std::string TextSnapshot() const;
-  /// Machine-readable snapshot: a single JSON object with "counters",
-  /// "gauges", and "quantiles" sections.
-  std::string JsonSnapshot() const;
 
   /// Zeroes every registered instrument (names and pointers survive;
   /// cached call-site pointers stay valid). Intended for tests and

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <sstream>
 
 #include "common/sync.h"
 #include "obs/metrics.h"
@@ -66,20 +65,6 @@ std::vector<TraceSpan> TraceRing::Dump() const {
     }
   }
   return out;
-}
-
-std::string TraceRing::DumpText() const {
-  std::vector<TraceSpan> spans = Dump();
-  std::ostringstream out;
-  out << "--- trace ring (" << spans.size() << " spans, oldest first, "
-      << spans_dropped() << " dropped) ---\n";
-  out.precision(3);
-  out << std::fixed;
-  for (const TraceSpan& span : spans) {
-    out << "  +" << span.start_us / 1000.0 << "ms t" << span.tid << " "
-        << span.name << " " << span.duration_us << "us\n";
-  }
-  return out.str();
 }
 
 void TraceRing::Clear() {

@@ -50,8 +50,6 @@ class TraceRing {
 
   /// Spans oldest-first (at most `capacity` of them).
   std::vector<TraceSpan> Dump() const;
-  /// Human-readable dump, one span per line, oldest first.
-  std::string DumpText() const;
 
   void Clear();
   size_t capacity() const { return capacity_; }

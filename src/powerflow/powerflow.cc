@@ -62,9 +62,8 @@ Result<ScheduledInjections> ResolveInjections(
 // that need more are invalid cases, not slow ones.
 constexpr int kMaxIterations = 30;
 
-// Core Newton-Raphson solve with caller-provided effective bus types
-// and scheduled injections (per-unit). The Q-limit loop re-enters it
-// with PV buses demoted to PQ.
+// Core Newton-Raphson solve of the grid's bus types against the
+// scheduled injections (per-unit).
 //
 // The Jacobian is assembled directly into a CSR pattern derived once
 // from the Ybus adjacency (over the P/Q index sets); every iteration
@@ -77,9 +76,7 @@ constexpr int kMaxIterations = 30;
 Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
                                       const grid::SparseAdmittance& ybus,
                                       const PowerFlowOptions& options,
-                                      const std::vector<BusType>& types,
-                                      const Vector& p_sched_pu,
-                                      const Vector& q_sched_pu) {
+                                      const ScheduledInjections& sched) {
   const size_t n = grid.num_buses();
   PW_CHECK_EQ(ybus.g.rows(), n);
   PW_CHECK_EQ(ybus.g.NumNonZeros(), ybus.b.NumNonZeros());
@@ -93,11 +90,12 @@ Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
   std::vector<size_t> pos_p(n, kAbsent);
   std::vector<size_t> pos_q(n, kAbsent);
   for (size_t i = 0; i < n; ++i) {
-    if (types[i] != BusType::kSlack) {
+    const BusType type = grid.bus(i).type;
+    if (type != BusType::kSlack) {
       pos_p[i] = p_buses.size();
       p_buses.push_back(i);
     }
-    if (types[i] == BusType::kPQ) {
+    if (type == BusType::kPQ) {
       pos_q[i] = q_buses.size();
       q_buses.push_back(i);
     }
@@ -170,7 +168,7 @@ Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
 
   Vector vm(n), va(n);
   for (size_t i = 0; i < n; ++i) {
-    vm[i] = types[i] != BusType::kPQ ? grid.bus(i).vm_setpoint : 1.0;
+    vm[i] = grid.bus(i).type != BusType::kPQ ? grid.bus(i).vm_setpoint : 1.0;
     va[i] = 0.0;
   }
 
@@ -210,11 +208,11 @@ Result<PowerFlowSolution> SolveAcCore(const Grid& grid,
 
     mismatch_norm = 0.0;
     for (size_t a = 0; a < np; ++a) {
-      mismatch[a] = p_sched_pu[p_buses[a]] - p_calc[p_buses[a]];
+      mismatch[a] = sched.p_pu[p_buses[a]] - p_calc[p_buses[a]];
       mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[a]));
     }
     for (size_t a = 0; a < nq; ++a) {
-      mismatch[np + a] = q_sched_pu[q_buses[a]] - q_calc[q_buses[a]];
+      mismatch[np + a] = sched.q_pu[q_buses[a]] - q_calc[q_buses[a]];
       mismatch_norm = std::max(mismatch_norm, std::fabs(mismatch[np + a]));
     }
     if (mismatch_norm < kMismatchTolerance) break;
@@ -329,49 +327,15 @@ Result<PowerFlowSolution> SolveAcPowerFlow(const Grid& grid,
                                            const PowerFlowOptions& options,
                                            const InjectionOverrides& overrides) {
   PW_TRACE_SCOPE("powerflow.ac.solve_us");
-  const size_t n = grid.num_buses();
   PW_ASSIGN_OR_RETURN(ScheduledInjections sched,
                       ResolveInjections(grid, overrides));
-
-  std::vector<BusType> types(n);
-  for (size_t i = 0; i < n; ++i) types[i] = grid.bus(i).type;
-
-  // Q-limit enforcement: solve, then demote PV buses whose generator
-  // reactive output violates its declared capability to PQ pinned at
-  // the limit, and re-solve. One-way switching, bounded rounds.
-  const int kMaxRounds = options.enforce_q_limits ? 6 : 1;
-  Result<PowerFlowSolution> sol = Status::Internal("unsolved");
-  for (int round = 0; round < kMaxRounds; ++round) {
-    sol = SolveAcCore(grid, ybus, options, types, sched.p_pu, sched.q_pu);
-    if (!sol.ok() || !options.enforce_q_limits) break;
-    bool switched = false;
-    for (size_t i = 0; i < n; ++i) {
-      const Bus& bus = grid.bus(i);
-      if (types[i] != BusType::kPV || !bus.HasQLimits()) continue;
-      double qd = overrides.qd_mvar.empty() ? bus.qd_mvar
-                                            : overrides.qd_mvar[i];
-      double qg = sol->q_mvar[i] + qd;  // generator output at this bus
-      double pinned = 0.0;
-      if (qg > bus.qmax_mvar) {
-        pinned = bus.qmax_mvar;
-      } else if (qg < bus.qmin_mvar) {
-        pinned = bus.qmin_mvar;
-      } else {
-        continue;
-      }
-      types[i] = BusType::kPQ;
-      sched.q_pu[i] = (pinned - qd) / grid.base_mva();
-      switched = true;
-      PW_OBS_COUNTER_INC("powerflow.ac.qlimit_demotions");
-    }
-    if (!switched) break;
-  }
-  if (!sol.ok()) return sol;
+  PW_ASSIGN_OR_RETURN(PowerFlowSolution sol,
+                      SolveAcCore(grid, ybus, options, sched));
 
   size_t slack = grid.SlackBus();
   double pd_slack = overrides.pd_mw.empty() ? grid.bus(slack).pd_mw
                                             : overrides.pd_mw[slack];
-  sol->slack_p_mw = sol->p_mw[slack] + pd_slack;
+  sol.slack_p_mw = sol.p_mw[slack] + pd_slack;
   return sol;
 }
 

@@ -17,11 +17,6 @@ inline constexpr double kMismatchTolerance = 1e-8;
 /// Options for the Newton-Raphson AC power-flow solver. Every solve
 /// starts flat: Vm = 1 on PQ buses (setpoint on PV and slack), Va = 0.
 struct PowerFlowOptions {
-  /// Enforce generator reactive capability: PV buses whose solved Q
-  /// violates [qmin, qmax] are demoted to PQ pinned at the limit and
-  /// the case is re-solved (classic one-way PV->PQ switching). Only
-  /// buses with declared limits (Bus::HasQLimits) participate.
-  bool enforce_q_limits = false;
   /// Picks the factorization of the Newton Jacobian, which is always
   /// assembled on the sparse Ybus pattern: grids with at least this
   /// many buses use the fill-reducing sparse LU, smaller ones the dense

@@ -8,6 +8,7 @@
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "powerflow/powerflow.h"
 
 namespace phasorwatch::sim {
 
@@ -58,9 +59,7 @@ Result<PhasorDataSet> SimulateMeasurements(
     }
     overrides.pg_mw = pf::BalanceGeneration(grid, overrides.pd_mw);
 
-    auto solution =
-        pf::SolveAcPowerFlow(grid, *prebuilt_ybus, options.power_flow,
-                             overrides);
+    auto solution = pf::SolveAcPowerFlow(grid, *prebuilt_ybus, {}, overrides);
     if (!solution.ok()) {
       // Skip states that do not converge; the case is invalidated below
       // only if most states fail.
@@ -95,10 +94,8 @@ Result<PhasorDataSet> SimulateMeasurements(
   return out;
 }
 
-Result<PhasorDataSet> SolveForecastState(const grid::Grid& grid,
-                                         const pf::PowerFlowOptions& options) {
-  PW_ASSIGN_OR_RETURN(pf::PowerFlowSolution sol,
-                      pf::SolveAcPowerFlow(grid, options));
+Result<PhasorDataSet> SolveForecastState(const grid::Grid& grid) {
+  PW_ASSIGN_OR_RETURN(pf::PowerFlowSolution sol, pf::SolveAcPowerFlow(grid));
   PhasorDataSet out;
   out.vm = linalg::Matrix(grid.num_buses(), 1);
   out.va = linalg::Matrix(grid.num_buses(), 1);

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "grid/grid.h"
 #include "linalg/matrix.h"
-#include "powerflow/powerflow.h"
 #include "sim/load_model.h"
 
 namespace phasorwatch::sim {
@@ -44,7 +43,6 @@ struct SimulationOptions {
   LoadModelOptions load;
   NoiseModel noise;
   size_t samples_per_state = 8;  ///< PMU samples drawn per solved state
-  pf::PowerFlowOptions power_flow;
 };
 
 /// Generates PMU measurements for the given grid (normal operation or a
@@ -64,8 +62,7 @@ PW_NODISCARD Result<PhasorDataSet> SimulateMeasurements(
 
 /// Convenience: the deterministic forecast state (no load variation, no
 /// noise) as a single-column data set.
-PW_NODISCARD Result<PhasorDataSet> SolveForecastState(
-    const grid::Grid& grid, const pf::PowerFlowOptions& options = {});
+PW_NODISCARD Result<PhasorDataSet> SolveForecastState(const grid::Grid& grid);
 
 }  // namespace phasorwatch::sim
 

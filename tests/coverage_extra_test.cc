@@ -1,6 +1,6 @@
-// Assorted coverage: the magnitude-only feature channel, detector
-// behavior registered through save/load and streaming together, and
-// simulator edge cases not covered by the per-module suites.
+// Assorted coverage: detector behavior registered through save/load and
+// streaming together, and simulator edge cases not covered by the
+// per-module suites.
 
 #include <memory>
 #include <sstream>
@@ -64,38 +64,6 @@ class CoverageExtraTest : public ::testing::Test {
 };
 
 CoverageExtraTest::Shared* CoverageExtraTest::shared_ = nullptr;
-
-TEST_F(CoverageExtraTest, MagnitudeOnlyChannelStillDetects) {
-  detect::DetectorOptions opts;
-  opts.subspace.channel = detect::PhasorChannel::kMagnitude;
-  detect::OutageDetector det = TrainWith(opts);
-  size_t hits = 0, total = 0;
-  for (size_t c = 0; c < 6 && c < shared_->dataset->outages.size(); ++c) {
-    const auto& outage = shared_->dataset->outages[c];
-    for (size_t t = 0; t < 5; ++t) {
-      auto [vm, va] = outage.test.Sample(t);
-      auto result = det.Detect(vm, va);
-      ASSERT_TRUE(result.ok());
-      ++total;
-      if (result->outage_detected) ++hits;
-    }
-  }
-  // Magnitudes alone carry markedly less signal than both channels
-  // (reactive-dominated signatures only); a substantial share of the
-  // outages must still trip the gates.
-  EXPECT_GE(static_cast<double>(hits) / static_cast<double>(total), 0.4);
-}
-
-TEST_F(CoverageExtraTest, AngleOnlyChannelStillDetects) {
-  detect::DetectorOptions opts;
-  opts.subspace.channel = detect::PhasorChannel::kAngle;
-  detect::OutageDetector det = TrainWith(opts);
-  const auto& outage = shared_->dataset->outages[0];
-  auto [vm, va] = outage.test.Sample(0);
-  auto result = det.Detect(vm, va);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->outage_detected);
-}
 
 TEST_F(CoverageExtraTest, LoadedModelDrivesTenantSession) {
   detect::OutageDetector det = TrainWith({});

@@ -801,7 +801,6 @@ class ClassFamilyParityTest : public DetectScratchTest {
                           bool multi) {
     const ClassFamily& family = det.class_family();
     const size_t num_cases = family.num_cases();
-    const DetectorOptions defaults;
     ProximityEngine engine;
     ProximityEngine oracle;
     FamilyResiduals fam;
@@ -813,8 +812,7 @@ class ClassFamilyParityTest : public DetectScratchTest {
       Result<DetectionResult> result = det.Detect(s.vm, s.va, s.mask);
       if (!result.ok()) continue;  // the all-missing sample
       const std::vector<size_t> coords = PooledCoords(det, s);
-      const linalg::Vector x =
-          FeatureVector(s.vm, s.va, defaults.subspace.channel);
+      const linalg::Vector x = FeatureVector(s.vm, s.va);
       ASSERT_TRUE(engine.EvaluateFamily(family, 7, x, coords, &fam).ok());
       const Direct d = Evaluate(oracle, family, x, coords);
       ExpectParity(fam, d, &worst);
@@ -828,7 +826,7 @@ class ClassFamilyParityTest : public DetectScratchTest {
       if (!multi) {
         const double best = std::max(ranked.front().first, 1e-15);
         for (const auto& [r, c] : ranked) {
-          if (r <= best * defaults.line_window) {
+          if (r <= best * kLineWindow) {
             lines.push_back(det.case_lines()[c]);
           }
         }
@@ -898,8 +896,7 @@ class TrainedEntryOracleTest : public DetectScratchTest {
     constexpr uint64_t kClassFamilyKey = uint64_t{1} << 21;
     const ClassFamily& family = det.class_family();
     const Sample& s = corpus.samples.front();
-    const linalg::Vector x =
-        FeatureVector(s.vm, s.va, DetectorOptions().subspace.channel);
+    const linalg::Vector x = FeatureVector(s.vm, s.va);
     const std::vector<ProximityEngine::CachedKey> keys =
         det.proximity_engine().CachedKeys();
     ASSERT_GT(keys.size(), 0u);

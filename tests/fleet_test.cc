@@ -439,7 +439,7 @@ TEST_F(FleetTest, HotReloadSwapsModelAndKeepsDebounceState) {
   engine.Flush();
   ASSERT_TRUE(engine.session(*tenant).alarm_active());
 
-  // Clone the model through the PWDET06 round trip and hot-swap it.
+  // Clone the model through the PWDET07 round trip and hot-swap it.
   std::stringstream buffer;
   ASSERT_TRUE(shared_->detector->Save(buffer).ok());
   auto clone = OutageDetector::Load(buffer, shared_->grid, shared_->network);

@@ -107,15 +107,13 @@ TEST_F(GroupsTest, GroupsAreSplitByClusterMembership) {
 
 TEST_F(GroupsTest, GroupsAreNonEmptyAndBounded) {
   CapabilityTable table = MakeTable({});
-  DetectionGroupOptions opts;
-  opts.max_group_size = 5;
-  DetectionGroupBuilder builder(*network_, table, opts);
+  DetectionGroupBuilder builder(*network_, table, {});
   for (size_t c = 0; c < network_->num_clusters(); ++c) {
     ClusterDetectionGroup g = builder.Build(c, RandomLoadings(4, c + 10));
     EXPECT_FALSE(g.in_cluster.empty());
     EXPECT_FALSE(g.out_of_cluster.empty());
-    EXPECT_LE(g.in_cluster.size(), 5u);
-    EXPECT_LE(g.out_of_cluster.size(), 5u);
+    EXPECT_LE(g.in_cluster.size(), kMaxGroupSize);
+    EXPECT_LE(g.out_of_cluster.size(), kMaxGroupSize);
   }
 }
 

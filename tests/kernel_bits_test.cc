@@ -142,7 +142,7 @@ TEST(KernelBitsTest, EigenOneByOne) {
   EXPECT_EQ(SvdDigest(Matrix{{0.5}}), 0x400BCE12BD5C6849ull);
 }
 
-// The PWDET06 bytes of a small IEEE-14 model: the solver digests above
+// The PWDET07 bytes of a small IEEE-14 model: the solver digests above
 // pin the kernel, this pins everything training composes from it.
 TEST(KernelBitsTest, TrainedModelBytes) {
   auto grid = grid::IeeeCase14();
@@ -173,7 +173,7 @@ TEST(KernelBitsTest, TrainedModelBytes) {
   Digest d;
   d.Add(uint64_t{bytes.size()});
   for (unsigned char c : bytes) d.Add(uint64_t{c});
-  EXPECT_EQ(d.value(), 0xB090F46A8551E0ECull);
+  EXPECT_EQ(d.value(), 0x156D73BB47368FECull);
 }
 
 }  // namespace

@@ -373,7 +373,7 @@ TEST_F(ModelIoTest, GarbageAfterValidHeaderReturnsStatus) {
   // first implausible field instead of trusting embedded lengths.
   std::stringstream buffer;
   BinaryWriter w(buffer);
-  w.WriteU64(0x5057444554303600ull);  // current magic ("PWDET06\0")
+  w.WriteU64(0x5057444554303700ull);  // current magic ("PWDET07\0")
   for (size_t i = 0; i < 4096; ++i) {
     buffer.put(static_cast<char>(i * 37 + 11));
   }
@@ -398,17 +398,18 @@ TEST_F(ModelIoTest, EmptyFileReturnsStatus) {
 }
 
 TEST_F(ModelIoTest, OldFormatVersionRejected) {
-  // PWDET05 files carry six detector settings PWDET06 does not (and
-  // PWDET04 files per-line models besides); an older file must be
+  // PWDET06 files carry three detector settings PWDET07 does not (the
+  // channel, line window and group cap), PWDET05 files six more, and
+  // PWDET04 files per-line models besides; an older file must be
   // refused as unreadable, not misparsed into a detector with
   // misaligned records.
   std::stringstream buffer;
   ASSERT_TRUE(shared_->detector->Save(buffer).ok());
   std::string full = buffer.str();
-  // The magic is a little-endian u64 of "PWDET06\0"; the version digit
-  // '6' lands at byte 1 of the stream.
-  ASSERT_EQ(full[1], '6');
-  full[1] = '5';
+  // The magic is a little-endian u64 of "PWDET07\0"; the version digit
+  // '7' lands at byte 1 of the stream.
+  ASSERT_EQ(full[1], '7');
+  full[1] = '6';
   std::stringstream in(full);
   auto loaded = OutageDetector::Load(in, shared_->grid, shared_->network);
   EXPECT_FALSE(loaded.ok());

@@ -71,7 +71,6 @@ class MultiOutageTest : public ::testing::Test {
       training.outage.push_back(&c.train);
     }
     DetectorOptions opts;
-    opts.line_window = 3.0;  // allow multi-line candidate sets
     auto det = OutageDetector::Train(shared_->grid, shared_->network,
                                      training, opts);
     PW_CHECK(det.ok());
@@ -301,7 +300,6 @@ TEST(MultiOutageIeee30Test, RecoversDoubleCaseOnLargerSystem) {
     training.outage.push_back(&c.train);
   }
   DetectorOptions opts;
-  opts.line_window = 3.0;
   opts.max_outage_lines = 2;
   auto det = OutageDetector::Train(*grid, *network, training, opts);
   ASSERT_TRUE(det.ok());

@@ -1,9 +1,12 @@
 // Tests for the structured JSONL event log: every emitted line must be
 // standalone-parseable JSON carrying seq/ts_us/type, field setters must
-// escape and format correctly, and a disabled log must be a no-op.
+// escape and format correctly, and a disabled log must be a no-op. The
+// JSON parser that reads the log back (ValidateJson, JsonObjectField)
+// is replayed over a committed corpus and its seeded mutants.
 
 #include "obs/event_log.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -14,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.h"
+#include "fuzz_mutations.h"
 
 namespace phasorwatch::obs {
 namespace {
@@ -145,6 +149,67 @@ TEST(EventLog, CloseDisablesFurtherEmission) {
   EXPECT_FALSE(log.enabled());
   log.Emit("after_close");
   EXPECT_EQ(log.events_emitted(), 1u);
+}
+
+// tests/corpus/event_log.jsonl: alarm_raised, alarm_vote,
+// alarm_cleared, fleet_started and fleet_stopped lines written by
+// `grid_monitor --events` (single-grid and `--tenants 2` runs), plus
+// sample_rejected and model_reloaded lines written by a labelled
+// TenantSession fed a dropped frame, a stale frame and a model reload
+// (grid_monitor's scripted day has neither).
+std::vector<std::string> EventLogCorpus() {
+  std::ifstream in(PW_EVENT_LOG_CORPUS);
+  std::vector<std::string> lines;
+  std::string line;
+  while (std::getline(in, line)) lines.push_back(line);
+  return lines;
+}
+
+// Runs the parser over one input. Every call must return a Status; a
+// field is only ever extracted from a valid document, and the extracted
+// value text is itself valid JSON. Returns whether the input validated.
+bool ReplayParse(const std::string& text) {
+  const bool valid = ValidateJson(text).ok();
+  for (const char* key : {"type", "tenant", "candidate_lines", "absent"}) {
+    Result<std::string> field = JsonObjectField(text, key);
+    if (!field.ok()) continue;
+    EXPECT_TRUE(valid) << text;
+    EXPECT_TRUE(ValidateJson(*field).ok()) << key << " in " << text;
+  }
+  return valid;
+}
+
+TEST(EventLogParserReplay, CorpusPrefixesAndMutantsReturnStatus) {
+  const std::vector<std::string> corpus = EventLogCorpus();
+  ASSERT_FALSE(corpus.empty()) << PW_EVENT_LOG_CORPUS;
+  std::vector<std::string> types;
+  for (const std::string& line : corpus) {
+    ASSERT_TRUE(ReplayParse(line)) << line;
+    Result<std::string> type = JsonObjectField(line, "type");
+    ASSERT_TRUE(type.ok()) << line;
+    types.push_back(*type);
+    // No strict prefix of a one-object line is a complete document.
+    for (size_t len = 0; len < line.size(); ++len) {
+      EXPECT_FALSE(ReplayParse(line.substr(0, len))) << len << ": " << line;
+    }
+  }
+  for (const char* type : {"alarm_raised", "alarm_vote", "alarm_cleared",
+                           "sample_rejected", "model_reloaded"}) {
+    std::string quoted = "\"";
+    quoted.append(type).push_back('"');
+    EXPECT_NE(std::find(types.begin(), types.end(), quoted), types.end())
+        << type;
+  }
+
+  constexpr uint64_t kSeed = 0xE7E27106ull;
+  size_t valid_mutants = 0;
+  for (uint64_t stream = 0; stream < 2000; ++stream) {
+    if (ReplayParse(MutateCorpus(corpus, kSeed, stream))) ++valid_mutants;
+  }
+  // Some mutants stay valid (a flipped digit, a splice at a line
+  // boundary) and most do not: the replay reached both outcomes.
+  EXPECT_GT(valid_mutants, 0u);
+  EXPECT_LT(valid_mutants, 2000u);
 }
 
 }  // namespace

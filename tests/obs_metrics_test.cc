@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "common/serialize.h"
+#include "obs/report.h"
 #include "obs/trace.h"
 
 namespace phasorwatch::obs {
@@ -37,31 +38,6 @@ TEST(Counter, ConcurrentIncrementsAreLossless) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.value(), static_cast<uint64_t>(kThreads) * kPerThread);
-}
-
-TEST(Gauge, SetAndAdd) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.Set(2.5);
-  EXPECT_EQ(g.value(), 2.5);
-  g.Add(-1.0);
-  EXPECT_EQ(g.value(), 1.5);
-  g.Reset();
-  EXPECT_EQ(g.value(), 0.0);
-}
-
-TEST(Gauge, ConcurrentAddsAreLossless) {
-  Gauge g;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 5000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&g] {
-      for (int i = 0; i < kPerThread; ++i) g.Add(1.0);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(g.value(), static_cast<double>(kThreads) * kPerThread);
 }
 
 TEST(MetricsRegistry, GetReturnsStableInstruments) {
@@ -105,13 +81,14 @@ TEST(MetricsRegistry, TextSnapshotListsInstruments) {
   EXPECT_EQ(text.find("histogram "), std::string::npos);
 }
 
-TEST(MetricsRegistry, JsonSnapshotIsValidJson) {
+// The registry's machine-readable export is the run report.
+TEST(RunReportBuilder, JsonIsValidJson) {
   auto& reg = MetricsRegistry::Global();
   reg.GetCounter("test.json.counter")->Increment();
   reg.GetGauge("test.json.gauge")->Set(-3.5);
   reg.GetQuantile("test.json.quantile", DefaultLatencyQuantileOptions())
       ->Record(5.0);
-  std::string json = reg.JsonSnapshot();
+  std::string json = RunReportBuilder("obs_metrics_test").Json();
   ASSERT_TRUE(ValidateJson(json).ok()) << json;
   auto counters = JsonObjectField(json, "counters");
   ASSERT_TRUE(counters.ok());

@@ -164,7 +164,7 @@ TEST_F(ParallelDeterminismTest, TrainedModelBitIdenticalAcrossDegrees) {
   };
 
   // max_outage_lines = 2 adds the peel-threshold calibration, whose
-  // thresholds are part of the saved PWDET06 bytes and whose coordinate
+  // thresholds are part of the saved PWDET07 bytes and whose coordinate
   // sets are most of the serving cache Train hands over. Its cases run
   // concurrently at degree > 1, so the cache must come out with the
   // same keys, bytes and build count as the serial pass.

@@ -38,14 +38,13 @@ class ProximityPropertyTest : public ::testing::Test {
     auto test = sim::SimulateMeasurements(*grid, sim_opts, rng);
     PW_CHECK(test.ok());
 
-    SubspaceModelOptions mopts;
-    auto model = LearnSubspaceModel(*train, mopts);
+    auto model = LearnSubspaceModel(FeatureMatrix(*train), {});
     PW_CHECK_MSG(model.ok(), model.status().ToString().c_str());
 
     shared_ = new Shared{std::move(model).value(), {}};
     for (size_t t = 0; t < 32; ++t) {
       auto [vm, va] = test->Sample(t);
-      shared_->samples.push_back(FeatureVector(vm, va, mopts.channel));
+      shared_->samples.push_back(FeatureVector(vm, va));
     }
   }
 

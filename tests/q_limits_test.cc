@@ -1,8 +1,5 @@
-#include <cmath>
-
 #include <gtest/gtest.h>
 
-#include "grid/ieee_cases.h"
 #include "powerflow/powerflow.h"
 
 namespace phasorwatch::pf {
@@ -60,92 +57,13 @@ TEST(QLimitsTest, DisabledByDefault) {
   ASSERT_TRUE(grid.ok());
   auto sol = SolveAcPowerFlow(*grid);
   ASSERT_TRUE(sol.ok());
-  // Without enforcement, the PV bus holds its setpoint exactly, even
-  // though that requires Q beyond the declared limit.
+  // The solver does not enforce generator Q limits: the PV bus holds
+  // its setpoint exactly, even though that requires Q beyond the
+  // declared limit (the MATPOWER writer still reads HasQLimits).
   auto idx = grid->BusIndex(2);
   ASSERT_TRUE(idx.ok());
   EXPECT_NEAR(sol->vm[*idx], 1.05, 1e-9);
   EXPECT_GT(sol->q_mvar[*idx], 5.0);  // violated capability
-}
-
-TEST(QLimitsTest, EnforcementPinsQAndReleasesVoltage) {
-  auto grid = TightQGrid(5.0);
-  ASSERT_TRUE(grid.ok());
-  PowerFlowOptions opts;
-  opts.enforce_q_limits = true;
-  auto sol = SolveAcPowerFlow(*grid, opts);
-  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-  auto idx = grid->BusIndex(2);
-  ASSERT_TRUE(idx.ok());
-  // The generator is pinned at qmax; bus 2 has no load, so the net
-  // injection equals the generator output.
-  EXPECT_NEAR(sol->q_mvar[*idx], 5.0, 1e-6);
-  // With less reactive support, the bus can no longer hold 1.05 pu.
-  EXPECT_LT(sol->vm[*idx], 1.05);
-}
-
-TEST(QLimitsTest, GenerousLimitNeverSwitches) {
-  auto grid = TightQGrid(500.0);
-  ASSERT_TRUE(grid.ok());
-  PowerFlowOptions plain;
-  PowerFlowOptions enforced;
-  enforced.enforce_q_limits = true;
-  auto a = SolveAcPowerFlow(*grid, plain);
-  auto b = SolveAcPowerFlow(*grid, enforced);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  for (size_t i = 0; i < grid->num_buses(); ++i) {
-    EXPECT_NEAR(a->vm[i], b->vm[i], 1e-10);
-    EXPECT_NEAR(a->va_rad[i], b->va_rad[i], 1e-10);
-  }
-}
-
-TEST(QLimitsTest, Ieee14WithEnforcementSolves) {
-  auto grid = grid::IeeeCase14();
-  ASSERT_TRUE(grid.ok());
-  PowerFlowOptions opts;
-  opts.enforce_q_limits = true;
-  auto sol = SolveAcPowerFlow(*grid, opts);
-  ASSERT_TRUE(sol.ok()) << sol.status().ToString();
-  // Every limited generator's output respects its capability.
-  for (size_t i = 0; i < grid->num_buses(); ++i) {
-    const Bus& bus = grid->bus(i);
-    if (bus.type != BusType::kPV || !bus.HasQLimits()) continue;
-    double qg = sol->q_mvar[i] + bus.qd_mvar;
-    EXPECT_LE(qg, bus.qmax_mvar + 1e-6) << "bus " << bus.id;
-    EXPECT_GE(qg, bus.qmin_mvar - 1e-6) << "bus " << bus.id;
-  }
-}
-
-TEST(QLimitsTest, UndervoltageFloorCase) {
-  // qmin binding: the PV bus wants to ABSORB reactive power (light
-  // load, charging-heavy network) but is floored at qmin.
-  Bus slack;
-  slack.id = 1;
-  slack.type = BusType::kSlack;
-  slack.vm_setpoint = 1.0;
-  Bus pv;
-  pv.id = 2;
-  pv.type = BusType::kPV;
-  pv.vm_setpoint = 0.95;  // wants to pull its voltage down
-  pv.qmin_mvar = -2.0;
-  pv.qmax_mvar = 2.0;
-  Branch br;
-  br.from_bus = 1;
-  br.to_bus = 2;
-  br.r = 0.01;
-  br.x = 0.1;
-  br.b = 0.4;  // strong charging pushes voltage up
-  auto grid = Grid::Create("floor", {slack, pv}, {br});
-  ASSERT_TRUE(grid.ok());
-  PowerFlowOptions opts;
-  opts.enforce_q_limits = true;
-  auto sol = SolveAcPowerFlow(*grid, opts);
-  ASSERT_TRUE(sol.ok());
-  auto idx = grid->BusIndex(2);
-  ASSERT_TRUE(idx.ok());
-  EXPECT_NEAR(sol->q_mvar[*idx], -2.0, 1e-6);
-  EXPECT_GT(sol->vm[*idx], 0.95);  // voltage released above the setpoint
 }
 
 }  // namespace

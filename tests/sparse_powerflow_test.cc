@@ -80,26 +80,6 @@ TEST_P(SparseNewtonEquivalenceTest, MatchesDenseAcrossLoadDraws) {
   }
 }
 
-TEST_P(SparseNewtonEquivalenceTest, MatchesDenseWithQLimits) {
-  auto grid = grid::EvaluationSystem(GetParam());
-  ASSERT_TRUE(grid.ok());
-
-  PowerFlowOptions dense_opts;
-  dense_opts.sparse_bus_threshold = 0;
-  dense_opts.enforce_q_limits = true;
-  PowerFlowOptions sparse_opts = dense_opts;
-  sparse_opts.sparse_bus_threshold = 1;
-
-  InjectionOverrides ov =
-      SeededLoadDraw(*grid, 77 + static_cast<uint64_t>(GetParam()), 0);
-  auto dense = SolveAcPowerFlow(*grid, dense_opts, ov);
-  auto sparse = SolveAcPowerFlow(*grid, sparse_opts, ov);
-  ASSERT_TRUE(dense.ok()) << dense.status().ToString();
-  ASSERT_TRUE(sparse.ok()) << sparse.status().ToString();
-  EXPECT_LT((dense->vm - sparse->vm).InfNorm(), kStateTol);
-  EXPECT_LT((dense->va_rad - sparse->va_rad).InfNorm(), kStateTol);
-}
-
 TEST_P(SparseNewtonEquivalenceTest, PrebuiltYbusMatchesInternalAssembly) {
   auto grid = grid::EvaluationSystem(GetParam());
   ASSERT_TRUE(grid.ok());

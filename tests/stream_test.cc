@@ -141,7 +141,6 @@ TEST_F(StreamTest, SingleSampleGlitchSuppressed) {
 TEST_F(StreamTest, MajorityVoteStabilizesLines) {
   StreamOptions opts;
   opts.alarm_after = 2;
-  opts.vote_window = 6;
   TenantSession monitor(shared_->detector, opts);
   const auto& outage = shared_->dataset->outages[2];
 
@@ -197,7 +196,6 @@ TEST_F(StreamTest, ResetAfterWarmMissingDataStreamMatchesFreshSession) {
   StreamOptions opts;
   opts.alarm_after = 2;
   opts.clear_after = 2;
-  opts.vote_window = 4;
   const auto& outage = shared_->dataset->outages[0];
   const auto& normal = shared_->dataset->normal.test;
   sim::MissingMask none = sim::MissingMask::None(shared_->grid.num_buses());

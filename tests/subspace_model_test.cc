@@ -37,12 +37,6 @@ sim::PhasorDataSet StructuredData(const Vector& mean,
 }
 
 
-SubspaceModelOptions AngleOptions() {
-  SubspaceModelOptions opts;
-  opts.channel = PhasorChannel::kAngle;
-  return opts;
-}
-
 Vector Axis(size_t n, size_t i) {
   Vector v(n);
   v[i] = 1.0;
@@ -53,8 +47,7 @@ TEST(SubspaceModelTest, LearnsMeanOfTrainingData) {
   Rng rng(1);
   Vector mean = {0.1, -0.2, 0.3, 0.0, 0.5};
   auto data = StructuredData(mean, {Axis(5, 0)}, 300, 1e-4, rng);
-  SubspaceModelOptions opts = AngleOptions();
-  auto model = LearnSubspaceModel(data, opts);
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok());
   // Node 0 carries the unit-variance variation direction, so its
   // sample mean wanders by ~1/sqrt(300); other nodes only see noise.
@@ -68,8 +61,7 @@ TEST(SubspaceModelTest, ConstraintsAnnihilateTrainingVariation) {
   Vector mean(6);
   std::vector<Vector> dirs = {Axis(6, 0), Axis(6, 1)};
   auto data = StructuredData(mean, dirs, 400, 1e-5, rng);
-  SubspaceModelOptions opts = AngleOptions();
-  auto model = LearnSubspaceModel(data, opts);
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok());
   // Constraint directions must be orthogonal to the variation axes:
   // proximity of a sample from the model distribution is tiny.
@@ -86,30 +78,42 @@ TEST(SubspaceModelTest, ConstraintsAnnihilateTrainingVariation) {
 TEST(SubspaceModelTest, ProximityZeroAtMean) {
   Rng rng(3);
   auto data = StructuredData(Vector(4), {Axis(4, 2)}, 100, 1e-4, rng);
-  auto model = LearnSubspaceModel(data, AngleOptions());
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok());
   EXPECT_NEAR(model->Proximity(Vector(4)), 0.0, 1e-6);
 }
 
+// Both channels feed the features: magnitudes in rows [0, N), angles
+// in rows [N, 2N).
 TEST(SubspaceModelTest, ChannelSelection) {
   sim::PhasorDataSet data;
   data.vm = Matrix(3, 5, 2.0);
   data.va = Matrix(3, 5, -1.0);
-  EXPECT_DOUBLE_EQ(FeatureMatrix(data, PhasorChannel::kMagnitude)(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(FeatureMatrix(data, PhasorChannel::kAngle)(0, 0), -1.0);
-  Vector vm = {1.0};
-  Vector va = {5.0};
-  EXPECT_DOUBLE_EQ(FeatureVector(vm, va, PhasorChannel::kMagnitude)[0], 1.0);
-  EXPECT_DOUBLE_EQ(FeatureVector(vm, va, PhasorChannel::kAngle)[0], 5.0);
+  data.va(1, 4) = 7.0;
+  const Matrix x = FeatureMatrix(data);
+  ASSERT_EQ(x.rows(), 6u);
+  ASSERT_EQ(x.cols(), 5u);
+  EXPECT_DOUBLE_EQ(x(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(x(2, 3), 2.0);
+  EXPECT_DOUBLE_EQ(x(3, 0), -1.0);
+  EXPECT_DOUBLE_EQ(x(4, 4), 7.0);
+  Vector vm = {1.0, 2.0};
+  Vector va = {5.0, 6.0};
+  const Vector f = FeatureVector(vm, va);
+  ASSERT_EQ(f.size(), 4u);
+  EXPECT_DOUBLE_EQ(f[0], 1.0);
+  EXPECT_DOUBLE_EQ(f[1], 2.0);
+  EXPECT_DOUBLE_EQ(f[2], 5.0);
+  EXPECT_DOUBLE_EQ(f[3], 6.0);
 }
 
 TEST(SubspaceModelTest, ConstraintCountRespectsBounds) {
   Rng rng(4);
   auto data = StructuredData(Vector(8), {Axis(8, 0)}, 200, 1e-4, rng);
-  SubspaceModelOptions opts = AngleOptions();
+  SubspaceModelOptions opts;
   opts.min_constraints = 2;
   opts.max_constraints = 4;
-  auto model = LearnSubspaceModel(data, opts);
+  auto model = LearnSubspaceModel(data.va, opts);
   ASSERT_TRUE(model.ok());
   EXPECT_GE(model->constraints.dim(), 2u);
   EXPECT_LE(model->constraints.dim(), 4u);
@@ -119,14 +123,14 @@ TEST(SubspaceModelTest, RejectsTooFewSamples) {
   sim::PhasorDataSet data;
   data.vm = Matrix(3, 1);
   data.va = Matrix(3, 1);
-  EXPECT_FALSE(LearnSubspaceModel(data, AngleOptions()).ok());
+  EXPECT_FALSE(LearnSubspaceModel(data.va, {}).ok());
 }
 
 TEST(SubspaceModelTest, SingularValuesSorted) {
   Rng rng(5);
   auto data = StructuredData(Vector(5), {Axis(5, 0), Axis(5, 3)}, 150,
                              1e-3, rng);
-  auto model = LearnSubspaceModel(data, AngleOptions());
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok());
   for (size_t i = 0; i + 1 < model->singular_values.size(); ++i) {
     EXPECT_GE(model->singular_values[i], model->singular_values[i + 1]);
@@ -142,7 +146,7 @@ TEST(SubspaceModelTest, RepeatedNodeSeriesTrains) {
   auto data = StructuredData(Vector(6), {Axis(6, 0), Axis(6, 1)}, 100,
                              1e-3, rng);
   for (size_t t = 0; t < data.va.cols(); ++t) data.va(4, t) = data.va(1, t);
-  auto model = LearnSubspaceModel(data, AngleOptions());
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok()) << model.status().ToString();
   EXPECT_LT(model->constraints.OrthonormalityError(), 1e-9);
   Vector split(6);
@@ -154,7 +158,7 @@ TEST(SubspaceModelTest, RepeatedNodeSeriesTrains) {
 TEST(NodeSubspacesTest, SingleModelPassesThrough) {
   Rng rng(6);
   auto data = StructuredData(Vector(5), {Axis(5, 1)}, 120, 1e-4, rng);
-  auto model = LearnSubspaceModel(data, AngleOptions());
+  auto model = LearnSubspaceModel(data.va, {});
   ASSERT_TRUE(model.ok());
   auto node = BuildNodeSubspaces({&*model});
   ASSERT_TRUE(node.ok());
@@ -171,11 +175,11 @@ TEST(NodeSubspacesTest, UnionModelKeepsSharedConstraints) {
   Rng rng(7);
   auto data_a = StructuredData(Vector(4), {Axis(4, 0)}, 300, 1e-5, rng);
   auto data_b = StructuredData(Vector(4), {Axis(4, 1)}, 300, 1e-5, rng);
-  SubspaceModelOptions opts = AngleOptions();
+  SubspaceModelOptions opts;
   opts.min_constraints = 2;
   opts.max_constraints = 3;
-  auto model_a = LearnSubspaceModel(data_a, opts);
-  auto model_b = LearnSubspaceModel(data_b, opts);
+  auto model_a = LearnSubspaceModel(data_a.va, opts);
+  auto model_b = LearnSubspaceModel(data_b.va, opts);
   ASSERT_TRUE(model_a.ok());
   ASSERT_TRUE(model_b.ok());
   auto node = BuildNodeSubspaces({&*model_a, &*model_b}, 0.8);
@@ -193,11 +197,11 @@ TEST(NodeSubspacesTest, IntersectionModelAccumulatesAllConstraints) {
   Rng rng(8);
   auto data_a = StructuredData(Vector(4), {Axis(4, 0)}, 300, 1e-5, rng);
   auto data_b = StructuredData(Vector(4), {Axis(4, 1)}, 300, 1e-5, rng);
-  SubspaceModelOptions opts = AngleOptions();
+  SubspaceModelOptions opts;
   opts.min_constraints = 2;
   opts.max_constraints = 3;
-  auto model_a = LearnSubspaceModel(data_a, opts);
-  auto model_b = LearnSubspaceModel(data_b, opts);
+  auto model_a = LearnSubspaceModel(data_a.va, opts);
+  auto model_b = LearnSubspaceModel(data_b.va, opts);
   ASSERT_TRUE(model_a.ok());
   ASSERT_TRUE(model_b.ok());
   auto node = BuildNodeSubspaces({&*model_a, &*model_b}, 0.8);

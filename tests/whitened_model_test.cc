@@ -28,9 +28,8 @@ sim::PhasorDataSet AxisData(const Vector& mean, const Vector& sigma,
   return data;
 }
 
-SubspaceModelOptions AngleFullOptions() {
+SubspaceModelOptions FullBasisOptions() {
   SubspaceModelOptions opts;
-  opts.channel = PhasorChannel::kAngle;
   opts.keep_full_basis = true;
   return opts;
 }
@@ -40,14 +39,14 @@ TEST(WhitenedModelTest, RequiresFullBasis) {
   Vector mean(4);
   Vector sigma{0.1, 0.1, 0.01, 0.01};
   auto data = AxisData(mean, sigma, 300, rng);
-  SubspaceModelOptions opts = AngleFullOptions();
-  auto model = LearnSubspaceModel(data, opts);
+  SubspaceModelOptions opts = FullBasisOptions();
+  auto model = LearnSubspaceModel(data.va, opts);
   ASSERT_TRUE(model.ok());
   EXPECT_FALSE(model->full_basis.empty());
   EXPECT_EQ(model->full_basis.rows(), 4u);
   // Without the flag the basis stays empty.
   opts.keep_full_basis = false;
-  auto slim = LearnSubspaceModel(data, opts);
+  auto slim = LearnSubspaceModel(data.va, opts);
   ASSERT_TRUE(slim.ok());
   EXPECT_TRUE(slim->full_basis.empty());
 }
@@ -57,7 +56,7 @@ TEST(WhitenedModelTest, MahalanobisScalesByVariance) {
   Vector mean(4);
   Vector sigma{0.2, 0.2, 0.002, 0.002};
   auto data = AxisData(mean, sigma, 2000, rng);
-  auto reference = LearnSubspaceModel(data, AngleFullOptions());
+  auto reference = LearnSubspaceModel(data.va, FullBasisOptions());
   ASSERT_TRUE(reference.ok());
   SubspaceModel cls =
       MakeWhitenedClassModel(*reference, reference->mean, 2000);
@@ -75,7 +74,7 @@ TEST(WhitenedModelTest, ZeroAtItsMean) {
   Vector mean{1.0, -1.0, 0.5};
   Vector sigma{0.05, 0.05, 0.05};
   auto data = AxisData(mean, sigma, 500, rng);
-  auto reference = LearnSubspaceModel(data, AngleFullOptions());
+  auto reference = LearnSubspaceModel(data.va, FullBasisOptions());
   ASSERT_TRUE(reference.ok());
   Vector shifted = reference->mean;
   shifted[1] += 0.7;
@@ -91,7 +90,7 @@ TEST(WhitenedModelTest, SharedCovarianceAcrossClassModels) {
   Vector mean(3);
   Vector sigma{0.1, 0.02, 0.01};
   auto data = AxisData(mean, sigma, 800, rng);
-  auto reference = LearnSubspaceModel(data, AngleFullOptions());
+  auto reference = LearnSubspaceModel(data.va, FullBasisOptions());
   ASSERT_TRUE(reference.ok());
   Vector mean_a = reference->mean;
   Vector mean_b = reference->mean;
@@ -116,15 +115,13 @@ TEST(SubspaceFastPathTest, CovarianceAndSvdPathsAgree) {
   Vector mean(6);
   Vector sigma{0.3, 0.2, 0.1, 0.003, 0.002, 0.001};
   auto wide = AxisData(mean, sigma, 400, rng);  // fast path
-  SubspaceModelOptions opts;
-  opts.channel = PhasorChannel::kAngle;
-  auto fast = LearnSubspaceModel(wide, opts);
+  auto fast = LearnSubspaceModel(wide.va, {});
   ASSERT_TRUE(fast.ok());
 
   // Narrow copy of the same samples (first 6 columns) uses the SVD
   // path; spectra can differ (different data), so instead verify the
   // fast path's spectrum against a direct SVD of the same wide matrix.
-  Matrix x = FeatureMatrix(wide, PhasorChannel::kAngle);
+  Matrix x = wide.va;
   for (size_t i = 0; i < x.rows(); ++i) {
     double m = 0.0;
     for (size_t c = 0; c < x.cols(); ++c) m += x(i, c);
