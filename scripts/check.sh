@@ -58,7 +58,7 @@ for example in build/examples/*; do
   echo "=== $example ==="
   "$example" > /dev/null
 done
-for bench in build/bench/fig* build/bench/ablation_*; do
+for bench in build/bench/fig* build/bench/ablation_* build/bench/chaos_report; do
   echo "=== $bench (quick) ==="
   "$bench" > /dev/null
 done

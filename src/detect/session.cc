@@ -154,21 +154,20 @@ StreamEvent TenantSession::Debounce(const OutageDetector& detector,
   if (event.raw.outage_detected) {
     ++consecutive_positive_;
     consecutive_negative_ = 0;
-    recent_votes_.push_back(event.raw.lines);
-    // Confidence vector in lockstep with the vote: multi-line raw
-    // detections carry per-line confidences in outage_set (same lines,
-    // same order); legacy detections vote with full confidence.
-    std::vector<double> confidences(event.raw.lines.size(), 1.0);
-    if (event.raw.outage_set.size() == event.raw.lines.size()) {
-      for (size_t k = 0; k < event.raw.outage_set.size(); ++k) {
-        confidences[k] = event.raw.outage_set[k].confidence;
-      }
+    // Multi-line raw detections carry per-line confidences in
+    // outage_set (same lines, same order); legacy detections vote with
+    // full confidence.
+    std::vector<DetectionResult::OutageHypothesis> vote;
+    vote.reserve(event.raw.lines.size());
+    const bool has_confidences =
+        event.raw.outage_set.size() == event.raw.lines.size();
+    for (size_t k = 0; k < event.raw.lines.size(); ++k) {
+      vote.push_back({event.raw.lines[k],
+                      has_confidences ? event.raw.outage_set[k].confidence
+                                      : 1.0});
     }
-    recent_confidences_.push_back(std::move(confidences));
-    while (recent_votes_.size() > kVoteWindow) {
-      recent_votes_.pop_front();
-      recent_confidences_.pop_front();
-    }
+    recent_votes_.push_back(std::move(vote));
+    while (recent_votes_.size() > kVoteWindow) recent_votes_.pop_front();
   } else {
     ++consecutive_negative_;
     consecutive_positive_ = 0;
@@ -181,7 +180,6 @@ StreamEvent TenantSession::Debounce(const OutageDetector& detector,
     alarm_active_ = false;
     event.alarm_cleared = true;
     recent_votes_.clear();
-    recent_confidences_.clear();
   }
 
   event.alarm_active = alarm_active_;
@@ -248,7 +246,6 @@ void TenantSession::Reset() {
   consecutive_negative_ = 0;
   next_sample_ = 0;
   recent_votes_.clear();
-  recent_confidences_.clear();
   last_timestamp_us_ = 0;
   has_timestamp_ = false;
 #ifndef PW_OBS_DISABLED
@@ -267,9 +264,15 @@ TenantSnapshot TenantSession::Snapshot() const {
   snapshot.alarm_active = alarm_active_.load(std::memory_order_relaxed);
   snapshot.consecutive_positive = consecutive_positive_;
   snapshot.consecutive_negative = consecutive_negative_;
-  snapshot.recent_votes.assign(recent_votes_.begin(), recent_votes_.end());
-  snapshot.recent_confidences.assign(recent_confidences_.begin(),
-                                     recent_confidences_.end());
+  for (const auto& vote : recent_votes_) {
+    std::vector<grid::LineId>& lines = snapshot.recent_votes.emplace_back();
+    std::vector<double>& confidences =
+        snapshot.recent_confidences.emplace_back();
+    for (const DetectionResult::OutageHypothesis& h : vote) {
+      lines.push_back(h.line);
+      confidences.push_back(h.confidence);
+    }
+  }
   snapshot.last_timestamp_us = last_timestamp_us_;
   snapshot.has_timestamp = has_timestamp_;
   snapshot.samples = counters_.samples.load(std::memory_order_relaxed);
@@ -287,6 +290,10 @@ TenantSnapshot TenantSession::Snapshot() const {
 }
 
 Status TenantSession::Restore(const TenantSnapshot& snapshot) {
+  if (snapshot.recent_votes.size() > kVoteWindow) {
+    return Status::InvalidArgument(
+        "snapshot vote window longer than any session keeps");
+  }
   const size_t num_buses = model()->grid().num_buses();
   for (const std::vector<grid::LineId>& vote : snapshot.recent_votes) {
     for (const grid::LineId& line : vote) {
@@ -311,10 +318,15 @@ Status TenantSession::Restore(const TenantSnapshot& snapshot) {
   alarm_active_.store(snapshot.alarm_active, std::memory_order_release);
   consecutive_positive_ = snapshot.consecutive_positive;
   consecutive_negative_ = snapshot.consecutive_negative;
-  recent_votes_.assign(snapshot.recent_votes.begin(),
-                       snapshot.recent_votes.end());
-  recent_confidences_.assign(snapshot.recent_confidences.begin(),
-                             snapshot.recent_confidences.end());
+  recent_votes_.clear();
+  for (size_t v = 0; v < snapshot.recent_votes.size(); ++v) {
+    std::vector<DetectionResult::OutageHypothesis>& vote =
+        recent_votes_.emplace_back();
+    for (size_t k = 0; k < snapshot.recent_votes[v].size(); ++k) {
+      vote.push_back(
+          {snapshot.recent_votes[v][k], snapshot.recent_confidences[v][k]});
+    }
+  }
   last_timestamp_us_ = snapshot.last_timestamp_us;
   has_timestamp_ = snapshot.has_timestamp;
   counters_.samples.store(snapshot.samples, std::memory_order_relaxed);
@@ -338,7 +350,7 @@ std::vector<grid::LineId> TenantSession::MajorityLines() const {
   // an event the window is short).
   std::map<grid::LineId, size_t> counts;
   for (const auto& vote : recent_votes_) {
-    for (const grid::LineId& line : vote) ++counts[line];
+    for (const DetectionResult::OutageHypothesis& h : vote) ++counts[h.line];
   }
   std::vector<grid::LineId> majority;
   size_t needed = recent_votes_.size() / 2 + 1;
@@ -346,7 +358,9 @@ std::vector<grid::LineId> TenantSession::MajorityLines() const {
     if (count >= needed) majority.push_back(line);
   }
   if (majority.empty() && !recent_votes_.empty()) {
-    majority = recent_votes_.back();
+    for (const DetectionResult::OutageHypothesis& h : recent_votes_.back()) {
+      majority.push_back(h.line);
+    }
   }
   return majority;
 }
@@ -364,11 +378,10 @@ TenantSession::MajorityOutageSet(
   for (const grid::LineId& line : majority) {
     double sum = 0.0;
     size_t carried = 0;
-    for (size_t v = 0; v < recent_votes_.size(); ++v) {
-      const std::vector<grid::LineId>& vote = recent_votes_[v];
-      for (size_t k = 0; k < vote.size(); ++k) {
-        if (vote[k] == line) {
-          sum += recent_confidences_[v][k];
+    for (const auto& vote : recent_votes_) {
+      for (const DetectionResult::OutageHypothesis& h : vote) {
+        if (h.line == line) {
+          sum += h.confidence;
           ++carried;
           break;
         }

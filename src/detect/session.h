@@ -195,7 +195,8 @@ class TenantSession {
 
   /// Replaces this session's state with `snapshot` (the inverse of
   /// Snapshot). Validates the vote window against the current model's
-  /// grid. Producer-thread only.
+  /// grid and refuses more than kVoteWindow votes, a window no live
+  /// session holds. Producer-thread only.
   PW_NODISCARD Status Restore(const TenantSnapshot& snapshot);
 
   const std::string& label() const { return label_; }
@@ -243,11 +244,10 @@ class TenantSession {
   std::atomic<bool> alarm_active_{false};
   size_t consecutive_positive_ = 0;
   size_t consecutive_negative_ = 0;
-  std::deque<std::vector<grid::LineId>> recent_votes_;
-  /// Per-line confidences in lockstep with recent_votes_ (pushed,
-  /// popped, and cleared together). A vote whose raw detection carried
+  /// Recent positive detections, oldest first: each vote's candidate
+  /// lines with their confidences. A vote whose raw detection carried
   /// no outage_set (single-line detector) stores 1.0 per line.
-  std::deque<std::vector<double>> recent_confidences_;
+  std::deque<std::vector<DetectionResult::OutageHypothesis>> recent_votes_;
   /// Timestamp of the last accepted frame (ProcessFrame staleness
   /// check). Producer-thread only, like the debounce counters.
   uint64_t last_timestamp_us_ = 0;

@@ -9,68 +9,54 @@
 
 namespace phasorwatch::grid {
 
-/// Parameters for the deterministic synthetic-grid generator. Defaults
-/// mimic transmission-level statistics: average nodal degree ~3, meshed
-/// but locally sparse topology, 60-70% of buses carrying load, ~15%
-/// hosting generation sized to cover the load with margin.
+/// Parameters for the deterministic synthetic-grid generator behind the
+/// IEEE-57/118 stand-ins. Both generators share the rest: average nodal
+/// degree ~3, meshed but locally sparse topology, 45% of buses carrying
+/// load, 18% hosting generation sized to cover the load with margin.
 struct SyntheticGridOptions {
   std::string name = "synthetic";
   size_t num_buses = 57;
   size_t num_lines = 80;     ///< must be >= num_buses (backbone + chords)
   uint64_t seed = 1;
-  double load_fraction = 0.45;       ///< fraction of buses with demand
-  double gen_fraction = 0.18;        ///< fraction of buses with generation
-  double min_load_mw = 3.0;
-  double max_load_mw = 60.0;
-  double gen_margin = 1.08;          ///< total gen = margin * total load
-  double mean_x = 0.10;              ///< mean series reactance (pu)
-  double r_over_x = 0.30;            ///< resistance-to-reactance ratio
-  double charging_b = 0.02;          ///< mean total line charging (pu)
+  double mean_x = 0.10;      ///< mean series reactance (pu)
 };
 
 /// Builds a connected, meshed synthetic grid.
 ///
 /// Construction: scatter buses in the unit square (seeded), connect them
-/// with a geometric spanning tree (locality like real grids), then add
-/// the shortest remaining bus pairs as chord lines until `num_lines` is
-/// reached. Line impedances scale with geometric length around `mean_x`.
-/// The result always has exactly `num_buses` buses and `num_lines`
-/// distinct lines, one slack bus, and balanced load/generation.
+/// with a geometric spanning tree (locality like real grids), lift its
+/// leaves to degree 2, then add a quarter of the remaining chords as
+/// the shortest unused pairs and the rest from a shuffled
+/// medium-distance tranche until `num_lines` is reached. Line
+/// impedances scale with geometric length around `mean_x`. The result
+/// always has exactly `num_buses` buses and `num_lines` distinct lines,
+/// one slack bus, and balanced load/generation, shrunk until the DC
+/// angle spread is physical.
 PW_NODISCARD Result<Grid> BuildSyntheticGrid(
     const SyntheticGridOptions& options);
 
 /// Parameters for the ring-of-meshes generator behind the 300/1000-bus
 /// scale studies (docs/SPARSE.md). The grid is `num_regions` regional
 /// meshes placed around a ring — each region built with the same
-/// geometric MST + chord construction as BuildSyntheticGrid, from its
-/// own Rng::Fork stream — joined by `ties_per_boundary` tie lines
-/// between geometrically nearest buses of neighbouring regions. The
-/// ring keeps the whole grid 2-edge-connected across regions while the
-/// Ybus stays as sparse as a real interconnection (average degree ~3
+/// scatter, spanning tree and leaf lift as BuildSyntheticGrid, from its
+/// own Rng::Fork stream, then filled with its nearest chords up to
+/// ceil(1.4 x buses_per_region) lines — joined by two tie lines between
+/// the geometrically nearest buses of neighbouring regions. The ring
+/// keeps the whole grid 2-edge-connected across regions while the Ybus
+/// stays as sparse as a real interconnection (average degree ~3
 /// regardless of size).
 struct RingOfMeshesOptions {
   std::string name = "ring-of-meshes";
   size_t num_regions = 10;
   size_t buses_per_region = 30;
-  double lines_per_bus = 1.4;    ///< per-region line budget per bus
-  size_t ties_per_boundary = 2;  ///< lines joining adjacent regions
   uint64_t seed = 1;
-  double load_fraction = 0.45;
-  double gen_fraction = 0.18;
-  double min_load_mw = 3.0;
-  double max_load_mw = 60.0;
-  double gen_margin = 1.08;
-  double mean_x = 0.10;
-  double r_over_x = 0.30;
-  double charging_b = 0.02;
 };
 
 /// Builds the ring-of-meshes grid. Deterministic in `options.seed`:
 /// every region and every parameter pass draws from its own forked
 /// stream, so regions are statistically independent but reproducible.
-/// Feasibility is conditioned the same way as BuildSyntheticGrid (DC
-/// angle-spread rescaling) but through the sparse LU, so construction
-/// stays cheap at 1000+ buses.
+/// Line parameters, injections and the DC angle-spread rescale are
+/// BuildSyntheticGrid's, with mean series reactance 0.10 pu.
 PW_NODISCARD Result<Grid> BuildRingOfMeshesGrid(
     const RingOfMeshesOptions& options);
 

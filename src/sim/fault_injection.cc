@@ -14,6 +14,13 @@
 namespace phasorwatch::sim {
 namespace {
 
+// Gross-error spike amplitudes, in each channel's natural unit. They are
+// unmistakably gross (a 50% voltage error / a radian of angle): bad data
+// in the Li et al. sense is orders of magnitude outside the operating
+// envelope, not noise-sized.
+constexpr double kVmSpike = 0.5;  // pu
+constexpr double kVaSpike = 1.0;  // rad
+
 // Stream id for the (event, sample) pair: event indices occupy the high
 // half, so every application draws from its own independent Rng::Fork
 // stream regardless of processing order or thread.
@@ -161,9 +168,9 @@ void FaultInjector::ApplyEvent(const FaultEvent& event, size_t event_index,
       double va_sign = rng.Bernoulli(0.5) ? 1.0 : -1.0;
       double va_scale = rng.Uniform(0.75, 1.25);
       frame->vm[event.node] +=
-          vm_sign * vm_scale * event.magnitude * vm_spike_;
+          vm_sign * vm_scale * event.magnitude * kVmSpike;
       frame->va[event.node] +=
-          va_sign * va_scale * event.magnitude * va_spike_;
+          va_sign * va_scale * event.magnitude * kVaSpike;
       ++stats_.gross_errors;
       PW_OBS_COUNTER_INC("faults.injected.gross_error");
       break;

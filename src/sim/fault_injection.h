@@ -54,7 +54,7 @@ struct FaultEvent {
   size_t start = 0;
   size_t end = 0;  ///< exclusive
   /// Gross-error spike scale multiplier on top of the injector's
-  /// per-channel spike amplitudes (1.0 = the configured amplitude).
+  /// per-channel spike amplitudes (1.0 = 0.5 pu on vm, 1.0 rad on va).
   double magnitude = 1.0;
 };
 
@@ -140,15 +140,6 @@ class FaultInjector {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Gross-error spike amplitudes, in each channel's natural unit.
-  /// Defaults are unmistakably gross (a 50% voltage error / a radian of
-  /// angle): bad data in the Li et al. sense is orders of magnitude
-  /// outside the operating envelope, not noise-sized.
-  void set_spike_amplitudes(double vm_spike, double va_spike) {
-    vm_spike_ = vm_spike;
-    va_spike_ = va_spike;
-  }
-
   const FaultSchedule& schedule() const { return schedule_; }
 
  private:
@@ -161,9 +152,6 @@ class FaultInjector {
   size_t num_nodes_ = 0;
   uint64_t seed_ = 0;
   Stats stats_;
-
-  double vm_spike_ = 0.5;  ///< pu
-  double va_spike_ = 1.0;  ///< rad
 
   /// Frozen-channel state: last value transmitted per node (as
   /// corrupted), valid once the node has been seen.

@@ -420,7 +420,21 @@ TEST_F(FleetTest, RestoreRejectsVotesOutsideGrid) {
   TenantSession session(shared_->detector, {});
   TenantSnapshot snapshot;
   snapshot.recent_votes.push_back({grid::LineId{0, 99}});
+  snapshot.recent_confidences.push_back({1.0});
   Status status = session.Restore(snapshot);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+
+  // A full window of in-grid votes restores; one vote more is a window
+  // no live session holds.
+  TenantSnapshot window;
+  for (size_t v = 0; v < kVoteWindow; ++v) {
+    window.recent_votes.push_back({grid::LineId{0, 1}});
+    window.recent_confidences.push_back({1.0});
+  }
+  EXPECT_TRUE(session.Restore(window).ok());
+  window.recent_votes.push_back({grid::LineId{0, 1}});
+  window.recent_confidences.push_back({1.0});
+  status = session.Restore(window);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
 }
 
