@@ -7,7 +7,8 @@
 // digests pin the symmetric eigensolves training runs through it. The
 // trained-model digest was recorded when ComputeSvd took those
 // eigensolves over: a change to any training arithmetic must record a
-// new one.
+// new one. The dataset digests pin the corpus those models train on:
+// outage topologies, their admittances and every power-flow solve.
 
 #include <cstdint>
 #include <cstring>
@@ -174,6 +175,49 @@ TEST(KernelBitsTest, TrainedModelBytes) {
   d.Add(uint64_t{bytes.size()});
   for (unsigned char c : bytes) d.Add(uint64_t{c});
   EXPECT_EQ(d.value(), 0x156D73BB47368FECull);
+}
+
+// Digest of a BuildDataset corpus: every case line, every skipped line,
+// and every double of every train/test block, normal condition first.
+uint64_t DatasetDigest(const grid::Grid& grid, size_t train_states,
+                       size_t train_per_state, size_t test_states,
+                       size_t test_per_state, uint64_t seed) {
+  eval::DatasetOptions dopts;
+  dopts.train_states = train_states;
+  dopts.train_samples_per_state = train_per_state;
+  dopts.test_states = test_states;
+  dopts.test_samples_per_state = test_per_state;
+  auto dataset = eval::BuildDataset(grid, dopts, seed);
+  EXPECT_TRUE(dataset.ok()) << dataset.status().ToString();
+  if (!dataset.ok()) return 0;
+  Digest d;
+  auto add_case = [&d](const eval::CaseData& c) {
+    d.Add(c.train.vm);
+    d.Add(c.train.va);
+    d.Add(c.test.vm);
+    d.Add(c.test.va);
+  };
+  add_case(dataset->normal);
+  for (const eval::CaseData& c : dataset->outages) {
+    d.Add(uint64_t{c.line.i});
+    d.Add(uint64_t{c.line.j});
+    add_case(c);
+  }
+  for (const grid::LineId& line : dataset->skipped_lines) {
+    d.Add(uint64_t{line.i});
+    d.Add(uint64_t{line.j});
+  }
+  return d.value();
+}
+
+TEST(KernelBitsTest, DatasetBytes) {
+  auto ieee14 = grid::IeeeCase14();
+  ASSERT_TRUE(ieee14.ok());
+  // pwbench's fleet sizing and corpus seed.
+  EXPECT_EQ(DatasetDigest(*ieee14, 16, 8, 6, 6, 55), 0x46FAD0CDF1ACB61Full);
+  auto ieee30 = grid::IeeeCase30();
+  ASSERT_TRUE(ieee30.ok());
+  EXPECT_EQ(DatasetDigest(*ieee30, 4, 4, 2, 2, 55), 0x6228A70D1DB47BE3ull);
 }
 
 }  // namespace
