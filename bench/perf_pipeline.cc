@@ -418,12 +418,12 @@ BENCHMARK(BM_BuildDataset118)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 
 // 300-bus scale benchmarks behind the checked-in BENCH_sparse.json
 // baseline (docs/SPARSE.md). The all-line dataset build runs one sparse
-// AC solve per load state per outage case, with each case's admittance
-// matrix derived from the base by a branch-local patch instead of a
-// full rebuild; the training row covers the subspace pipeline at 300
-// nodes. Small per-case sizing keeps one iteration CI-feasible — the
-// fan-out width (hundreds of outage cases through the sparse path) is
-// what these rows track.
+// AC solve per load state per outage case, each on an admittance matrix
+// assembled once per simulated block from that case's outage grid; the
+// training row covers the subspace pipeline at 300 nodes. Small
+// per-case sizing keeps one iteration CI-feasible — the fan-out width
+// (hundreds of outage cases through the sparse path) is what these rows
+// track.
 pw::eval::DatasetOptions Sparse300DatasetOptions() {
   pw::eval::DatasetOptions dopts;
   dopts.train_states = 2;
@@ -440,6 +440,15 @@ void BM_BuildDataset300(benchmark::State& state) {
     return;
   }
   pw::eval::DatasetOptions dopts = Sparse300DatasetOptions();
+  // Newton iterations per AC solve over the timed builds: it depends
+  // only on the code, so a wrong outage admittance shows as a changed
+  // value. Omitted when no solve was counted (observability off).
+  pw::obs::MetricsRegistry& registry = pw::obs::MetricsRegistry::Global();
+  const pw::obs::Counter* solves = registry.GetCounter("powerflow.ac.solves");
+  const pw::obs::Counter* iterations =
+      registry.GetCounter("powerflow.ac.iterations_total");
+  const uint64_t solves_before = solves->value();
+  const uint64_t iterations_before = iterations->value();
   size_t cases = 0;
   for (auto _ : state) {
     auto dataset = pw::eval::BuildDataset(*grid, dopts, 9001);
@@ -451,6 +460,12 @@ void BM_BuildDataset300(benchmark::State& state) {
     benchmark::DoNotOptimize(cases);
   }
   state.counters["cases"] = static_cast<double>(cases);
+  const uint64_t solved = solves->value() - solves_before;
+  if (solved > 0) {
+    state.counters["nr_iterations_per_solve"] =
+        static_cast<double>(iterations->value() - iterations_before) /
+        static_cast<double>(solved);
+  }
 }
 BENCHMARK(BM_BuildDataset300)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();

@@ -91,11 +91,19 @@ python3 scripts/bench_report.py diff BENCH_pipeline.json \
 # Sparse-path lane (docs/SPARSE.md): the 300-bus dataset build and
 # detector training through the CSR solvers, tracked in their own
 # baseline so scale regressions don't hide behind the small-grid rows.
-echo "=== perf report (sparse 300-bus) ==="
+# Newton iterations per solve over the dataset build depend only on the
+# code, and a wrong outage admittance moves them either way (one that
+# leaves the tripped branch stamped solves in fewer), so the gate runs
+# in both directions: any change fails here.
+echo "=== perf report (sparse 300-bus + iterations per solve gate) ==="
 build/bench/perf_pipeline --quick --json build/BENCH_sparse.json \
   --benchmark_filter='BM_BuildDataset300|BM_TrainSparse300' > /dev/null
 python3 scripts/bench_report.py validate build/BENCH_sparse.json \
   BENCH_sparse.json
+python3 scripts/bench_report.py diff BENCH_sparse.json \
+  build/BENCH_sparse.json --only 'iterations_per_solve$' --threshold 0
+python3 scripts/bench_report.py diff build/BENCH_sparse.json \
+  BENCH_sparse.json --only 'iterations_per_solve$' --threshold 0
 
 # pwbench lane (pwbench/BENCHMARK.md): the benchmark package compiles
 # src/ through its own CMake project into .bench_build/, so this builds

@@ -116,19 +116,10 @@ Result<std::vector<CascadeStageScore>> RunCascadeScenario(
     }
 
     // Stage operating point: demand ramped against the base grid, then
-    // the cumulative outage set taken out. The sparse admittance is
-    // carried through the same trajectory as branch-local patches —
-    // each patch applied on the grid where the line is still in
-    // service, so the chained result is bit-identical to rebuilding
-    // from the final topology (tests/sparse_powerflow_test.cc pins the
-    // single-step equivalence this composes from).
+    // the cumulative outage set taken out.
     PW_ASSIGN_OR_RETURN(grid::Grid current,
                         ScaledGrid(base, stage.load_scale));
-    grid::SparseAdmittance ybus = current.BuildSparseAdmittance();
     for (const grid::LineId& line : out) {
-      PW_ASSIGN_OR_RETURN(grid::YbusPatch patch,
-                          current.ApplyLineOutagePatch(&ybus, line));
-      static_cast<void>(patch);
       PW_ASSIGN_OR_RETURN(current, current.WithLineOut(line));
     }
 
@@ -142,7 +133,7 @@ Result<std::vector<CascadeStageScore>> RunCascadeScenario(
     Rng sim_rng = Rng::Fork(stage_seed, 0);
     PW_ASSIGN_OR_RETURN(
         sim::PhasorDataSet block,
-        sim::SimulateMeasurements(current, sim_options, sim_rng, &ybus));
+        sim::SimulateMeasurements(current, sim_options, sim_rng));
 
     // Stage-scoped transport faults, chaos-harness style: one seed
     // stream draws the schedule, an independent one the corruption.

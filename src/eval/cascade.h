@@ -81,9 +81,8 @@ struct CascadeOptions {
 
 /// Replays `scenario` against the trained detector as one continuous
 /// tenant stream: each stage re-derives the in-service topology from
-/// the cumulative trip/restore set, patches the base grid's sparse
-/// admittance branch-locally (Grid::ApplyLineOutagePatch — never a full
-/// rebuild), simulates the stage's samples at the ramped operating
+/// the cumulative trip/restore set (Grid::WithLineOut on the ramped
+/// base grid), simulates the stage's samples at that operating
 /// point, runs them through the stage's fault injector, and scores the
 /// debounced session per stage. Deterministic given (dataset,
 /// scenario.seed). Sample-level rejections are tallied, not fatal;

@@ -13,10 +13,8 @@ namespace phasorwatch::eval {
 namespace {
 
 // One condition's train+test blocks from independent scenario draws.
-// `ybus` is the case topology's admittance, shared by every load state.
 Result<CaseData> SimulateCase(const grid::Grid& grid,
-                              const DatasetOptions& options, Rng& rng,
-                              const grid::SparseAdmittance& ybus) {
+                              const DatasetOptions& options, Rng& rng) {
   CaseData data;
   sim::SimulationOptions sim_opts = options.simulation;
 
@@ -24,13 +22,13 @@ Result<CaseData> SimulateCase(const grid::Grid& grid,
   sim_opts.samples_per_state = options.train_samples_per_state;
   Rng train_rng = rng.Fork();
   PW_ASSIGN_OR_RETURN(
-      data.train, sim::SimulateMeasurements(grid, sim_opts, train_rng, &ybus));
+      data.train, sim::SimulateMeasurements(grid, sim_opts, train_rng));
 
   sim_opts.load.num_states = options.test_states;
   sim_opts.samples_per_state = options.test_samples_per_state;
   Rng test_rng = rng.Fork();
   PW_ASSIGN_OR_RETURN(
-      data.test, sim::SimulateMeasurements(grid, sim_opts, test_rng, &ybus));
+      data.test, sim::SimulateMeasurements(grid, sim_opts, test_rng));
   return data;
 }
 
@@ -42,20 +40,13 @@ Result<Dataset> BuildDataset(const grid::Grid& grid,
   Dataset dataset;
   dataset.grid = &grid;
 
-  // Assemble the base admittance once and derive each outage case's
-  // matrix with a 4-entry branch-local patch instead of a full rebuild
-  // per load state. Patched matrices are bit-identical to rebuilds
-  // (docs/SPARSE.md), so the corpus does not depend on this shortcut.
-  const grid::SparseAdmittance base_ybus = grid.BuildSparseAdmittance();
-
   // Seed-stream layout: stream 0 is the normal condition, stream 1 + i
   // is line i of grid.lines(). Each case owns its stream, so the
   // corpus is bit-identical at every parallelism degree (and a skipped
   // case never shifts its neighbors' draws).
   Rng normal_rng = Rng::Fork(seed, 0);
-  PW_ASSIGN_OR_RETURN(
-      dataset.normal,
-      SimulateCase(grid, options, normal_rng, base_ybus));
+  PW_ASSIGN_OR_RETURN(dataset.normal,
+                      SimulateCase(grid, options, normal_rng));
 
   const std::vector<grid::LineId>& lines = grid.lines();
   // Per-line result slots, filled by the pool in whatever order cases
@@ -68,14 +59,8 @@ Result<Dataset> BuildDataset(const grid::Grid& grid,
         // Islanding lines are invalid cases (Sec. V-A).
         auto outage_grid = grid.WithLineOut(lines[i]);
         if (!outage_grid.ok()) return Status::OK();  // empty slot = skipped
-        // Branch-local patch of a copy of the base matrix (the base is
-        // shared read-only across pool workers).
-        grid::SparseAdmittance case_ybus = base_ybus;
-        PW_RETURN_IF_ERROR(
-            grid.ApplyLineOutagePatch(&case_ybus, lines[i]).status());
         Rng case_rng = Rng::Fork(seed, 1 + i);
-        auto case_data =
-            SimulateCase(*outage_grid, options, case_rng, case_ybus);
+        auto case_data = SimulateCase(*outage_grid, options, case_rng);
         if (!case_data.ok()) {
           // Post-outage power flow failed to converge often enough.
           return Status::OK();

@@ -15,9 +15,8 @@ namespace {
 
 constexpr double kDegToRad = M_PI / 180.0;
 
-/// Per-branch π-model admittance contributions, exactly as the dense
-/// builder stamps them. Split out so the sparse builder and the
-/// outage patch accumulate bit-identical values.
+/// Per-branch π-model admittance contributions, shared by the dense and
+/// sparse builders so both accumulate bit-identical values.
 struct BranchStamp {
   linalg::Complex ff, tt, ft, tf;
 };
@@ -72,6 +71,7 @@ Result<Grid> Grid::Create(std::string name, std::vector<Bus> buses,
                                    std::to_string(slack_count));
   }
 
+  g.branch_ends_.reserve(g.branches_.size());
   for (const Branch& br : g.branches_) {
     auto from = index.find(br.from_bus);
     auto to = index.find(br.to_bus);
@@ -94,6 +94,7 @@ Result<Grid> Grid::Create(std::string name, std::vector<Bus> buses,
                                      "-" + std::to_string(br.to_bus) +
                                      " has negative or NaN resistance");
     }
+    g.branch_ends_.push_back({from->second, to->second});
   }
 
   g.RebuildDerived();
@@ -104,15 +105,11 @@ Result<Grid> Grid::Create(std::string name, std::vector<Bus> buses,
 }
 
 void Grid::RebuildDerived() {
-  std::map<int, size_t> index;
-  for (size_t i = 0; i < buses_.size(); ++i) index[buses_[i].id] = i;
-
   adjacency_.assign(buses_.size(), {});
   std::set<LineId> line_set;
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    size_t from = index[br.from_bus];
-    size_t to = index[br.to_bus];
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    if (!branches_[k].in_service) continue;
+    auto [from, to] = branch_ends_[k];
     if (line_set.insert(LineId(from, to)).second) {
       adjacency_[from].push_back(to);
       adjacency_[to].push_back(from);
@@ -153,20 +150,17 @@ bool Grid::WouldIsland(const LineId& line) const {
   return uf.NumComponents() != 1;
 }
 
-Result<Grid> Grid::WithLineOut(const LineId& line,
-                               bool allow_islanding) const {
-  if (!allow_islanding && WouldIsland(line)) {
+Result<Grid> Grid::WithLineOut(const LineId& line) const {
+  if (WouldIsland(line)) {
     return Status::Islanded("removing " + LineName(line) +
                             " disconnects the grid");
   }
   Grid out = *this;
   bool found = false;
-  for (Branch& br : out.branches_) {
-    if (!br.in_service) continue;
-    auto from = BusIndex(br.from_bus);
-    auto to = BusIndex(br.to_bus);
-    PW_CHECK(from.ok() && to.ok());
-    if (LineId(from.value(), to.value()) == line) {
+  for (size_t k = 0; k < out.branches_.size(); ++k) {
+    Branch& br = out.branches_[k];
+    if (br.in_service &&
+        LineId(branch_ends_[k].from, branch_ends_[k].to) == line) {
       br.in_service = false;
       found = true;
     }
@@ -182,16 +176,11 @@ Result<Grid> Grid::WithLineOut(const LineId& line,
 linalg::ComplexMatrix Grid::BuildAdmittanceMatrix() const {
   const size_t n = buses_.size();
   linalg::ComplexMatrix ybus(n, n);
-
-  std::map<int, size_t> index;
-  for (size_t i = 0; i < n; ++i) index[buses_[i].id] = i;
-
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    size_t f = index[br.from_bus];
-    size_t t = index[br.to_bus];
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    if (!branches_[k].in_service) continue;
+    auto [f, t] = branch_ends_[k];
     // Standard π-model with an ideal transformer on the "from" side.
-    BranchStamp s = StampBranch(br);
+    BranchStamp s = StampBranch(branches_[k]);
     ybus(f, f) += s.ff;
     ybus(t, t) += s.tt;
     ybus(f, t) += s.ft;
@@ -206,17 +195,12 @@ linalg::ComplexMatrix Grid::BuildAdmittanceMatrix() const {
 
 SparseAdmittance Grid::BuildSparseAdmittance() const {
   const size_t n = buses_.size();
-  std::map<int, size_t> index;
-  for (size_t i = 0; i < n; ++i) index[buses_[i].id] = i;
-
   // Pattern over every branch — including out-of-service ones, whose
   // slots stay explicit zeros — plus all diagonals.
   std::vector<std::pair<size_t, size_t>> pattern;
-  pattern.reserve(n + 4 * branches_.size());
+  pattern.reserve(n + 2 * branches_.size());
   for (size_t i = 0; i < n; ++i) pattern.emplace_back(i, i);
-  for (const Branch& br : branches_) {
-    size_t f = index[br.from_bus];
-    size_t t = index[br.to_bus];
+  for (const auto& [f, t] : branch_ends_) {
     pattern.emplace_back(f, t);
     pattern.emplace_back(t, f);
   }
@@ -230,11 +214,10 @@ SparseAdmittance Grid::BuildSparseAdmittance() const {
     y.g.SetValue(slot, y.g.ValueAt(slot) + v.real());
     y.b.SetValue(slot, y.b.ValueAt(slot) + v.imag());
   };
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    size_t f = index[br.from_bus];
-    size_t t = index[br.to_bus];
-    BranchStamp s = StampBranch(br);
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    if (!branches_[k].in_service) continue;
+    auto [f, t] = branch_ends_[k];
+    BranchStamp s = StampBranch(branches_[k]);
     add(f, f, s.ff);
     add(t, t, s.tt);
     add(f, t, s.ft);
@@ -246,91 +229,13 @@ SparseAdmittance Grid::BuildSparseAdmittance() const {
   return y;
 }
 
-Result<YbusPatch> Grid::ApplyLineOutagePatch(SparseAdmittance* ybus,
-                                             const LineId& line) const {
-  PW_CHECK(ybus != nullptr);
-  PW_CHECK_EQ(ybus->g.rows(), buses_.size());
-  PW_CHECK_LT(line.i, buses_.size());
-  PW_CHECK_LT(line.j, buses_.size());
-  std::map<int, size_t> index;
-  for (size_t i = 0; i < buses_.size(); ++i) index[buses_[i].id] = i;
-
-  const size_t f = line.i;
-  const size_t t = line.j;
-  bool any_in_service = false;
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    if (LineId(index[br.from_bus], index[br.to_bus]) == line) {
-      any_in_service = true;
-      break;
-    }
-  }
-  if (!any_in_service) {
-    return Status::NotFound("no in-service line " + LineName(line));
-  }
-
-  YbusPatch patch;
-  patch.line = line;
-  patch.slots = {ybus->g.EntrySlot(f, f), ybus->g.EntrySlot(t, t),
-                 ybus->g.EntrySlot(f, t), ybus->g.EntrySlot(t, f)};
-  for (size_t k = 0; k < 4; ++k) {
-    patch.saved_g[k] = ybus->g.ValueAt(patch.slots[k]);
-    patch.saved_b[k] = ybus->b.ValueAt(patch.slots[k]);
-  }
-
-  // Every branch between the endpoints drops out (WithLineOut
-  // semantics), so the off-diagonals become exact zeros and the two
-  // diagonals are re-accumulated from the surviving incident branches
-  // — in branch-declaration order, which is what makes the patched
-  // values bit-identical to a full rebuild on the outage grid.
-  linalg::Complex dff(0.0, 0.0);
-  linalg::Complex dtt(0.0, 0.0);
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    size_t bf = index[br.from_bus];
-    size_t bt = index[br.to_bus];
-    if (LineId(bf, bt) == line) continue;
-    if (bf != f && bt != f && bf != t && bt != t) continue;
-    BranchStamp s = StampBranch(br);
-    if (bf == f) dff += s.ff;
-    if (bt == f) dff += s.tt;
-    if (bf == t) dtt += s.ff;
-    if (bt == t) dtt += s.tt;
-  }
-  dff += linalg::Complex(buses_[f].gs_mw, buses_[f].bs_mvar) / base_mva_;
-  dtt += linalg::Complex(buses_[t].gs_mw, buses_[t].bs_mvar) / base_mva_;
-
-  ybus->g.SetValue(patch.slots[0], dff.real());
-  ybus->b.SetValue(patch.slots[0], dff.imag());
-  ybus->g.SetValue(patch.slots[1], dtt.real());
-  ybus->b.SetValue(patch.slots[1], dtt.imag());
-  ybus->g.SetValue(patch.slots[2], 0.0);
-  ybus->b.SetValue(patch.slots[2], 0.0);
-  ybus->g.SetValue(patch.slots[3], 0.0);
-  ybus->b.SetValue(patch.slots[3], 0.0);
-  return patch;
-}
-
-void Grid::RevertLineOutagePatch(SparseAdmittance* ybus,
-                                 const YbusPatch& patch) const {
-  PW_CHECK(ybus != nullptr);
-  PW_CHECK_EQ(ybus->g.rows(), buses_.size());
-  for (size_t k = 0; k < 4; ++k) {
-    ybus->g.SetValue(patch.slots[k], patch.saved_g[k]);
-    ybus->b.SetValue(patch.slots[k], patch.saved_b[k]);
-  }
-}
-
 linalg::Matrix Grid::BuildSusceptanceLaplacian() const {
   const size_t n = buses_.size();
   linalg::Matrix lap(n, n);
-  std::map<int, size_t> index;
-  for (size_t i = 0; i < n; ++i) index[buses_[i].id] = i;
-  for (const Branch& br : branches_) {
-    if (!br.in_service) continue;
-    size_t f = index[br.from_bus];
-    size_t t = index[br.to_bus];
-    double w = 1.0 / br.x;
+  for (size_t k = 0; k < branches_.size(); ++k) {
+    if (!branches_[k].in_service) continue;
+    auto [f, t] = branch_ends_[k];
+    double w = 1.0 / branches_[k].x;
     lap(f, f) += w;
     lap(t, t) += w;
     lap(f, t) -= w;

@@ -1,7 +1,6 @@
 #ifndef PHASORWATCH_GRID_GRID_H_
 #define PHASORWATCH_GRID_GRID_H_
 
-#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -68,32 +67,32 @@ struct LineId {
   friend auto operator<=>(const LineId&, const LineId&) = default;
 };
 
+/// Internal indices of one branch's two ends.
+struct BranchEnds {
+  size_t from = 0;
+  size_t to = 0;
+};
+
 /// Sparse bus admittance matrix: real and imaginary parts of Ybus in
 /// CSR form with one shared pattern. The pattern covers every branch
 /// — in service or not — plus every diagonal, so out-of-service
-/// branches hold explicit zero slots. That slot reservation is what
-/// turns a single-line-outage study into a 4-entry value patch
-/// (Grid::ApplyLineOutagePatch) instead of a full rebuild.
+/// branches hold explicit zero slots and an outage grid keeps its base
+/// grid's pattern. The power-flow Jacobian pattern, and with it the
+/// sparse LU's elimination order, is derived from this one, so the
+/// reserved slots are part of every sparse solve's bits.
 struct SparseAdmittance {
   linalg::CsrMatrix g;  ///< Re(Ybus), per-unit
   linalg::CsrMatrix b;  ///< Im(Ybus), same pattern as g
 };
 
-/// Saved entries for reverting a line-outage patch: the four touched
-/// slots — (f,f), (t,t), (f,t), (t,f) — and their pre-patch values.
-struct YbusPatch {
-  LineId line;
-  std::array<size_t, 4> slots{};
-  std::array<double, 4> saved_g{};
-  std::array<double, 4> saved_b{};
-};
-
 /// The transmission-level grid graph P(N, E) plus electrical data.
 ///
 /// Buses are addressed internally by dense 0-based indices; external ids
-/// from the IEEE case tables are preserved for reporting. The class owns
-/// topology queries (neighbors, connectivity, islanding) and the
-/// admittance-matrix builder that encodes line status (Eq. 1's Y).
+/// from the IEEE case tables are preserved for reporting. Create resolves
+/// each branch's external end ids to internal indices once; every
+/// topology reader uses those (branch_ends()). The class owns topology
+/// queries (neighbors, connectivity, islanding) and the admittance-matrix
+/// builders that encode line status (Eq. 1's Y).
 class Grid {
  public:
   /// Validates and indexes the case data. Fails on duplicate/unknown bus
@@ -115,6 +114,8 @@ class Grid {
 
   const std::vector<Bus>& buses() const { return buses_; }
   const std::vector<Branch>& branches() const { return branches_; }
+  /// Internal end indices of every branch, parallel to branches().
+  const std::vector<BranchEnds>& branch_ends() const { return branch_ends_; }
   const Bus& bus(size_t idx) const { return buses_[idx]; }
 
   /// Internal index for an external bus id.
@@ -139,10 +140,9 @@ class Grid {
 
   /// Copy of this grid with every branch between the endpoints of `line`
   /// taken out of service. Fails with kIslanded if that disconnects the
-  /// grid and `allow_islanding` is false, and with kNotFound if no such
-  /// in-service line exists.
-  PW_NODISCARD Result<Grid> WithLineOut(const LineId& line,
-                                        bool allow_islanding = false) const;
+  /// grid, and with kNotFound if no such in-service line exists, so the
+  /// result is always a connected grid.
+  PW_NODISCARD Result<Grid> WithLineOut(const LineId& line) const;
 
   /// Bus admittance matrix Ybus (per-unit) over in-service branches,
   /// including line charging, taps, phase shifts, and bus shunts. The
@@ -154,23 +154,8 @@ class Grid {
   /// to BuildAdmittanceMatrix(): contributions are accumulated per
   /// entry in the same branch-declaration order, with bus shunts added
   /// last. The pattern additionally reserves zero slots for
-  /// out-of-service branches so outage patches never change it.
+  /// out-of-service branches (see SparseAdmittance).
   SparseAdmittance BuildSparseAdmittance() const;
-
-  /// Applies the single-line outage of `line` to `ybus` as a branch-
-  /// local value patch: the (f,t)/(t,f) off-diagonals drop to zero and
-  /// both diagonals are recomputed from the surviving incident
-  /// branches in branch-declaration order. The patched matrix is
-  /// bit-identical to WithLineOut(line)->BuildSparseAdmittance(); the
-  /// grid itself is not modified. Fails with kNotFound when no
-  /// in-service branch joins the endpoints.
-  PW_NODISCARD Result<YbusPatch> ApplyLineOutagePatch(
-      SparseAdmittance* ybus, const LineId& line) const;
-
-  /// Restores the entries saved in `patch` — a bit-exact revert of
-  /// ApplyLineOutagePatch.
-  void RevertLineOutagePatch(SparseAdmittance* ybus,
-                             const YbusPatch& patch) const;
 
   /// Weighted graph Laplacian using 1/x as edge weights (the DC
   /// approximation's B' matrix without slack reduction).
@@ -192,6 +177,7 @@ class Grid {
   double base_mva_ = 100.0;
   std::vector<Bus> buses_;
   std::vector<Branch> branches_;
+  std::vector<BranchEnds> branch_ends_;  // parallel to branches_
   std::vector<LineId> lines_;
   std::vector<std::vector<size_t>> adjacency_;
   size_t slack_ = 0;

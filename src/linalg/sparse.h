@@ -38,7 +38,8 @@ class CsrMatrix {
   /// (the natural idiom for stamping branch contributions). Entries
   /// whose sum is exactly zero are dropped from the pattern — use
   /// FromPattern when zero-valued slots must survive (e.g. admittance
-  /// slots for out-of-service branches that a later patch re-fills).
+  /// slots for out-of-service branches, which keep an outage grid's
+  /// pattern, and so its sparse-LU ordering, equal to its base grid's).
   static CsrMatrix FromTriplets(size_t rows, size_t cols,
                                 std::vector<Triplet> triplets);
 

@@ -66,8 +66,8 @@ PW_NODISCARD Result<PowerFlowSolution> SolveAcPowerFlow(
     const InjectionOverrides& overrides = {});
 
 /// As SolveAcPowerFlow, but reuses a prebuilt sparse admittance matrix
-/// (from Grid::BuildSparseAdmittance, possibly patched branch-locally
-/// via Grid::ApplyLineOutagePatch) instead of assembling one per call.
+/// (grid.BuildSparseAdmittance()) instead of assembling one per call, so
+/// a caller solving many load states of one topology assembles it once.
 /// `ybus` must describe exactly `grid`'s in-service topology; results
 /// are bit-identical to the overload above, which assembles it.
 PW_NODISCARD Result<PowerFlowSolution> SolveAcPowerFlow(

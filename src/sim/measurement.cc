@@ -22,9 +22,9 @@ void PhasorDataSet::Append(const PhasorDataSet& other) {
   va = va.ConcatCols(other.va);
 }
 
-Result<PhasorDataSet> SimulateMeasurements(
-    const grid::Grid& grid, const SimulationOptions& options, Rng& rng,
-    const grid::SparseAdmittance* prebuilt_ybus) {
+Result<PhasorDataSet> SimulateMeasurements(const grid::Grid& grid,
+                                           const SimulationOptions& options,
+                                           Rng& rng) {
   PW_TRACE_SCOPE("sim.simulate_us");
   const size_t n = grid.num_buses();
   const size_t num_states = options.load.num_states;
@@ -37,11 +37,7 @@ Result<PhasorDataSet> SimulateMeasurements(
 
   // The topology is the same for every load state, so one admittance
   // serves them all.
-  grid::SparseAdmittance own_ybus;
-  if (prebuilt_ybus == nullptr) {
-    own_ybus = grid.BuildSparseAdmittance();
-    prebuilt_ybus = &own_ybus;
-  }
+  const grid::SparseAdmittance ybus = grid.BuildSparseAdmittance();
 
   PhasorDataSet out;
   out.vm = linalg::Matrix(n, num_states * per_state);
@@ -59,7 +55,7 @@ Result<PhasorDataSet> SimulateMeasurements(
     }
     overrides.pg_mw = pf::BalanceGeneration(grid, overrides.pd_mw);
 
-    auto solution = pf::SolveAcPowerFlow(grid, *prebuilt_ybus, {}, overrides);
+    auto solution = pf::SolveAcPowerFlow(grid, ybus, {}, overrides);
     if (!solution.ok()) {
       // Skip states that do not converge; the case is invalidated below
       // only if most states fail.

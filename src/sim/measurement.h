@@ -49,16 +49,10 @@ struct SimulationOptions {
 /// post-outage grid): draws load states, solves the AC power flow per
 /// state, then emits `samples_per_state` noisy phasor samples around each
 /// solved state. Fails with kNotConverged if too few states solve (an
-/// invalid outage case in the paper's sense).
-///
-/// Every load state shares one admittance matrix: `prebuilt_ybus`
-/// when given (from Grid::BuildSparseAdmittance, possibly patched
-/// branch-locally via Grid::ApplyLineOutagePatch), else one assembled
-/// here. It must describe exactly `grid`'s in-service topology; results
-/// are bit-identical to internal assembly (docs/SPARSE.md).
+/// invalid outage case in the paper's sense). The admittance matrix is
+/// assembled once from `grid` and shared by every load state.
 PW_NODISCARD Result<PhasorDataSet> SimulateMeasurements(
-    const grid::Grid& grid, const SimulationOptions& options, Rng& rng,
-    const grid::SparseAdmittance* prebuilt_ybus = nullptr);
+    const grid::Grid& grid, const SimulationOptions& options, Rng& rng);
 
 /// Convenience: the deterministic forecast state (no load variation, no
 /// noise) as a single-column data set.

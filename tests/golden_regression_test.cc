@@ -128,7 +128,7 @@ TEST(GoldenRegressionTest, Ieee14ScenarioTableIsByteStable) {
 // Cascade-lane golden: the three seeded multi-stage scenarios
 // (eval::DefaultCascadeScenarios) replayed through a multi-line
 // detector (max_outage_lines = 2), per-stage scores printed at full
-// precision. The whole chain — staged topology patches, ramped power
+// precision. The whole chain — staged outage grids, ramped power
 // flow, fault injection, bad-data screening, anchored residual peeling,
 // debounced sessions — is bit-deterministic, so any byte difference is
 // a behavior change in one of those layers.
@@ -177,9 +177,10 @@ TEST(GoldenRegressionTest, Ieee14CascadeTableIsByteStable) {
 }
 
 // 300-bus sparse-path golden: the ring-of-meshes generator, the
-// branch-local Ybus patches, and the sparse Newton-Raphson solver are
-// all bit-deterministic, so the solved operating point of a fixed set
-// of outage scenarios is byte-stable. This pins the whole sparse stack
+// outage grids' sparse Ybus (whose reserved zero slots fix the sparse
+// LU's ordering), and the sparse Newton-Raphson solver are all
+// bit-deterministic, so the solved operating point of a fixed set of
+// outage scenarios is byte-stable. This pins the whole sparse stack
 // (docs/SPARSE.md) the way the IEEE-14 table pins the detector
 // pipeline — at a size the dense path never sees.
 TEST(GoldenRegressionTest, Synthetic300SparseOutageTableIsByteStable) {
@@ -192,8 +193,7 @@ TEST(GoldenRegressionTest, Synthetic300SparseOutageTableIsByteStable) {
       "# phasorwatch golden: synthetic-300 sparse outage table, seed 1\n"
       "# regenerate: PW_UPDATE_GOLDEN=1 ./build/tests/golden_regression_test\n";
 
-  grid::SparseAdmittance base_ybus = grid->BuildSparseAdmittance();
-  auto base = pf::SolveAcPowerFlow(*grid, base_ybus);
+  auto base = pf::SolveAcPowerFlow(*grid);
   ASSERT_TRUE(base.ok()) << base.status().ToString();
   actual += FormatSolutionRow("base", *base);
 
@@ -203,10 +203,7 @@ TEST(GoldenRegressionTest, Synthetic300SparseOutageTableIsByteStable) {
     if (grid->WouldIsland(line)) continue;
     auto outage_grid = grid->WithLineOut(line);
     ASSERT_TRUE(outage_grid.ok());
-    grid::SparseAdmittance ybus = base_ybus;
-    auto patch = grid->ApplyLineOutagePatch(&ybus, line);
-    ASSERT_TRUE(patch.ok()) << patch.status().ToString();
-    auto sol = pf::SolveAcPowerFlow(*outage_grid, ybus);
+    auto sol = pf::SolveAcPowerFlow(*outage_grid);
     if (!sol.ok()) continue;  // stressed post-outage states may diverge
     actual += FormatSolutionRow("out:" + grid->LineName(line), *sol);
     ++recorded;

@@ -146,9 +146,6 @@ TEST(GridTest, WithLineOutRefusesIslanding) {
   auto out = grid->WithLineOut(LineId(0, 1));
   EXPECT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kIslanded);
-  // Explicit opt-in allows it.
-  auto forced = grid->WithLineOut(LineId(0, 1), /*allow_islanding=*/true);
-  EXPECT_TRUE(forced.ok());
 }
 
 TEST(GridTest, WithLineOutUnknownLine) {
@@ -156,6 +153,7 @@ TEST(GridTest, WithLineOutUnknownLine) {
   ASSERT_TRUE(grid.ok());
   auto out = grid->WithLineOut(LineId(0, 0));
   EXPECT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), StatusCode::kNotFound);
 }
 
 TEST(GridTest, ParallelBranchesCollapseToOneLine) {
